@@ -28,7 +28,7 @@ from .model import (
     system_env_coupling,
     zeeman_hamiltonian,
 )
-from .evolve import Trajectory, propagate, total_superoperator
+from .evolve import Trajectory, propagate
 from .sequences import (
     U_SWAP,
     Delay,

@@ -18,21 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, load_preset
-from .evolve import export_trajectory, propagate, total_superoperator
-from .linalg import ket2dm, max_norm
-from .metrics import report
-from .model import ChainSpec, Regime, resolve_secular_mode, resolved_mode
+from .evolve import export_trajectory
+from .linalg import max_norm
+from .model import ChainSpec, Regime, resolve_secular_mode
 from .sequences import (
     U_SWAP,
     Delay,
-    compile_program,
     ideal_propagator,
     program_to_json,
     swap_identical,
     swap_nonidentical,
-    transport_protocol,
 )
-from .sweep import argmax_report, format_table, run_sweep, summary_dict
+from .sweep import argmax_report, format_table, run_sweep, run_transport, summary_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -75,18 +72,9 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     out = _outdir(args)
-    mode = resolved_mode(cfg.mode, cfg.bath, cfg.omega1)
-    program = transport_protocol(cfg.chain, cfg.omega1, mode,
-                                 refocus=cfg.refocusing)
-    windows = compile_program(program, cfg.chain, cfg.bath, mode,
-                              drive_amp_hint=cfg.omega1)
-    total = total_superoperator(windows)
-    rho0 = ket2dm(program.meta["initial_state"])
-    traj = propagate(rho0, windows, meta=program.meta)
     j13 = cfg.chain.coupling_j((0, 2))
-    rep = report(traj, cfg.chain, total,
-                 omega1=cfg.omega1, omega_d=2 * np.pi * j13,
-                 tau_c=cfg.bath.tau_c, omega_se=cfg.bath.omega_se)
+    program, traj, rep = run_transport(cfg.chain, cfg.bath, cfg.mode, cfg.omega1,
+                                       2 * np.pi * j13, cfg.refocusing)
 
     traj_path = out / "trajectory.txt"
     traj_path.write_text(_config_banner(cfg) + "\n" + export_trajectory(traj))

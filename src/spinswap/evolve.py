@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import clip_to_density, conjugation_superop, dagger, expm, unvec, vec
 from .master import assemble
-from .sequences import UnitaryWindow, Window
+from .sequences import UnitaryWindow
 
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-9
@@ -42,6 +42,8 @@ class Trajectory:
     meta: program metadata (initial/target labels and kets).
     clip_count: number of samples whose tiny negative eigenvalues were
         floored at zero; min_eigenvalue is the worst value seen pre-clip.
+    channel: Liouville-space superoperator of the whole propagation, the
+        product of the window propagators in program order.
     """
 
     times: np.ndarray
@@ -49,6 +51,7 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
     clip_count: int = 0
     min_eigenvalue: float = 0.0
+    channel: np.ndarray | None = None
 
     @property
     def final_state(self) -> np.ndarray:
@@ -71,33 +74,18 @@ def _checked(rho: np.ndarray, t: float, stats: dict) -> np.ndarray:
     return rho
 
 
-def window_superoperator(window: Window) -> np.ndarray:
-    """Liouville-space propagator of one window."""
-    if isinstance(window, UnitaryWindow):
-        return conjugation_superop(window.unitary)
-    liou = assemble(window.spec)
-    return expm(liou.gen, window.duration)
-
-
-def total_superoperator(windows) -> np.ndarray:
-    """Product of all window propagators, in program order."""
-    total = None
-    for w in windows:
-        s = window_superoperator(w)
-        total = s if total is None else s @ total
-    if total is None:
-        raise ValueError("no windows to propagate")
-    return total
-
-
 def propagate(rho0: np.ndarray, windows, sample_dt: float | None = None,
               meta: dict | None = None) -> Trajectory:
     """Propagate a density matrix through compiled windows.
 
-    sample_dt controls trajectory recording only (default: each window is
-    subdivided into 50 samples); the final state is independent of it.
-    Raises PositivityError if any sampled state develops an eigenvalue
-    below -1e-8; smaller negatives are clipped silently and counted.
+    One pass gives both the sampled trajectory and the program channel:
+    each generator window is assembled once and exponentiated over the
+    full window (a factor of the channel) and over the sampling step (the
+    recorded states).  sample_dt controls trajectory recording only
+    (default: each window is subdivided into 50 samples); the final state
+    is independent of it.  Raises PositivityError if any sampled state
+    develops an eigenvalue below -1e-8; smaller negatives are clipped
+    silently and counted.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     stats = {"clips": 0, "min_eig": 0.0}
@@ -105,29 +93,36 @@ def propagate(rho0: np.ndarray, windows, sample_dt: float | None = None,
     times = [0.0]
     states = [_checked(rho0, 0.0, stats)]
     v = vec(rho0)
+    channel = None
     for w in windows:
         if isinstance(w, UnitaryWindow):
-            v = conjugation_superop(w.unitary) @ v
+            full = conjugation_superop(w.unitary)
+            v = full @ v
             # zero duration: overwrite the current sample point
             times.append(t)
             states.append(_checked(unvec(v), t, stats))
+        elif w.duration == 0.0:
             continue
-        if w.duration == 0.0:
-            continue
-        nsub = 50 if sample_dt is None else max(1, int(np.ceil(w.duration / sample_dt)))
-        liou = assemble(w.spec)
-        step = expm(liou.gen, w.duration / nsub)
-        for _ in range(nsub):
-            v = step @ v
-            t += w.duration / nsub
-            times.append(t)
-            states.append(_checked(unvec(v), t, stats))
+        else:
+            nsub = 50 if sample_dt is None else max(1, int(np.ceil(w.duration / sample_dt)))
+            gen = assemble(w.spec).gen
+            full = expm(gen, w.duration)
+            step = expm(gen, w.duration / nsub)
+            for _ in range(nsub):
+                v = step @ v
+                t += w.duration / nsub
+                times.append(t)
+                states.append(_checked(unvec(v), t, stats))
+        channel = full if channel is None else full @ channel
+    if channel is None:
+        channel = np.eye(v.size, dtype=complex)
     return Trajectory(
         np.array(times),
         states,
         dict(meta or {}),
         clip_count=stats["clips"],
         min_eigenvalue=stats["min_eig"],
+        channel=channel,
     )
 
 

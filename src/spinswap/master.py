@@ -51,20 +51,20 @@ def regulator_integral(omega: float, tau_c: float) -> complex:
 class GeneratorSpec:
     """Inputs for one evolution window's generator.
 
-    components: harmonic components (drive and system-environment terms).
-    static_h: secular static system Hamiltonian in the rotating frame
-        (dipolar couplings and anything else treated exactly), rad/s.
+    components: harmonic components (couplings, drive and
+        system-environment terms); nonempty, as they fix the dimension.
     bath: bath parameters (tau_c feeds the regulator).
     secular_cutoff: rad/s; pairs oscillating faster are dropped.
     """
 
     components: tuple[HarmonicComponent, ...]
-    static_h: np.ndarray
     bath: BathSpec
     secular_cutoff: float
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
+        if not self.components:
+            raise ValueError("a generator needs at least one component")
         if self.secular_cutoff <= 0:
             raise ValueError("secular_cutoff must be positive")
         for c in self.components:
@@ -73,18 +73,18 @@ class GeneratorSpec:
 
     @property
     def dim(self) -> int:
-        return self.static_h.shape[0]
+        return self.components[0].op.shape[0]
 
 
 def first_order_generator(spec: GeneratorSpec) -> np.ndarray:
-    """Coherent generator -i[H, .] from static_h plus secular components.
+    """Coherent generator -i[H, .] from the secular components.
 
     Environment-coupled components trace to zero against the maximally
     mixed environment state and never contribute here.  System-only
     components enter only when their frequency magnitude lies below the
     secular cutoff.
     """
-    h = np.array(spec.static_h, dtype=complex, copy=True)
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
     for c in spec.components:
         if c.has_env or not c.coherent:
             continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, partial_trace, pauli_strings, unvec, vec
+from .linalg import dagger, kron_all, partial_trace, pauli_strings, unvec, vec
 from .model import ChainSpec
 from .sequences import U_SWAP
 
@@ -134,33 +134,13 @@ def pair_channel(total_superop: np.ndarray, pair, nsites: int,
 def _embed_pair_operator(x: np.ndarray, pair, others, filler: np.ndarray):
     """Tensor a pair operator with filler states on the remaining sites."""
     nsites = len(pair) + len(others)
-    x4 = x.reshape(2, 2, 2, 2)  # (a_out, b_out, a_in, b_in)
-    # build as sum over pair computational indices of single-site factors
-    dim = 2**nsites
-    full = np.zeros((dim, dim), dtype=complex)
-    for ao in range(2):
-        for bo in range(2):
-            for ai in range(2):
-                for bi in range(2):
-                    coeff = x4[ao, bo, ai, bi]
-                    if coeff == 0.0:
-                        continue
-                    factors = []
-                    for s in range(nsites):
-                        if s == pair[0]:
-                            m = np.zeros((2, 2), dtype=complex)
-                            m[ao, ai] = 1.0
-                        elif s == pair[1]:
-                            m = np.zeros((2, 2), dtype=complex)
-                            m[bo, bi] = 1.0
-                        else:
-                            m = filler
-                        factors.append(m)
-                    term = factors[0]
-                    for f in factors[1:]:
-                        term = np.kron(term, f)
-                    full += coeff * term
-    return full
+    full = kron_all([x] + [filler] * len(others))
+    # tensor axes run over sites in the order (pair, others); permute them
+    # back into register order for the row and the column indices
+    perm = list(np.argsort(list(pair) + list(others)))
+    full = full.reshape((2,) * (2 * nsites))
+    full = full.transpose(perm + [nsites + p for p in perm])
+    return full.reshape(2**nsites, 2**nsites)
 
 
 def _clamp_metric(v: float) -> float:
@@ -170,13 +150,13 @@ def _clamp_metric(v: float) -> float:
     return v  # genuinely out of range: let TransferReport raise
 
 
-def report(traj, chain: ChainSpec, total_superop: np.ndarray,
-           **params) -> TransferReport:
+def report(traj, chain: ChainSpec, **params) -> TransferReport:
     """Fidelity, concurrence between spins 2 and 3, and SWAP efficiency.
 
     Fidelity and concurrence come from the trajectory's final state
     (concurrence after reducing to spins 2 and 3, 1-indexed); efficiency
-    comes from the full program channel reduced to the swapped pair (1,3).
+    comes from the trajectory's program channel reduced to the swapped
+    pair (1,3).
     """
     target = traj.meta.get("target_state")
     if target is None:
@@ -185,7 +165,7 @@ def report(traj, chain: ChainSpec, total_superop: np.ndarray,
     fid = state_fidelity(rho, target)
     rho23 = partial_trace(rho, (1, 2), [2] * chain.nsites)
     conc = concurrence(rho23)
-    chan = pair_channel(total_superop, (0, 2), chain.nsites)
+    chan = pair_channel(traj.channel, (0, 2), chain.nsites)
     eff = swap_efficiency(chan)
     return TransferReport(
         fidelity=_clamp_metric(fid),

@@ -255,41 +255,31 @@ def resolved_mode(mode: SecularMode, bath: BathSpec, omega1: float) -> SecularMo
     return SecularMode(mode.regime, default_coarse_grain_dt(bath, omega1))
 
 
-def drive_hamiltonian(drive: DriveSpec, chain: ChainSpec,
-                      frame: str = "carrier") -> list[HarmonicComponent]:
+def drive_hamiltonian(drive: DriveSpec, chain: ChainSpec) -> list[HarmonicComponent]:
     """Harmonic components of the drive after the rotating-wave approximation.
 
-    frame="carrier": the frame rotating at the drive carrier.  Each target
-    spin contributes a static omega_1 (Ix cos phi + Iy sin phi) plus its
-    detuning (omega_0^k - omega) Iz^k; counter-rotating terms at 2*omega are
-    dropped unconditionally.
-
-    frame="larmor": the frame rotating at each spin's own Larmor frequency
-    (the frame the propagation layer uses).  Detunings are absorbed into
-    the frame and an off-resonant drive instead oscillates at its residual
-    frequency omega - omega_0^k.
+    Expressed in the frame rotating at each spin's own Larmor frequency
+    (the frame the propagation layer uses): a resonant target contributes
+    a static omega_1 (Ix cos phi + Iy sin phi), an off-resonant one a
+    conjugate pair oscillating at its residual frequency omega - omega_0^k.
+    Counter-rotating terms at 2*omega are dropped unconditionally.
     """
-    if frame not in ("carrier", "larmor"):
-        raise ValueError("frame must be 'carrier' or 'larmor'")
     n = chain.nsites
     comps: list[HarmonicComponent] = []
     for k in drive.targets:
         if not 0 <= k < n:
             raise ValueError(f"drive target {k} out of range")
         det = chain.larmor[k] - drive.carrier
-        resonant = abs(det) <= RESONANCE_TOL
         if drive.amplitude > 0:
             axis = np.cos(drive.phase) * embed(_IX, k, n) \
                 + np.sin(drive.phase) * embed(_IY, k, n)
-            if frame == "carrier" or resonant:
+            if abs(det) <= RESONANCE_TOL:
                 comps.append(HarmonicComponent(drive.amplitude * axis, 0.0))
             else:
                 half = 0.5 * drive.amplitude
                 up = half * np.exp(-1j * drive.phase) * embed(_IP, k, n)
                 comps.append(HarmonicComponent(up, -det))
                 comps.append(HarmonicComponent(up.conj().T, det))
-        if frame == "carrier" and not resonant:
-            comps.append(HarmonicComponent(det * embed(_IZ, k, n), 0.0))
     return comps
 
 

@@ -38,7 +38,6 @@ from .model import (
     Regime,
     SecularMode,
     TimescaleSeparationWarning,
-    default_coarse_grain_dt,
     dipolar_hamiltonian,
     drive_hamiltonian,
     resolve_secular_mode,
@@ -222,28 +221,24 @@ def swap_identical(pair, j_hz: float, drive_amp: float) -> PulseProgram:
 
 
 def _echo_split(delays_before: float, tau: float, midpoint: float,
-                bystander: int, axis: str) -> list[Segment]:
+                bystander: int) -> list[Segment]:
     """Split one delay into echo pairs of pi pulses on the bystander spin.
 
     Each pair [a, pi, a, pi] cancels the bystander couplings accumulated
     across it and returns the bystander, so every delay contributes an even
-    number of flips.  When the protocol midpoint falls inside this delay,
+    number of x flips.  When the protocol midpoint falls inside this delay,
     the split is arranged so one pi lands exactly there.
     """
     x = midpoint - delays_before  # midpoint offset inside this delay
-    flip = IdealPi(axis, bystander)
+    flip = IdealPi("x", bystander)
     if 0.0 < x < tau and abs(x - 0.5 * tau) > 1e-15 * tau:
         a, b = 0.5 * x, 0.5 * (tau - x)
         return [Delay(a), flip, Delay(a), flip, Delay(b), flip, Delay(b), flip]
     return [Delay(0.5 * tau), flip, Delay(0.5 * tau), flip]
 
 
-def transport_protocol(chain: ChainSpec, drive_amp: float,
-                       mode: SecularMode | None = None,
-                       bath: BathSpec | None = None,
-                       coarse_grain_dt: float | None = None,
-                       refocus: bool = True,
-                       refocus_axis: str = "x") -> PulseProgram:
+def transport_protocol(chain: ChainSpec, drive_amp: float, mode: SecularMode,
+                       refocus: bool = True) -> PulseProgram:
     """Singlet transport on a 3-spin chain via SWAP between spins 1 and 3.
 
     The initial state (|10> - |01>)/sqrt(2) (x) |0> and the target
@@ -253,9 +248,8 @@ def transport_protocol(chain: ChainSpec, drive_amp: float,
     which falls exactly at the midpoint of the total delay content; this
     cancels the nearest-neighbour couplings exactly under ideal pulses.
 
-    When the regime is Auto, the coarse-graining window comes from (in
-    order) `coarse_grain_dt`, the mode's own value, or the default derived
-    from `bath` and the drive amplitude.
+    An Auto regime is resolved with the mode's own coarse-graining window,
+    so the mode must be pinned first (see `model.resolved_mode`).
     """
     if chain.nsites != 3:
         raise ValueError("transport protocol needs a 3-spin chain")
@@ -264,11 +258,7 @@ def transport_protocol(chain: ChainSpec, drive_amp: float,
     j13 = chain.coupling_j(pair)
     if j13 <= 0:
         raise ValueError("chain must couple spins 1 and 3 (sites 0 and 2)")
-    mode = mode or SecularMode()
-    if (coarse_grain_dt is None and mode.coarse_grain_dt is None
-            and bath is not None):
-        coarse_grain_dt = default_coarse_grain_dt(bath, drive_amp)
-    regime = resolve_secular_mode(mode, pair, chain, coarse_grain_dt)
+    regime = resolve_secular_mode(mode, pair, chain)
     if regime == Regime.ISING_ONLY:
         base = swap_nonidentical(pair, j13, drive_amp)
     else:
@@ -278,7 +268,7 @@ def transport_protocol(chain: ChainSpec, drive_amp: float,
         for nn in ((0, 1), (1, 2)):
             if chain.coupling_j(nn) <= 0:
                 continue
-            nn_regime = resolve_secular_mode(mode, nn, chain, coarse_grain_dt)
+            nn_regime = resolve_secular_mode(mode, nn, chain)
             dw = abs(chain.larmor[nn[0]] - chain.larmor[nn[1]])
             if nn_regime == Regime.ZERO_QUANTUM and dw > 0:
                 warnings.warn(
@@ -296,10 +286,7 @@ def transport_protocol(chain: ChainSpec, drive_amp: float,
         segs = []
         for seg in base.segments:
             if isinstance(seg, Delay):
-                segs.extend(
-                    _echo_split(elapsed, seg.duration, midpoint, bystander,
-                                refocus_axis)
-                )
+                segs.extend(_echo_split(elapsed, seg.duration, midpoint, bystander))
                 elapsed += seg.duration
             else:
                 segs.append(seg)
@@ -333,8 +320,12 @@ def _axis_op(phase: float, site: int, n: int) -> np.ndarray:
     return np.cos(phase) * embed(_IX, site, n) + np.sin(phase) * embed(_IY, site, n)
 
 
-def _pi_axis_op(axis: str, site: int, n: int) -> np.ndarray:
-    return embed({"x": _IX, "y": _IY, "z": _IZ}[axis], site, n)
+def _segment_unitary(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
+    """Exact propagator of a zero-duration segment on an n-spin register."""
+    if isinstance(seg, VirtualZ):
+        return expm(-1j * seg.angle * embed(_IZ, seg.target, n))
+    op = {"x": _IX, "y": _IY, "z": _IZ}[seg.axis]
+    return expm(-1j * np.pi * embed(op, seg.target, n))
 
 
 def coupling_hamiltonian(chain: ChainSpec, mode: SecularMode | None = None,
@@ -367,10 +358,8 @@ def ideal_propagator(program: PulseProgram, chain: ChainSpec,
         elif isinstance(seg, SquarePulse):
             gen = sum(_axis_op(seg.phase, t, n) for t in seg.targets)
             u = expm(-1j * seg.flip_angle * gen) @ u
-        elif isinstance(seg, VirtualZ):
-            u = expm(-1j * seg.angle * embed(_IZ, seg.target, n)) @ u
-        elif isinstance(seg, IdealPi):
-            u = expm(-1j * np.pi * _pi_axis_op(seg.axis, seg.target, n)) @ u
+        elif isinstance(seg, (VirtualZ, IdealPi)):
+            u = _segment_unitary(seg, n) @ u
         else:
             raise TypeError(f"unknown segment {seg!r}")
     return u
@@ -393,9 +382,7 @@ Window = GeneratorWindow | UnitaryWindow
 
 
 def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
-                    mode: SecularMode | None = None,
-                    drive_amp_hint: float | None = None,
-                    secular_cutoff: float | None = None) -> list[Window]:
+                    mode: SecularMode) -> list[Window]:
     """Compile a program to piecewise-constant evolution windows.
 
     Every finite-duration window carries the always-on secular couplings as
@@ -405,26 +392,27 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
     the drive components of their targets.  Virtual-z and ideal-pi segments
     become exact zero-duration unitaries.
 
-    The coarse-graining window defaults to the geometric mean of tau_c and
-    1/max(omega_1, omega_SE); the secular cutoff defaults to its inverse.
+    The mode must carry its coarse-graining window (see
+    `model.resolved_mode`); the secular cutoff is its inverse.  The
+    timescale check uses the largest pulse amplitude as omega_1.
     """
-    mode = mode or SecularMode()
+    if mode.coarse_grain_dt is None:
+        raise ValueError("compile_program needs a mode with a resolved coarse_grain_dt")
     n = chain.nsites
-    amp_hint = drive_amp_hint
-    if amp_hint is None:
-        amps = [s.amplitude for s in program.segments if isinstance(s, SquarePulse)]
-        amp_hint = max(amps) if amps else 0.0
-    if amp_hint * bath.tau_c >= 1.0:
+    omega1 = max(
+        (s.amplitude for s in program.segments if isinstance(s, SquarePulse)),
+        default=0.0,
+    )
+    if omega1 * bath.tau_c >= 1.0:
         warnings.warn(
-            f"omega_1 * tau_c = {amp_hint * bath.tau_c:.3g} >= 1 violates the "
+            f"omega_1 * tau_c = {omega1 * bath.tau_c:.3g} >= 1 violates the "
             "timescale separation the master equation assumes",
             TimescaleSeparationWarning,
             stacklevel=2,
         )
-    dt = mode.coarse_grain_dt or default_coarse_grain_dt(bath, amp_hint)
-    cutoff = secular_cutoff if secular_cutoff is not None else 1.0 / dt
+    cutoff = 1.0 / mode.coarse_grain_dt
 
-    h_coupling = coupling_hamiltonian(chain, mode, dt)
+    h_coupling = coupling_hamiltonian(chain, mode)
     env_comps = tuple(system_env_coupling(chain, bath))
     has_coupling = bool(np.any(h_coupling))
     # couplings evolve the state during delays; during hard pulses their
@@ -435,12 +423,11 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
     if has_coupling:
         delay_comps = (HarmonicComponent(h_coupling, 0.0),) + env_comps
         pulse_comps = (HarmonicComponent(h_coupling, 0.0, coherent=False),) + env_comps
-    h_static = np.zeros_like(h_coupling)
 
     windows: list[Window] = []
     for seg in program.segments:
         if isinstance(seg, Delay):
-            spec = GeneratorSpec(delay_comps, h_static, bath, cutoff)
+            spec = GeneratorSpec(delay_comps, bath, cutoff)
             windows.append(GeneratorWindow(spec, seg.duration))
         elif isinstance(seg, SquarePulse):
             carrier = seg.carrier
@@ -449,18 +436,14 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
                 # resonant with each target in the per-spin rotating frame
                 for t in seg.targets:
                     drive = DriveSpec(seg.amplitude, chain.larmor[t], seg.phase, (t,))
-                    comps.extend(drive_hamiltonian(drive, chain, frame="larmor"))
+                    comps.extend(drive_hamiltonian(drive, chain))
             else:
                 drive = DriveSpec(seg.amplitude, carrier, seg.phase, seg.targets)
-                comps.extend(drive_hamiltonian(drive, chain, frame="larmor"))
-            spec = GeneratorSpec(tuple(comps), h_static, bath, cutoff)
+                comps.extend(drive_hamiltonian(drive, chain))
+            spec = GeneratorSpec(tuple(comps), bath, cutoff)
             windows.append(GeneratorWindow(spec, seg.duration))
-        elif isinstance(seg, VirtualZ):
-            u = expm(-1j * seg.angle * embed(_IZ, seg.target, n))
-            windows.append(UnitaryWindow(u))
-        elif isinstance(seg, IdealPi):
-            u = expm(-1j * np.pi * _pi_axis_op(seg.axis, seg.target, n))
-            windows.append(UnitaryWindow(u))
+        elif isinstance(seg, (VirtualZ, IdealPi)):
+            windows.append(UnitaryWindow(_segment_unitary(seg, n)))
         else:
             raise TypeError(f"unknown segment {seg!r}")
     return windows
@@ -469,14 +452,6 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-_SEGMENT_TAGS = {
-    SquarePulse: "square_pulse",
-    Delay: "delay",
-    VirtualZ: "virtual_z",
-    IdealPi: "ideal_pi",
-}
-
 
 def _segment_record(seg: Segment) -> dict:
     if isinstance(seg, SquarePulse):

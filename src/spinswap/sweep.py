@@ -1,7 +1,8 @@
 """Grid sweeps of (omega_1, omega_D, tau_c) over the transport protocol.
 
 Points are embarrassingly parallel: each one runs an independent
-compile -> propagate -> report pipeline from immutable inputs.  Results are
+protocol -> compile -> propagate -> report pipeline (`run_transport`, which
+the simulate command shares) from immutable inputs.  Results are
 gathered into deterministic row-major grid order (omega_1 outermost, tau_c
 innermost) regardless of worker count, and a failed point yields a marked
 record instead of aborting the sweep.
@@ -16,11 +17,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .evolve import propagate, total_superoperator
+from .evolve import Trajectory, propagate
 from .linalg import ket2dm
-from .metrics import report
+from .metrics import TransferReport, report
 from .model import BathSpec, ChainSpec, SecularMode, resolved_mode
-from .sequences import compile_program, transport_protocol
+from .sequences import PulseProgram, compile_program, transport_protocol
 
 TABLE_HEADER = (
     "omega1_rad_s, omegaD_rad_s, tauc_s, omega1_over_omegaSE, "
@@ -81,37 +82,42 @@ class SweepRecord:
     efficiency: float
     status: str
     wall_time: float
+    error: str = ""  # exception message of a failed point
+
+
+def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
+                  omega1: float, omega_d: float, refocus: bool = True,
+                  ) -> tuple[PulseProgram, Trajectory, TransferReport]:
+    """Run the transport pipeline once: protocol, compile, propagate, report.
+
+    The secular mode is pinned up front so the protocol builder and the
+    compiler agree on every pair's coupling form.  omega_d is echoed in
+    the report only; the couplings are the chain's own.
+    """
+    mode = resolved_mode(mode, bath, omega1)
+    program = transport_protocol(chain, omega1, mode, refocus=refocus)
+    windows = compile_program(program, chain, bath, mode)
+    traj = propagate(ket2dm(program.meta["initial_state"]), windows,
+                     meta=program.meta)
+    rep = report(traj, chain, omega1=omega1, omega_d=omega_d,
+                 tau_c=bath.tau_c, omega_se=bath.omega_se)
+    return program, traj, rep
 
 
 def evaluate_point(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
                    omega1: float, omegaD: float, tauc: float,
-                   refocus: bool = True):
-    """Run the full transport pipeline at one parameter point.
+                   refocus: bool = True) -> TransferReport:
+    """Run the transport pipeline at one parameter point.
 
-    The secular mode is pinned up front so the protocol builder and the
-    compiler agree on every pair's coupling form.
+    Every coupling of the chain is rescaled to J = omega_D/2pi and the
+    bath's tau_c is replaced by `tauc`.
     """
     j = omegaD / (2.0 * np.pi)
     chain_pt = replace(
         chain, couplings=tuple((a, b, j) for a, b, _ in chain.couplings)
     )
     bath_pt = BathSpec(omega_se=bath.omega_se, tau_c=tauc)
-    mode_r = resolved_mode(mode, bath_pt, omega1)
-    program = transport_protocol(chain_pt, omega1, mode_r, refocus=refocus)
-    windows = compile_program(program, chain_pt, bath_pt, mode_r,
-                              drive_amp_hint=omega1)
-    total = total_superoperator(windows)
-    rho0 = ket2dm(program.meta["initial_state"])
-    traj = propagate(rho0, windows, meta=program.meta)
-    return report(
-        traj,
-        chain_pt,
-        total,
-        omega1=omega1,
-        omega_d=omegaD,
-        tau_c=tauc,
-        omega_se=bath.omega_se,
-    )
+    return run_transport(chain_pt, bath_pt, mode, omega1, omegaD, refocus)[2]
 
 
 def _sweep_mode(grid: GridSpec) -> SecularMode:
@@ -131,6 +137,7 @@ def _point_record(args) -> SweepRecord:
     scale_w = 1.0 / wse if (grid.scale_to_omega_se and wse > 0) else 1.0
     scale_t = wse if grid.scale_to_omega_se else 1.0
     t0 = time.perf_counter()
+    error = ""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -142,6 +149,7 @@ def _point_record(args) -> SweepRecord:
     except Exception as exc:  # failure containment: mark, never abort
         fid = conc = eff = float("nan")
         status = f"failed({type(exc).__name__})"
+        error = str(exc)
     return SweepRecord(
         omega1=w1,
         omegaD=wd,
@@ -154,6 +162,7 @@ def _point_record(args) -> SweepRecord:
         efficiency=eff,
         status=status,
         wall_time=time.perf_counter() - t0,
+        error=error,
     )
 
 

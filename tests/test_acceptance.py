@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from spinswap.config import load_preset
-from spinswap.evolve import propagate, total_superoperator
+from spinswap.evolve import propagate
 from spinswap.linalg import (
     basis_state,
     identity,
@@ -94,11 +94,9 @@ def test_criterion_2_transport_correctness():
     mode = cfg.mode  # preset pins the coarse-graining window
 
     prog = transport_protocol(cfg.chain, cfg.omega1, mode, refocus=True)
-    windows = compile_program(prog, cfg.chain, bath_off, mode,
-                              drive_amp_hint=cfg.omega1)
-    total = total_superoperator(windows)
+    windows = compile_program(prog, cfg.chain, bath_off, mode)
     traj = propagate(ket2dm(prog.meta["initial_state"]), windows, meta=prog.meta)
-    rep = report(traj, cfg.chain, total)
+    rep = report(traj, cfg.chain)
 
     prog_off = transport_protocol(cfg.chain, cfg.omega1, mode, refocus=False)
     u_off = ideal_propagator(prog_off, cfg.chain, mode)
@@ -133,7 +131,7 @@ def test_criterion_3_frqme_structural_suite():
         bath = BathSpec(wse, tau_c=tauc)
         mode = resolved_mode(SecularMode(Regime.AUTO, 4.11e-7), bath, w1)
         prog = transport_protocol(chain, w1, mode, refocus=True)
-        windows = compile_program(prog, chain, bath, mode, drive_amp_hint=w1)
+        windows = compile_program(prog, chain, bath, mode)
         gen_windows = [w for w in windows if hasattr(w, "spec")]
         # first pulse window and first delay window are representative
         for w in (gen_windows[0], gen_windows[-1]):
@@ -171,7 +169,7 @@ def test_criterion_4_regulator_oracle_equivalence():
     comps = (HarmonicComponent(W1_REF * IX, 0.0),) + tuple(
         system_env_coupling(chain, bath)
     )
-    spec = GeneratorSpec(comps, np.zeros((2, 2)), bath, 1e9)
+    spec = GeneratorSpec(comps, bath, 1e9)
     engine = second_order_dissipator(spec)
     brute = brute_force_dissipator(comps, bath.tau_c, 1e9, 2,
                                    upper=20.0, steps_per_tau=200)

@@ -184,6 +184,57 @@ class TestCli:
         assert len(summary["records"]) == 2
         assert summary["argmax"] is not None
 
+    def test_sweep_keeps_failure_message(self, tmp_path, monkeypatch):
+        import spinswap.sweep as sweep
+
+        original = sweep.evaluate_point
+
+        def flaky(chain, bath, mode, omega1, *args):
+            if omega1 < 2 * np.pi * 1.2e5:
+                raise ValueError("boom, x")
+            return original(chain, bath, mode, omega1, *args)
+
+        monkeypatch.setattr(sweep, "evaluate_point", flaky)
+        doc = json.loads(json.dumps(FIG2_DOC))
+        doc["grid"] = {
+            "omega1": ["2*pi*100 kHz", "2*pi*150 kHz"],
+            "omegaD": ["2*pi*150 kHz"],
+            "tau_c": ["0.1/(2*pi*1e5) s"],
+        }
+        path = self._write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out), "--workers", "1"]) == 0
+        rows = (out / "sweep.txt").read_text().strip().split("\n")[2:]
+        # the message holds a comma, so the table carries only the type
+        assert [r.split(", ")[-1] for r in rows] == ["failed(ValueError)", "ok"]
+        assert all(len(r.split(", ")) == 10 for r in rows)
+        records = json.loads((out / "sweep_summary.json").read_text())["records"]
+        assert [r["error"] for r in records] == ["boom, x", ""]
+
+    def test_simulate_matches_sweep_point(self, tmp_path):
+        from importlib import resources
+
+        doc = json.loads(
+            resources.files("spinswap.presets").joinpath("fig2.json").read_text()
+        )
+        # the simulate parameters of the preset as a one-point grid
+        doc["grid"] = {
+            "omega1": [doc["drive"]["omega1"]],
+            "omegaD": ["2*pi*150 kHz"],
+            "tau_c": [doc["bath"]["tau_c"]],
+        }
+        path = self._write_config(tmp_path, doc)
+        sim, swp = tmp_path / "sim", tmp_path / "sweep"
+        assert main(["simulate", "--preset", "fig2", "--out", str(sim)]) == 0
+        assert main(["sweep", "--config", path, "--out", str(swp)]) == 0
+        report = json.loads((sim / "report.json").read_text())
+        (record,) = json.loads((swp / "sweep_summary.json").read_text())["records"]
+        assert record["status"] == "ok"
+        for key in ("fidelity", "concurrence_23", "efficiency"):
+            assert report[key] == record[key]
+        assert (report["omega1_rad_s"], report["omegaD_rad_s"], report["tau_c_s"]) == (
+            record["omega1"], record["omegaD"], record["tauc"])
+
     def test_sweep_requires_grid(self, tmp_path):
         path = self._write_config(tmp_path, FIG2_DOC)
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "x")]) == 1

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinswap.evolve import (
     PositivityError,
     Trajectory,
     export_trajectory,
     propagate,
-    total_superoperator,
-    window_superoperator,
 )
 from spinswap.linalg import (
     basis_state,
-    dagger,
     identity,
     ket2dm,
     max_norm,
@@ -21,8 +19,14 @@ from spinswap.linalg import (
 )
 from spinswap.master import GeneratorSpec, assemble
 from spinswap.model import BathSpec, ChainSpec, HarmonicComponent, system_env_coupling
-from spinswap.sequences import Delay, PulseProgram, SquarePulse, compile_program
-from spinswap.model import Regime, SecularMode
+from spinswap.sequences import (
+    Delay,
+    PulseProgram,
+    SquarePulse,
+    compile_program,
+    transport_protocol,
+)
+from spinswap.model import Regime, SecularMode, resolved_mode
 
 IX, IY, IZ, IP, IM = spin_half_ops()
 
@@ -116,7 +120,7 @@ class TestRabiEnvelope:
         comps = (HarmonicComponent(W1 * IX, 0.0),) + tuple(
             system_env_coupling(CHAIN1, bath)
         )
-        spec = GeneratorSpec(comps, np.zeros((2, 2)), bath, 1e9)
+        spec = GeneratorSpec(comps, bath, 1e9)
         gen_analytic = assemble(spec).gen
         gen_brute = first_order_generator(spec) + brute_force_dissipator(
             comps, bath.tau_c, 1e9, 2
@@ -141,26 +145,37 @@ class TestRabiEnvelope:
         np.testing.assert_allclose(r_analytic, r_brute, rtol=1e-3)
 
 
-class TestSuperoperators:
-    def test_window_superoperator_of_unitary(self):
-        from spinswap.sequences import UnitaryWindow
+class TestChannel:
+    def test_no_windows_identity_channel(self):
+        traj = propagate(ket2dm(basis_state([0])), [])
+        np.testing.assert_array_equal(traj.channel, np.eye(4))
 
-        u = np.array([[0, 1], [1, 0]], dtype=complex)
-        s = window_superoperator(UnitaryWindow(u))
-        rho = np.diag([0.9, 0.1]).astype(complex)
-        np.testing.assert_allclose(unvec(s @ vec(rho)), u @ rho @ dagger(u))
-
-    def test_total_superoperator_matches_propagate(self):
-        bath = BathSpec(WSE, tau_c=TAU_C)
-        windows = drive_window(W1, 5e-6, bath)
-        rho0 = ket2dm(basis_state([0]))
-        via_total = unvec(total_superoperator(windows) @ vec(rho0))
-        via_propagate = propagate(rho0, windows).final_state
-        assert max_norm(via_total - via_propagate) < 1e-12
-
-    def test_total_superoperator_requires_windows(self):
-        with pytest.raises(ValueError):
-            total_superoperator([])
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=5, deadline=None)
+    @given(
+        larmor_khz=st.lists(st.floats(100.0, 1e4), min_size=3, max_size=3),
+        omega1_khz=st.floats(20.0, 500.0),
+        wse_tauc=st.floats(0.01, 0.3),
+    )
+    def test_channel_reproduces_final_state(self, larmor_khz, omega1_khz, wse_tauc):
+        # random 3-spin transport runs: the channel collected in the same
+        # pass maps the initial state onto the sampled final state and
+        # preserves the trace
+        j = 1.5e5
+        chain = ChainSpec(
+            tuple(2 * np.pi * 1e3 * w for w in larmor_khz),
+            ((0, 2, j), (0, 1, j), (1, 2, j)),
+        )
+        omega1 = 2 * np.pi * 1e3 * omega1_khz
+        bath = BathSpec(WSE, tau_c=wse_tauc / WSE)
+        mode = resolved_mode(SecularMode(), bath, omega1)
+        prog = transport_protocol(chain, omega1, mode)
+        windows = compile_program(prog, chain, bath, mode)
+        rho0 = ket2dm(prog.meta["initial_state"])
+        traj = propagate(rho0, windows, sample_dt=prog.total_duration / 20)
+        assert max_norm(unvec(traj.channel @ vec(rho0)) - traj.final_state) < 1e-12
+        tr_vec = vec(identity(8)).conj()
+        assert max_norm(tr_vec @ traj.channel - tr_vec) < 1e-12
 
 
 class TestExport:

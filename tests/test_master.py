@@ -114,7 +114,7 @@ def make_bath(omega_se=WSE, tau_c=TAU_C):
 class TestFirstOrder:
     def test_resonant_drive_only(self):
         spec = GeneratorSpec(
-            (HarmonicComponent(W1 * IX, 0.0),), np.zeros((2, 2)), make_bath(), 1e9
+            (HarmonicComponent(W1 * IX, 0.0),), make_bath(), 1e9
         )
         expected = -1j * (left_mult(W1 * IX) - right_mult(W1 * IX))
         np.testing.assert_allclose(first_order_generator(spec), expected, atol=1e-9)
@@ -122,8 +122,10 @@ class TestFirstOrder:
     def test_env_components_traced_away(self):
         static = 2 * np.pi * 5e4 * np.kron(IZ, IZ) * 4  # arbitrary static term
         chain = ChainSpec((1e7, 1e7), ())
-        comps = tuple(system_env_coupling(chain, make_bath()))
-        spec = GeneratorSpec(comps, static, make_bath(), 1e9)
+        comps = (HarmonicComponent(static, 0.0),) + tuple(
+            system_env_coupling(chain, make_bath())
+        )
+        spec = GeneratorSpec(comps, make_bath(), 1e9)
         expected = -1j * (left_mult(static) - right_mult(static))
         np.testing.assert_allclose(first_order_generator(spec), expected, atol=1e-9)
 
@@ -131,25 +133,29 @@ class TestFirstOrder:
         cutoff = 1e6
         fast = HarmonicComponent(0.5 * W1 * IP, 5e6)
         fast_c = HarmonicComponent(0.5 * W1 * IM, -5e6)
-        spec = GeneratorSpec((fast, fast_c), np.zeros((2, 2)), make_bath(), cutoff)
+        spec = GeneratorSpec((fast, fast_c), make_bath(), cutoff)
         assert max_norm(first_order_generator(spec)) == 0.0
+
+    def test_empty_components_rejected(self):
+        with pytest.raises(ValueError):
+            GeneratorSpec((), make_bath(), 1e9)
 
     def test_incoherent_component_excluded(self):
         comp = HarmonicComponent(W1 * IX, 0.0, coherent=False)
-        spec = GeneratorSpec((comp,), np.zeros((2, 2)), make_bath(), 1e9)
+        spec = GeneratorSpec((comp,), make_bath(), 1e9)
         assert max_norm(first_order_generator(spec)) == 0.0
 
 
 class TestSecondOrder:
     def test_zero_amplitudes_zero_map(self):
         spec = GeneratorSpec(
-            (HarmonicComponent(0.0 * IX, 0.0),), np.zeros((2, 2)), make_bath(), 1e9
+            (HarmonicComponent(0.0 * IX, 0.0),), make_bath(), 1e9
         )
         assert max_norm(second_order_dissipator(spec)) == 0.0
 
     def test_drive_induced_dissipation_form(self):
         spec = GeneratorSpec(
-            (HarmonicComponent(W1 * IX, 0.0),), np.zeros((2, 2)), make_bath(), 1e9
+            (HarmonicComponent(W1 * IX, 0.0),), make_bath(), 1e9
         )
         got = second_order_dissipator(spec)
         np.testing.assert_allclose(
@@ -160,7 +166,7 @@ class TestSecondOrder:
         chain = ChainSpec((2 * np.pi * 1e6,), ())
         bath = make_bath()
         comps = tuple(system_env_coupling(chain, bath))
-        spec = GeneratorSpec(comps, np.zeros((2, 2)), bath, 1e9)
+        spec = GeneratorSpec(comps, bath, 1e9)
         rate = bath.omega_se**2 * bath.tau_c / 4.0
         expected = rate * (lindblad_superop(IP) + lindblad_superop(IM))
         np.testing.assert_allclose(second_order_dissipator(spec), expected, atol=1e-9)
@@ -170,13 +176,13 @@ class TestSecondOrder:
         d1 = second_order_dissipator(
             GeneratorSpec(
                 tuple(system_env_coupling(chain, make_bath(WSE))),
-                np.zeros((2, 2)), make_bath(WSE), 1e9,
+                make_bath(WSE), 1e9,
             )
         )
         d2 = second_order_dissipator(
             GeneratorSpec(
                 tuple(system_env_coupling(chain, make_bath(2 * WSE))),
-                np.zeros((2, 2)), make_bath(2 * WSE), 1e9,
+                make_bath(2 * WSE), 1e9,
             )
         )
         np.testing.assert_allclose(max_norm(d2), 4.0 * max_norm(d1), rtol=1e-12)
@@ -187,11 +193,11 @@ class TestSecondOrder:
         drive = (HarmonicComponent(W1 * IX, 0.0),)
         env = tuple(system_env_coupling(chain, bath))
         combined = second_order_dissipator(
-            GeneratorSpec(drive + env, np.zeros((2, 2)), bath, 1e9)
+            GeneratorSpec(drive + env, bath, 1e9)
         )
         separate = second_order_dissipator(
-            GeneratorSpec(drive, np.zeros((2, 2)), bath, 1e9)
-        ) + second_order_dissipator(GeneratorSpec(env, np.zeros((2, 2)), bath, 1e9))
+            GeneratorSpec(drive, bath, 1e9)
+        ) + second_order_dissipator(GeneratorSpec(env, bath, 1e9))
         np.testing.assert_allclose(combined, separate, atol=1e-12)
 
 
@@ -204,7 +210,7 @@ class TestBruteForceOracle:
         comps = (HarmonicComponent(W1 * IX, 0.0),) + tuple(
             system_env_coupling(chain, bath)
         )
-        spec = GeneratorSpec(comps, np.zeros((2, 2)), bath, 1e9)
+        spec = GeneratorSpec(comps, bath, 1e9)
         engine = second_order_dissipator(spec)
         brute = brute_force_dissipator(comps, bath.tau_c, 1e9, 2)
         rel = max_norm(engine - brute) / max_norm(engine)
@@ -217,7 +223,7 @@ class TestBruteForceOracle:
         omega = 0.35 / bath.tau_c
         up = HarmonicComponent(0.5 * W1 * IP, -omega)
         dn = HarmonicComponent(0.5 * W1 * IM, +omega)
-        spec = GeneratorSpec((up, dn), np.zeros((2, 2)), bath, 1e9)
+        spec = GeneratorSpec((up, dn), bath, 1e9)
         engine = second_order_dissipator(spec)
         brute = brute_force_dissipator((up, dn), bath.tau_c, 1e9, 2)
         rel = max_norm(engine - brute) / max_norm(engine)
@@ -233,7 +239,7 @@ class TestAssemble:
         comps = (HarmonicComponent(W1 * IX, 0.0),) + tuple(
             system_env_coupling(chain, bath)
         )
-        return GeneratorSpec(comps, np.zeros((2, 2)), bath, 1e9)
+        return GeneratorSpec(comps, bath, 1e9)
 
     def test_trace_annihilation(self):
         liou = assemble(self._paper_spec())
@@ -262,7 +268,7 @@ class TestAssemble:
         for tc in (1e-9, 1e-10):
             bath = BathSpec(WSE, tau_c=tc)
             spec = GeneratorSpec(
-                (HarmonicComponent(W1 * IX, 0.0),), np.zeros((2, 2)), bath, 1e12
+                (HarmonicComponent(W1 * IX, 0.0),), bath, 1e12
             )
             norms.append(max_norm(second_order_dissipator(spec)))
         assert abs(norms[0] / norms[1] - 10.0) < 0.1
@@ -272,7 +278,7 @@ class TestAssemble:
         # tau_c = 1 ns (the [Ix,[Ix,.]] superoperator has max entry 1/2)
         bath = BathSpec(WSE, tau_c=1e-9)
         spec = GeneratorSpec(
-            (HarmonicComponent(W1 * IX, 0.0),), np.zeros((2, 2)), bath, 1e12
+            (HarmonicComponent(W1 * IX, 0.0),), bath, 1e12
         )
         norm = max_norm(second_order_dissipator(spec))
         np.testing.assert_allclose(norm, 0.5 * W1**2 * 1e-9, rtol=1e-9)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinswap.evolve import propagate, total_superoperator
+from spinswap.evolve import propagate
 from spinswap.linalg import (
     basis_state,
     conjugation_superop,
@@ -16,6 +16,7 @@ from spinswap.linalg import (
 )
 from spinswap.metrics import (
     TransferReport,
+    _embed_pair_operator,
     concurrence,
     pair_channel,
     report,
@@ -157,20 +158,34 @@ class TestPairChannel:
         chan = pair_channel(conjugation_superop(perm), (0, 2), 3)
         np.testing.assert_allclose(swap_efficiency(chan), 1.0, atol=1e-10)
 
+    def test_embedding_matches_site_by_site_reference(self):
+        # reference: sum over the pair's matrix units of site-ordered
+        # Kronecker products; every entry is one product in both forms
+        rng = np.random.default_rng(7)
+        filler = identity(2) / 2
+        for pair, nsites in (((0, 2), 3), ((0, 1), 3), ((1, 2), 3), ((1, 3), 4)):
+            others = [s for s in range(nsites) if s not in pair]
+            x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            ref = np.zeros((2**nsites, 2**nsites), dtype=complex)
+            for (ao, bo, ai, bi), coeff in np.ndenumerate(x.reshape(2, 2, 2, 2)):
+                factors = [filler] * nsites
+                factors[pair[0]] = np.outer(np.eye(2)[ao], np.eye(2)[ai])
+                factors[pair[1]] = np.outer(np.eye(2)[bo], np.eye(2)[bi])
+                ref += coeff * kron_all(factors)
+            got = _embed_pair_operator(x, pair, others, filler)
+            np.testing.assert_array_equal(got, ref)
+
 
 class TestReport:
     def _run(self, bath, refocus=True):
         prog = transport_protocol(CHAIN3, W1, MODE, refocus=refocus)
-        windows = compile_program(prog, CHAIN3, bath, MODE, drive_amp_hint=W1)
-        total = total_superoperator(windows)
-        traj = propagate(ket2dm(prog.meta["initial_state"]), windows,
+        windows = compile_program(prog, CHAIN3, bath, MODE)
+        return propagate(ket2dm(prog.meta["initial_state"]), windows,
                          meta=prog.meta)
-        return traj, total
 
     def test_ideal_closed_run_scores_unity(self):
         bath = BathSpec(0.0, tau_c=1e-18)
-        traj, total = self._run(bath)
-        rep = report(traj, CHAIN3, total)
+        rep = report(self._run(bath), CHAIN3)
         assert rep.fidelity > 1 - 1e-6
         assert rep.concurrence_23 > 1 - 1e-6
         assert rep.efficiency > 1 - 1e-6
@@ -196,15 +211,10 @@ class TestReport:
     def test_report_independent_of_sample_dt(self):
         bath = BathSpec(2 * np.pi * 1e5, tau_c=0.1 / (2 * np.pi * 1e5))
         prog = transport_protocol(CHAIN3, W1, MODE)
-        windows = compile_program(prog, CHAIN3, bath, MODE, drive_amp_hint=W1)
-        total = total_superoperator(windows)
+        windows = compile_program(prog, CHAIN3, bath, MODE)
         rho0 = ket2dm(prog.meta["initial_state"])
-        r1 = report(
-            propagate(rho0, windows, sample_dt=1e-6, meta=prog.meta), CHAIN3, total
-        )
-        r2 = report(
-            propagate(rho0, windows, sample_dt=1e-5, meta=prog.meta), CHAIN3, total
-        )
+        r1 = report(propagate(rho0, windows, sample_dt=1e-6, meta=prog.meta), CHAIN3)
+        r2 = report(propagate(rho0, windows, sample_dt=1e-5, meta=prog.meta), CHAIN3)
         assert abs(r1.fidelity - r2.fidelity) < 1e-11
         assert abs(r1.concurrence_23 - r2.concurrence_23) < 1e-11
         assert r1.efficiency == r2.efficiency
@@ -212,7 +222,7 @@ class TestReport:
     def test_missing_metadata_rejected(self):
         traj = propagate(identity(8) / 8, [])
         with pytest.raises(ValueError):
-            report(traj, CHAIN3, np.eye(64))
+            report(traj, CHAIN3)
 
 
 class TestTransferReport:

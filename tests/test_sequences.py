@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinswap.evolve import total_superoperator, window_superoperator
+from spinswap.evolve import propagate
 from spinswap.linalg import ket2dm, max_norm, unvec, vec
 from spinswap.model import BathSpec, ChainSpec, Regime, SecularMode
 from spinswap.sequences import (
@@ -184,6 +184,11 @@ class TestCompile:
     def setup_method(self):
         self.bath = BathSpec(2 * np.pi * 1e5, tau_c=1.6e-7)
 
+    def test_unresolved_mode_rejected(self):
+        with pytest.raises(ValueError):
+            compile_program(PulseProgram((Delay(1e-5),)), NONIDEN, self.bath,
+                            SecularMode())
+
     def test_single_delay_window_contents(self):
         prog = PulseProgram((Delay(1e-5),))
         windows = compile_program(prog, NONIDEN, self.bath, MODE)
@@ -203,15 +208,16 @@ class TestCompile:
         merged = compile_program(
             PulseProgram((Delay(1e-5),)), NONIDEN, self.bath, MODE
         )
-        s_split = total_superoperator(split)
-        s_merged = total_superoperator(merged)
+        rho0 = ket2dm(np.eye(4)[:, 1])
+        s_split = propagate(rho0, split).channel
+        s_merged = propagate(rho0, merged).channel
         assert max_norm(s_split - s_merged) < 1e-12
 
     def test_virtual_z_pair_cancels(self):
         prog = PulseProgram((VirtualZ(np.pi / 4, 0), VirtualZ(-np.pi / 4, 0)))
         windows = compile_program(prog, NONIDEN, self.bath, MODE)
         assert all(isinstance(w, UnitaryWindow) for w in windows)
-        total = total_superoperator(windows)
+        total = propagate(ket2dm(np.eye(4)[:, 0]), windows).channel
         assert max_norm(total - np.eye(16)) < 1e-12
 
     def test_pulse_window_gains_drive_components(self):
@@ -229,10 +235,13 @@ class TestCompile:
         prog = PulseProgram((IdealPi("x", 1),))
         windows = compile_program(prog, CHAIN3, self.bath, MODE)
         assert isinstance(windows[0], UnitaryWindow)
-        s = window_superoperator(windows[0])
         rho = ket2dm(np.eye(8)[:, 0])
-        out = unvec(s @ vec(rho))
+        out = unvec(propagate(rho, windows).channel @ vec(rho))
         np.testing.assert_allclose(np.trace(out), 1.0, atol=1e-12)
+        # the channel conjugates by the window's unitary: |000> -> |010>
+        u = windows[0].unitary
+        np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-12)
+        np.testing.assert_allclose(out[2, 2], 1.0, atol=1e-12)
 
 
 class TestProgramStructure:
@@ -283,7 +292,7 @@ def test_compile_warns_on_timescale_violation():
     bath = BathSpec(0.0, tau_c=1e-5)
     prog = PulseProgram((SquarePulse(W1, 0.0, (0,), 1e-6),))
     with pytest.warns(TimescaleSeparationWarning):
-        compile_program(prog, NONIDEN, bath, MODE, drive_amp_hint=W1)
+        compile_program(prog, NONIDEN, bath, MODE)
 
 
 def test_compiled_closed_limit_identical_regime():
@@ -296,8 +305,8 @@ def test_compiled_closed_limit_identical_regime():
     bath0 = BathSpec(0.0, tau_c=1e-18)
     prog = transport_protocol(chain, W1, MODE, refocus=True)
     assert prog.meta["regime"] == "zero_quantum"
-    windows = compile_program(prog, chain, bath0, MODE, drive_amp_hint=W1)
-    total = total_superoperator(windows)
+    windows = compile_program(prog, chain, bath0, MODE)
+    total = propagate(ket2dm(prog.meta["initial_state"]), windows).channel
     psi_i, psi_f = prog.meta["initial_state"], prog.meta["target_state"]
     rho = unvec(total @ vec(ket2dm(psi_i)))
     fid = np.real(np.conj(psi_f) @ rho @ psi_f)

@@ -92,6 +92,7 @@ class TestRunSweep:
         records = run_sweep(grid, workers=1)
         assert len(records) == 2
         assert all(r.status.startswith("failed(") for r in records)
+        assert all("spins 1 and 3" in r.error for r in records)
         assert all(np.isnan(r.fidelity) for r in records)
 
     def test_scaled_columns(self):
