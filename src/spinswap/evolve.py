@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import clip_to_density, conjugation_superop, dagger, expm, unvec, vec
+from .linalg import clip_to_density, conjugation_superop, expm, vec
 from .master import assemble
 from .sequences import UnitaryWindow
 
@@ -58,20 +58,36 @@ class Trajectory:
         return self.states[-1]
 
 
-def _checked(rho: np.ndarray, t: float, stats: dict) -> np.ndarray:
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise RuntimeError(f"trace drifted to {tr:.12f} at t = {t:.6e} s")
-    if np.max(np.abs(rho - dagger(rho))) > HERM_TOL:
-        raise RuntimeError(f"state lost Hermiticity at t = {t:.6e} s")
-    wmin = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min())
-    stats["min_eig"] = min(stats["min_eig"], wmin)
-    if wmin < EIG_FLOOR:
-        raise PositivityError(t, wmin)
-    if wmin < 0.0:
-        stats["clips"] += 1
-        return clip_to_density(rho)
-    return rho
+def _checked(rhos: np.ndarray, times, stats: dict) -> list[np.ndarray]:
+    """Validate a time-ordered stack of sampled states, shape (m, d, d).
+
+    Each sample must have unit trace, be Hermitian and be positive, checked
+    in that order; the first failing sample in time order raises.  Samples
+    whose smallest eigenvalue lies in [EIG_FLOOR, 0) are clipped one by one
+    and counted.
+    """
+    adj = rhos.conj().transpose(0, 2, 1)
+    tr = np.trace(rhos, axis1=1, axis2=2)
+    bad_trace = np.abs(tr - 1.0) > TRACE_TOL
+    bad_herm = np.abs(rhos - adj).max(axis=(1, 2)) > HERM_TOL
+    wmin = np.linalg.eigvalsh(0.5 * (rhos + adj)).min(axis=1)
+    bad = bad_trace | bad_herm | (wmin < EIG_FLOOR)
+    if bad.any():
+        k = int(np.argmax(bad))
+        t = times[k]
+        if bad_trace[k]:
+            raise RuntimeError(f"trace drifted to {tr[k]:.12f} at t = {t:.6e} s")
+        if bad_herm[k]:
+            raise RuntimeError(f"state lost Hermiticity at t = {t:.6e} s")
+        raise PositivityError(t, float(wmin[k]))
+    stats["min_eig"] = min(stats["min_eig"], float(wmin.min()))
+    states = []
+    for rho, w in zip(rhos, wmin):
+        if w < 0.0:
+            stats["clips"] += 1
+            rho = clip_to_density(rho)
+        states.append(rho)
+    return states
 
 
 def propagate(rho0: np.ndarray, windows, sample_dt: float | None = None,
@@ -79,40 +95,56 @@ def propagate(rho0: np.ndarray, windows, sample_dt: float | None = None,
     """Propagate a density matrix through compiled windows.
 
     One pass gives both the sampled trajectory and the program channel:
-    each generator window is assembled once and exponentiated over the
-    full window (a factor of the channel) and over the sampling step (the
-    recorded states).  sample_dt controls trajectory recording only
-    (default: each window is subdivided into 50 samples); the final state
-    is independent of it.  Raises PositivityError if any sampled state
-    develops an eigenvalue below -1e-8; smaller negatives are clipped
-    silently and counted.
+    each distinct generator is assembled once and exponentiated, once per
+    distinct window duration, over the full window (a factor of the
+    channel) and over the sampling step (the recorded states).  sample_dt
+    controls trajectory recording only (default: each window is subdivided
+    into 50 samples); the final state is independent of it.  Raises
+    PositivityError if any sampled state develops an eigenvalue below
+    -1e-8; smaller negatives are clipped silently and counted.
     """
     rho0 = np.asarray(rho0, dtype=complex)
+    d = rho0.shape[0]
     stats = {"clips": 0, "min_eig": 0.0}
     t = 0.0
     times = [0.0]
-    states = [_checked(rho0, 0.0, stats)]
+    states = _checked(rho0[None], times, stats)
     v = vec(rho0)
     channel = None
+    # Windows that share a spec object share a generator (see
+    # compile_program): assemble each once, and exponentiate each
+    # (generator, duration, nsub) once.  The spec is stored with its
+    # generator so its id stays unique for the whole pass.
+    generators: dict[int, tuple] = {}
+    propagators: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for w in windows:
         if isinstance(w, UnitaryWindow):
             full = conjugation_superop(w.unitary)
             v = full @ v
             # zero duration: overwrite the current sample point
-            times.append(t)
-            states.append(_checked(unvec(v), t, stats))
+            new_times = [t]
+            vs = v[None]
         elif w.duration == 0.0:
             continue
         else:
             nsub = 50 if sample_dt is None else max(1, int(np.ceil(w.duration / sample_dt)))
-            gen = assemble(w.spec).gen
-            full = expm(gen, w.duration)
-            step = expm(gen, w.duration / nsub)
-            for _ in range(nsub):
+            key = (id(w.spec), w.duration, nsub)
+            if key not in propagators:
+                if id(w.spec) not in generators:
+                    generators[id(w.spec)] = (w.spec, assemble(w.spec).gen)
+                gen = generators[id(w.spec)][1]
+                propagators[key] = (expm(gen, w.duration), expm(gen, w.duration / nsub))
+            full, step = propagators[key]
+            new_times = []
+            vs = np.empty((nsub, v.size), dtype=complex)
+            for k in range(nsub):
                 v = step @ v
+                vs[k] = v
                 t += w.duration / nsub
-                times.append(t)
-                states.append(_checked(unvec(v), t, stats))
+                new_times.append(t)
+        times.extend(new_times)
+        # each row unvec'd (column stacking): a (len, d, d) stack of views
+        states.extend(_checked(vs.reshape(-1, d, d).transpose(0, 2, 1), new_times, stats))
         channel = full if channel is None else full @ channel
     if channel is None:
         channel = np.eye(v.size, dtype=complex)

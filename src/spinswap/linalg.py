@@ -18,7 +18,11 @@ is deliberately not used.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
+from functools import cache
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg as _sla
@@ -177,6 +181,67 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     if not np.all(np.isfinite(m)) or not np.isfinite(t):
         raise ValueError("expm: non-finite entries in generator")
     return _sla.expm(m * t)
+
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy
+# bundle: numpy's 64-bit-integer libscipy_openblas64_ and scipy's own
+# libscipy_openblas, which scipy.linalg (expm among it) runs on.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@cache
+def _openblas_handles() -> tuple:
+    """(get, set) thread-count functions of every loaded OpenBLAS.
+
+    Looked up on first use, not at import, from the libraries mapped into
+    this process; where the process map cannot be read (non-Linux) or no
+    library exports the symbols, the result is empty.
+    """
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return ()
+    paths = sorted({ln.split()[-1] for ln in maps.splitlines()
+                    if "openblas" in ln.lower() and ln.split()[-1].startswith("/")})
+    handles = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is None or set_ is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            handles.append((get, set_))
+    return tuple(handles)
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    At 64x64 the operands are far too small to split: extra BLAS threads
+    only spin, and in a process pool they compete with the other workers
+    for the same cores.  The previous thread counts are restored on exit,
+    also when the block raises.  Without a loaded OpenBLAS this does
+    nothing.
+    """
+    handles = _openblas_handles()
+    previous = [get() for get, _ in handles]
+    for _, set_ in handles:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(handles, previous):
+            set_(n)
 
 
 def pauli_strings(nqubits: int, traceless: bool = True) -> np.ndarray:

@@ -424,24 +424,33 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
         delay_comps = (HarmonicComponent(h_coupling, 0.0),) + env_comps
         pulse_comps = (HarmonicComponent(h_coupling, 0.0, coherent=False),) + env_comps
 
+    def pulse_spec(seg: SquarePulse) -> GeneratorSpec:
+        comps: list[HarmonicComponent] = list(pulse_comps)
+        if seg.carrier is None:
+            # resonant with each target in the per-spin rotating frame
+            for t in seg.targets:
+                drive = DriveSpec(seg.amplitude, chain.larmor[t], seg.phase, (t,))
+                comps.extend(drive_hamiltonian(drive, chain))
+        else:
+            drive = DriveSpec(seg.amplitude, seg.carrier, seg.phase, seg.targets)
+            comps.extend(drive_hamiltonian(drive, chain))
+        return GeneratorSpec(tuple(comps), bath, cutoff)
+
+    # One spec object per distinct generator: all delays share one, and
+    # pulses share one per drive (amplitude, phase, targets, carrier), so
+    # propagate can assemble each generator once.
+    specs: dict = {}
     windows: list[Window] = []
     for seg in program.segments:
         if isinstance(seg, Delay):
-            spec = GeneratorSpec(delay_comps, bath, cutoff)
-            windows.append(GeneratorWindow(spec, seg.duration))
+            if "delay" not in specs:
+                specs["delay"] = GeneratorSpec(delay_comps, bath, cutoff)
+            windows.append(GeneratorWindow(specs["delay"], seg.duration))
         elif isinstance(seg, SquarePulse):
-            carrier = seg.carrier
-            comps: list[HarmonicComponent] = list(pulse_comps)
-            if carrier is None:
-                # resonant with each target in the per-spin rotating frame
-                for t in seg.targets:
-                    drive = DriveSpec(seg.amplitude, chain.larmor[t], seg.phase, (t,))
-                    comps.extend(drive_hamiltonian(drive, chain))
-            else:
-                drive = DriveSpec(seg.amplitude, carrier, seg.phase, seg.targets)
-                comps.extend(drive_hamiltonian(drive, chain))
-            spec = GeneratorSpec(tuple(comps), bath, cutoff)
-            windows.append(GeneratorWindow(spec, seg.duration))
+            key = (seg.amplitude, seg.phase, seg.targets, seg.carrier)
+            if key not in specs:
+                specs[key] = pulse_spec(seg)
+            windows.append(GeneratorWindow(specs[key], seg.duration))
         elif isinstance(seg, (VirtualZ, IdealPi)):
             windows.append(UnitaryWindow(_segment_unitary(seg, n)))
         else:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .evolve import Trajectory, propagate
-from .linalg import ket2dm
+from .linalg import ket2dm, single_blas_thread
 from .metrics import TransferReport, report
 from .model import BathSpec, ChainSpec, SecularMode, resolved_mode
 from .sequences import PulseProgram, compile_program, transport_protocol
@@ -83,6 +83,7 @@ class SweepRecord:
     status: str
     wall_time: float
     error: str = ""  # exception message of a failed point
+    warnings: tuple[str, ...] = ()  # unique "Category: message" raised by the point
 
 
 def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
@@ -92,15 +93,18 @@ def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
 
     The secular mode is pinned up front so the protocol builder and the
     compiler agree on every pair's coupling form.  omega_d is echoed in
-    the report only; the couplings are the chain's own.
+    the report only; the couplings are the chain's own.  The run holds
+    OpenBLAS at one thread (see `linalg.single_blas_thread`), so serial
+    sweeps, pool workers and simulate all get the pin from here.
     """
-    mode = resolved_mode(mode, bath, omega1)
-    program = transport_protocol(chain, omega1, mode, refocus=refocus)
-    windows = compile_program(program, chain, bath, mode)
-    traj = propagate(ket2dm(program.meta["initial_state"]), windows,
-                     meta=program.meta)
-    rep = report(traj, chain, omega1=omega1, omega_d=omega_d,
-                 tau_c=bath.tau_c, omega_se=bath.omega_se)
+    with single_blas_thread():
+        mode = resolved_mode(mode, bath, omega1)
+        program = transport_protocol(chain, omega1, mode, refocus=refocus)
+        windows = compile_program(program, chain, bath, mode)
+        traj = propagate(ket2dm(program.meta["initial_state"]), windows,
+                         meta=program.meta)
+        rep = report(traj, chain, omega1=omega1, omega_d=omega_d,
+                     tau_c=bath.tau_c, omega_se=bath.omega_se)
     return program, traj, rep
 
 
@@ -138,18 +142,18 @@ def _point_record(args) -> SweepRecord:
     scale_t = wse if grid.scale_to_omega_se else 1.0
     t0 = time.perf_counter()
     error = ""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
             rep = evaluate_point(grid.chain, grid.bath, mode, w1, wd, tc,
                                  grid.refocus)
-        fid, conc, eff, status = (
-            rep.fidelity, rep.concurrence_23, rep.efficiency, "ok",
-        )
-    except Exception as exc:  # failure containment: mark, never abort
-        fid = conc = eff = float("nan")
-        status = f"failed({type(exc).__name__})"
-        error = str(exc)
+            fid, conc, eff, status = (
+                rep.fidelity, rep.concurrence_23, rep.efficiency, "ok",
+            )
+        except Exception as exc:  # failure containment: mark, never abort
+            fid = conc = eff = float("nan")
+            status = f"failed({type(exc).__name__})"
+            error = str(exc)
     return SweepRecord(
         omega1=w1,
         omegaD=wd,
@@ -163,6 +167,8 @@ def _point_record(args) -> SweepRecord:
         status=status,
         wall_time=time.perf_counter() - t0,
         error=error,
+        warnings=tuple(dict.fromkeys(
+            f"{w.category.__name__}: {w.message}" for w in caught)),
     )
 
 

@@ -142,6 +142,21 @@ class TestCli:
         assert out.count("[PASS]") == 3
         assert "-0.75" in out  # phase reported as -3pi/4
 
+    def test_gate_check_resolves_regime_as_simulate(self, tmp_path, capsys):
+        # no pinned coarse_grain_dt: the default window (from tau_c and
+        # omega_1) puts end spins 1.5 MHz apart in the zero-quantum regime
+        doc = json.loads(json.dumps(FIG2_DOC))
+        doc["chain"]["larmor"][2] = "2*pi*10000 + 1500 kHz"
+        path = self._write_config(tmp_path, doc)
+        assert main(["gate-check", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 3
+        assert "-0.75" in out  # phase reported as -3pi/4
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", path, "--out", str(sim)]) == 0
+        program = json.loads((sim / "program.json").read_text())
+        assert program["meta"]["regime"] == "zero_quantum"
+
     def test_simulate_writes_outputs(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIG2_DOC))
         path = self._write_config(tmp_path, doc)
@@ -210,6 +225,22 @@ class TestCli:
         assert all(len(r.split(", ")) == 10 for r in rows)
         records = json.loads((out / "sweep_summary.json").read_text())["records"]
         assert [r["error"] for r in records] == ["boom, x", ""]
+
+    def test_sweep_records_point_warnings(self, tmp_path):
+        flagged = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["sweep", "--preset", "fig2", "--out", str(out),
+                         "--workers", workers]) == 0
+            records = json.loads((out / "sweep_summary.json").read_text())["records"]
+            flagged.append([
+                r["omega1"] for r in records
+                if any(w.startswith("TimescaleSeparationWarning: omega_1 * tau_c = ")
+                       for w in r["warnings"])
+            ])
+        out_of_domain = [r["omega1"] for r in records if r["omega1"] * r["tauc"] >= 1]
+        assert len(out_of_domain) == 4
+        assert flagged == [out_of_domain, out_of_domain]
 
     def test_simulate_matches_sweep_point(self, tmp_path):
         from importlib import resources

@@ -1,8 +1,16 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spinswap.evolve as evolve
+from spinswap.config import load_preset
 from spinswap.evolve import (
+    EIG_FLOOR,
+    HERM_TOL,
+    TRACE_TOL,
     PositivityError,
     Trajectory,
     export_trajectory,
@@ -10,6 +18,8 @@ from spinswap.evolve import (
 )
 from spinswap.linalg import (
     basis_state,
+    clip_to_density,
+    dagger,
     identity,
     ket2dm,
     max_norm,
@@ -27,6 +37,7 @@ from spinswap.sequences import (
     transport_protocol,
 )
 from spinswap.model import Regime, SecularMode, resolved_mode
+from spinswap.sweep import run_transport
 
 IX, IY, IZ, IP, IM = spin_half_ops()
 
@@ -176,6 +187,112 @@ class TestChannel:
         assert max_norm(unvec(traj.channel @ vec(rho0)) - traj.final_state) < 1e-12
         tr_vec = vec(identity(8)).conj()
         assert max_norm(tr_vec @ traj.channel - tr_vec) < 1e-12
+
+
+def run_preset_point(name):
+    cfg = load_preset(name)
+    return run_transport(cfg.chain, cfg.bath, cfg.mode, cfg.omega1,
+                         2 * np.pi * cfg.chain.coupling_j((0, 2)), cfg.refocusing)
+
+
+class TestDistinctGenerators:
+    @pytest.mark.parametrize("preset, assembles, expms",
+                             [("fig2", 9, 22), ("fig3", 3, 8)])
+    def test_one_assemble_and_expm_pair_per_distinct_generator(
+            self, monkeypatch, preset, assembles, expms):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evolve, "assemble", counting("assemble", evolve.assemble))
+        monkeypatch.setattr(evolve, "expm", counting("expm", evolve.expm))
+        run_preset_point(preset)
+        assert (calls["assemble"], calls["expm"]) == (assembles, expms)
+
+    def test_shared_specs_change_no_number(self):
+        # a copy of the spec per window defeats the memo: every window is
+        # then assembled and exponentiated on its own, as before sharing
+        program, traj, _ = run_preset_point("fig2")
+        cfg = load_preset("fig2")
+        mode = resolved_mode(cfg.mode, cfg.bath, cfg.omega1)
+        windows = [
+            replace(w, spec=replace(w.spec)) if hasattr(w, "spec") else w
+            for w in compile_program(program, cfg.chain, cfg.bath, mode)
+        ]
+        own = propagate(ket2dm(program.meta["initial_state"]), windows)
+        np.testing.assert_array_equal(own.times, traj.times)
+        np.testing.assert_array_equal(np.array(own.states), np.array(traj.states))
+        np.testing.assert_array_equal(own.channel, traj.channel)
+        assert (own.clip_count, own.min_eigenvalue) == (traj.clip_count, traj.min_eigenvalue)
+
+
+def per_sample_checked(rhos, times):
+    """The per-sample validation the batched check replaced (reference)."""
+    stats = {"clips": 0, "min_eig": 0.0}
+    out = []
+    for rho, t in zip(rhos, times):
+        tr = np.trace(rho)
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise RuntimeError(f"trace drifted to {tr:.12f} at t = {t:.6e} s")
+        if np.max(np.abs(rho - dagger(rho))) > HERM_TOL:
+            raise RuntimeError(f"state lost Hermiticity at t = {t:.6e} s")
+        wmin = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min())
+        stats["min_eig"] = min(stats["min_eig"], wmin)
+        if wmin < EIG_FLOOR:
+            raise PositivityError(t, wmin)
+        if wmin < 0.0:
+            stats["clips"] += 1
+            rho = clip_to_density(rho)
+        out.append(rho)
+    return out, stats
+
+
+def state_stack(min_eigs, seed=3):
+    """8x8 unit-trace states in a random eigenbasis with the given smallest
+    eigenvalues, one per sample."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    rhos = []
+    for e in min_eigs:
+        p = np.concatenate([[e], np.full(7, (1.0 - e) / 7)])
+        rhos.append((q * p) @ dagger(q))
+    return np.array(rhos)
+
+
+class TestBatchedChecks:
+    TIMES = list(np.linspace(1e-6, 2e-6, 6))
+
+    def test_clipping_matches_per_sample_path(self):
+        rhos = state_stack([0.0, -1e-10, 1e-3, -3e-9, -1e-12, 0.0])
+        stats = {"clips": 0, "min_eig": 0.0}
+        got = evolve._checked(rhos, self.TIMES, stats)
+        want, want_stats = per_sample_checked(rhos, self.TIMES)
+        assert stats == want_stats
+        assert stats["clips"] >= 3
+        np.testing.assert_array_equal(np.array(got), np.array(want))
+
+    def test_first_failing_sample_raises(self):
+        rhos = state_stack([0.0, -1e-10, -2e-6, 0.0, -5e-6, 0.0])
+        with pytest.raises(PositivityError) as got:
+            evolve._checked(rhos, self.TIMES, {"clips": 0, "min_eig": 0.0})
+        with pytest.raises(PositivityError) as want:
+            per_sample_checked(rhos, self.TIMES)
+        assert got.value.time == self.TIMES[2]
+        assert str(got.value) == str(want.value)
+        # a trace failure before the positivity failure wins, and after it loses
+        for k, expected in ((1, RuntimeError), (3, PositivityError)):
+            bad = rhos.copy()
+            bad[k] *= 1.1
+            with pytest.raises(expected) as got:
+                evolve._checked(bad, self.TIMES, {"clips": 0, "min_eig": 0.0})
+            with pytest.raises(expected) as want:
+                per_sample_checked(bad, self.TIMES)
+            assert type(got.value) is type(want.value) is expected
+            assert str(got.value) == str(want.value)
 
 
 class TestExport:

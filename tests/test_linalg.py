@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinswap import linalg
 from spinswap.linalg import (
     basis_state,
     clip_to_density,
@@ -17,6 +18,7 @@ from spinswap.linalg import (
     partial_trace,
     pauli_strings,
     right_mult,
+    single_blas_thread,
     spin_half_ops,
     unvec,
     vec,
@@ -237,3 +239,39 @@ def test_kron_all_order():
     got = kron_all([IX, identity(2), IZ])
     assert got.shape == (8, 8)
     np.testing.assert_allclose(got, np.kron(np.kron(IX, identity(2)), IZ))
+
+
+class TestSingleBlasThread:
+    def test_restores_previous_counts_also_when_body_raises(self, monkeypatch):
+        counts = [3, 4]
+
+        def handle(i):
+            return (lambda: counts[i]), (lambda n: counts.__setitem__(i, n))
+
+        monkeypatch.setattr(linalg, "_openblas_handles", lambda: (handle(0), handle(1)))
+        with single_blas_thread():
+            assert counts == [1, 1]
+        assert counts == [3, 4]
+        with pytest.raises(RuntimeError, match="body failed"):
+            with single_blas_thread():
+                assert counts == [1, 1]
+                raise RuntimeError("body failed")
+        assert counts == [3, 4]
+
+    def test_pins_every_loaded_openblas(self):
+        handles = linalg._openblas_handles()
+        if not handles:
+            pytest.skip("no OpenBLAS with thread-count symbols is loaded")
+        before = [get() for get, _ in handles]
+        with single_blas_thread():
+            assert [get() for get, _ in handles] == [1] * len(handles)
+        assert [get() for get, _ in handles] == before
+
+    def test_noop_without_library(self, monkeypatch):
+        real = linalg._openblas_handles()
+        before = [get() for get, _ in real]
+        monkeypatch.setattr(linalg, "_openblas_handles", lambda: ())
+        with single_blas_thread():
+            assert [get() for get, _ in real] == before
+            out = expm(np.diag([0.0, 1.0]).astype(complex))
+        np.testing.assert_allclose(out, np.diag([1.0, np.e]))

@@ -220,6 +220,24 @@ class TestCompile:
         total = propagate(ket2dm(np.eye(4)[:, 0]), windows).channel
         assert max_norm(total - np.eye(16)) < 1e-12
 
+    def test_repeated_segments_share_one_spec(self):
+        x90 = SquarePulse(W1, 0.0, (0,), 1e-6)
+        prog = PulseProgram((
+            Delay(1e-6), x90, Delay(2e-6), x90, VirtualZ(np.pi, 0),
+            SquarePulse(W1, np.pi / 2, (0,), 1e-6),
+            SquarePulse(W1, 0.0, (1,), 1e-6),
+            SquarePulse(W1, 0.0, (0,), 1e-6, carrier=2 * np.pi * 1e7 + 1e3),
+            SquarePulse(W1, 0.0, (0,), 2e-6),
+            Delay(3e-6),
+        ))
+        d1, p1, d2, p2, _, y90, other, detuned, long_x, d3 = compile_program(
+            prog, NONIDEN, self.bath, MODE)
+        assert d1.spec is d2.spec is d3.spec
+        # the spec depends on the drive, not on the pulse duration
+        assert p1.spec is p2.spec is long_x.spec
+        specs = [d1.spec, p1.spec, y90.spec, other.spec, detuned.spec]
+        assert len({id(s) for s in specs}) == len(specs)
+
     def test_pulse_window_gains_drive_components(self):
         prog = PulseProgram((SquarePulse(W1, 0.0, (0,), 1e-6),))
         windows = compile_program(prog, NONIDEN, self.bath, MODE)
