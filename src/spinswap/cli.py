@@ -20,7 +20,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config, load_preset
 from .evolve import export_trajectory
 from .linalg import max_norm
-from .model import ChainSpec, Regime, resolve_secular_mode, resolved_mode
+from .model import ChainSpec, Regime, resolve_secular_mode
 from .sequences import (
     U_SWAP,
     Delay,
@@ -64,7 +64,7 @@ def _config_banner(cfg: RunConfig) -> str:
 def cmd_validate(args) -> int:
     cfg = _resolve_config(args)
     n = cfg.chain.nsites
-    print(f"config ok: {n}-spin chain, protocol {cfg.protocol}, "
+    print(f"config ok: {n}-spin chain, protocol transport, "
           f"grid {'present' if cfg.grid else 'absent'}")
     return EXIT_OK
 
@@ -104,12 +104,12 @@ def _gate_checks(cfg: RunConfig):
 
     The gate is evaluated on the pair subspace alone (couplings to the
     bystander are the transport protocol's concern, not the gate's).  The
-    regime is resolved as simulate resolves it, so both use one sequence.
+    regime is resolved from the config's mode, as simulate resolves it, so
+    both use one sequence.
     """
     pair = (0, 2) if cfg.chain.nsites == 3 else (0, 1)
     j = cfg.chain.coupling_j(pair)
-    mode = resolved_mode(cfg.mode, cfg.bath, cfg.omega1)
-    regime = resolve_secular_mode(mode, pair, cfg.chain)
+    regime = resolve_secular_mode(cfg.mode, pair, cfg.chain)
     pair_chain = ChainSpec(
         (cfg.chain.larmor[pair[0]], cfg.chain.larmor[pair[1]]),
         ((0, 1, j),),
@@ -120,7 +120,7 @@ def _gate_checks(cfg: RunConfig):
     else:
         prog2 = swap_identical((0, 1), j, cfg.omega1)
         expected_phase = -3 * np.pi / 4
-    u = ideal_propagator(prog2, pair_chain, mode)
+    u = ideal_propagator(prog2, pair_chain, cfg.mode)
     phase = float(np.angle(u[0, 0]))
     mismatch = max_norm(u - np.exp(1j * phase) * U_SWAP)
     yield ("unitary match up to global phase", mismatch < GATE_UNITARY_TOL,

@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .model import BathSpec, ChainSpec, Regime, SecularMode
+from .model import BathSpec, ChainSpec, Regime, SecularMode, default_coarse_grain_dt
 from .sweep import GridSpec
 
 _UNIT_SCALES = {
@@ -74,17 +74,20 @@ def parse_quantity(text, kind: str, where: str) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration."""
+    """Fully resolved run configuration.
+
+    `mode` carries the one coarse-graining window of the run; `grid.mode`
+    is the same object, so gate-check, simulate and every sweep point
+    resolve each pair's coupling alike.
+    """
 
     chain: ChainSpec
     bath: BathSpec
     omega1: float  # rad/s
     mode: SecularMode
-    protocol: str = "transport"
     refocusing: bool = True
     grid: GridSpec | None = None
     workers: int = 1
-    seed: int = 0
     echo: dict = field(default_factory=dict)
 
     def physics_echo(self) -> dict:
@@ -167,15 +170,19 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(
             f"regime.mode: {mode_name!r} not one of auto, ising_only, zero_quantum"
         ) from None
-    dt = None
     if "coarse_grain_dt" in regime_doc:
         dt = parse_quantity(regime_doc["coarse_grain_dt"], "time",
                             "regime.coarse_grain_dt")
-    mode = SecularMode(regime, dt)
+    else:
+        dt = default_coarse_grain_dt(bath, omega1)
+    try:
+        mode = SecularMode(regime, dt)
+    except ValueError as exc:
+        raise ConfigError(f"regime.coarse_grain_dt: {exc}") from None
 
     protocol = doc.get("protocol", "transport")
-    if protocol not in ("transport", "swap"):
-        raise ConfigError(f"protocol: {protocol!r} not one of transport, swap")
+    if protocol != "transport":
+        raise ConfigError(f"protocol: {protocol!r} is not supported (only transport)")
     refocusing = bool(doc.get("refocusing", True))
 
     grid = None
@@ -191,7 +198,6 @@ def parse_config(doc: dict) -> RunConfig:
                 mode=mode,
                 refocus=refocusing,
                 scale_to_omega_se=bool(g.get("scale_to_omega_se", True)),
-                omega1_nominal=omega1,
             )
         except KeyError as exc:
             raise ConfigError(f"grid: missing field {exc}") from exc
@@ -209,11 +215,9 @@ def parse_config(doc: dict) -> RunConfig:
         bath=bath,
         omega1=omega1,
         mode=mode,
-        protocol=protocol,
         refocusing=refocusing,
         grid=grid,
         workers=workers,
-        seed=int(doc.get("seed", 0)),
         echo=doc,
     )
 

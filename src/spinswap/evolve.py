@@ -121,7 +121,8 @@ def propagate(rho0: np.ndarray, windows, sample_dt: float | None = None,
         if isinstance(w, UnitaryWindow):
             full = conjugation_superop(w.unitary)
             v = full @ v
-            # zero duration: overwrite the current sample point
+            # zero duration: a second sample at the current time holds the
+            # state right after the unitary, so the jump stays visible
             new_times = [t]
             vs = v[None]
         elif w.duration == 0.0:
@@ -158,26 +159,24 @@ def propagate(rho0: np.ndarray, windows, sample_dt: float | None = None,
     )
 
 
-def export_trajectory(traj: Trajectory, target: np.ndarray | None = None) -> str:
+def export_trajectory(traj: Trajectory) -> str:
     """Columnar text export: time, Re/Im of every entry (row-major), and the
-    instantaneous fidelity when a target ket is attached."""
-    if target is None:
-        target = traj.meta.get("target_state")
-    d = traj.states[0].shape[0]
-    cols = ["time_s"]
-    for i in range(d):
-        for j in range(d):
-            cols += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
+    instantaneous fidelity when the metadata carry a target ket."""
+    target = traj.meta.get("target_state")
+    states = np.asarray(traj.states, dtype=complex)
+    m, d = states.shape[:2]
+    cols = ["time_s"] + [f"{part}_rho_{i}{j}" for i in range(d) for j in range(d)
+                         for part in ("re", "im")]
+    # one float table: time, Re/Im interleaved per entry, fidelity
+    table = [np.asarray(traj.times, dtype=float)[:, None],
+             states.reshape(m, -1).view(float)]
     if target is not None:
         cols.append("fidelity")
-    lines = [", ".join(cols)]
-    for t, rho in zip(traj.times, traj.states):
-        row = [f"{t:.12g}"]
-        for i in range(d):
-            for j in range(d):
-                row += [f"{rho[i, j].real:.12g}", f"{rho[i, j].imag:.12g}"]
-        if target is not None:
-            fid = float(np.real(np.conj(target) @ rho @ target))
-            row.append(f"{fid:.12g}")
-        lines.append(", ".join(row))
-    return "\n".join(lines) + "\n"
+        fid = [float(np.real(np.conj(target) @ rho @ target)) for rho in traj.states]
+        table.append(np.array(fid)[:, None])
+    row = ", ".join(["%.12g"] * len(cols))
+    # rows become Python floats one at a time, and the trailing "" gives the
+    # final newline without a second copy of the text
+    lines = [", ".join(cols)] + [row % tuple(r.tolist()) for r in np.hstack(table)]
+    lines.append("")
+    return "\n".join(lines)

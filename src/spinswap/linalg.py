@@ -58,10 +58,6 @@ def max_norm(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return max_norm(a - dagger(a)) <= tol
-
-
 def kron_all(ops) -> np.ndarray:
     """Kronecker product of a sequence of operators, leftmost first."""
     out = np.asarray(ops[0], dtype=complex)

@@ -165,10 +165,6 @@ class Liouvillian:
     def kossakowski(self) -> np.ndarray:
         return kossakowski_matrix(self.gen)
 
-    @cached_property
-    def kossakowski_min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.kossakowski).min())
-
     @property
     def is_gkls_valid(self) -> bool:
         evals = np.linalg.eigvalsh(self.kossakowski)

@@ -77,13 +77,8 @@ def concurrence(rho2: np.ndarray) -> float:
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-def apply_channel(channel_superop: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return unvec(channel_superop @ vec(x))
-
-
-def swap_efficiency(channel_superop: np.ndarray,
-                    ideal: np.ndarray = U_SWAP) -> float:
-    """Average gate fidelity of a two-qubit channel against a target unitary.
+def swap_efficiency(channel_superop: np.ndarray) -> float:
+    """Average gate fidelity of a two-qubit channel against the ideal SWAP.
 
     The channel is given as its 16x16 superoperator (column stacking).
     Raises if the channel fails trace preservation beyond 1e-6.
@@ -95,17 +90,16 @@ def swap_efficiency(channel_superop: np.ndarray,
     f_pro = 0.0
     tp_defect = 0.0
     for p in paulis:
-        ep = apply_channel(channel_superop, p)
+        ep = unvec(channel_superop @ vec(p))
         tp_defect = max(tp_defect, abs(np.trace(ep) - np.trace(p)))
-        f_pro += np.real(np.trace(ideal @ dagger(p) @ dagger(ideal) @ ep))
+        f_pro += np.real(np.trace(U_SWAP @ dagger(p) @ dagger(U_SWAP) @ ep))
     if tp_defect > TRACE_PRESERVATION_TOL:
         raise ValueError(f"channel not trace preserving (defect {tp_defect:.3e})")
     f_pro /= d * d
     return float((d * f_pro + 1.0) / (d + 1.0))
 
 
-def pair_channel(total_superop: np.ndarray, pair, nsites: int,
-                 bystander_state: np.ndarray | None = None) -> np.ndarray:
+def pair_channel(total_superop: np.ndarray, pair, nsites: int) -> np.ndarray:
     """Reduce a full-register channel to the given pair of sites.
 
     Inputs on the pair are completed with the bystanders in the maximally
@@ -116,8 +110,7 @@ def pair_channel(total_superop: np.ndarray, pair, nsites: int,
     pair = tuple(sorted(pair))
     others = [s for s in range(nsites) if s not in pair]
     dims = [2] * nsites
-    if bystander_state is None:
-        bystander_state = np.eye(2, dtype=complex) / 2.0
+    bystander_state = np.eye(2, dtype=complex) / 2.0
     out = np.zeros((16, 16), dtype=complex)
     basis = np.zeros((4, 4), dtype=complex)
     for i in range(4):

@@ -47,14 +47,16 @@ class SecularMode:
 
     `coarse_grain_dt` is the averaging time Delta-t that both drives the
     auto regime rule (|delta omega_0| * dt < 1 selects the zero-quantum
-    coupling) and sets the default secular cutoff 1/dt of the dissipator.
+    coupling) and sets the secular cutoff 1/dt of the dissipator.  A
+    config that gives none gets `default_coarse_grain_dt` when it is read
+    (`config.parse_config`), so every run shares one resolved window.
     """
 
-    regime: Regime = Regime.AUTO
-    coarse_grain_dt: float | None = None  # s; None = derived default
+    regime: Regime
+    coarse_grain_dt: float  # s
 
     def __post_init__(self):
-        if self.coarse_grain_dt is not None and self.coarse_grain_dt <= 0:
+        if self.coarse_grain_dt <= 0:
             raise ValueError("coarse_grain_dt must be positive")
 
 
@@ -211,8 +213,7 @@ def dipolar_hamiltonian(pair, j_hz: float, regime: Regime, nsites: int) -> np.nd
     return 2.0 * np.pi * j_hz * h
 
 
-def resolve_secular_mode(mode: SecularMode, pair, chain: ChainSpec,
-                         coarse_grain_dt: float | None = None) -> Regime:
+def resolve_secular_mode(mode: SecularMode, pair, chain: ChainSpec) -> Regime:
     """Resolve AUTO to a concrete regime for one pair.
 
     ZERO_QUANTUM when |omega_0^a - omega_0^b| * dt < 1 (strict); the
@@ -220,12 +221,9 @@ def resolve_secular_mode(mode: SecularMode, pair, chain: ChainSpec,
     """
     if mode.regime != Regime.AUTO:
         return mode.regime
-    dt = coarse_grain_dt if coarse_grain_dt is not None else mode.coarse_grain_dt
-    if dt is None or dt <= 0:
-        raise ValueError("auto regime resolution needs a positive coarse_grain_dt")
     a, b = pair
     dw = abs(chain.larmor[a] - chain.larmor[b])
-    return Regime.ZERO_QUANTUM if dw * dt < 1.0 else Regime.ISING_ONLY
+    return Regime.ZERO_QUANTUM if dw * mode.coarse_grain_dt < 1.0 else Regime.ISING_ONLY
 
 
 def default_coarse_grain_dt(bath: BathSpec, omega1: float) -> float:
@@ -241,18 +239,6 @@ def default_coarse_grain_dt(bath: BathSpec, omega1: float) -> float:
     if fast <= 0:
         return bath.tau_c * 100.0
     return float(max(np.sqrt(bath.tau_c / fast), 0.1 / fast))
-
-
-def resolved_mode(mode: SecularMode, bath: BathSpec, omega1: float) -> SecularMode:
-    """Pin the coarse-graining window so one SecularMode serves a whole run.
-
-    Regime flips between the protocol builder, the compiler and the sweep
-    points would silently change the coupling form mid-pipeline; resolving
-    the window once and threading the same mode everywhere prevents that.
-    """
-    if mode.coarse_grain_dt is not None:
-        return mode
-    return SecularMode(mode.regime, default_coarse_grain_dt(bath, omega1))
 
 
 def drive_hamiltonian(drive: DriveSpec, chain: ChainSpec) -> list[HarmonicComponent]:

@@ -247,9 +247,6 @@ def transport_protocol(chain: ChainSpec, drive_amp: float, mode: SecularMode,
     into spin-echo pairs of ideal pi pulses on the middle spin, one of
     which falls exactly at the midpoint of the total delay content; this
     cancels the nearest-neighbour couplings exactly under ideal pulses.
-
-    An Auto regime is resolved with the mode's own coarse-graining window,
-    so the mode must be pinned first (see `model.resolved_mode`).
     """
     if chain.nsites != 3:
         raise ValueError("transport protocol needs a 3-spin chain")
@@ -328,21 +325,18 @@ def _segment_unitary(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
     return expm(-1j * np.pi * embed(op, seg.target, n))
 
 
-def coupling_hamiltonian(chain: ChainSpec, mode: SecularMode | None = None,
-                         coarse_grain_dt: float | None = None) -> np.ndarray:
+def coupling_hamiltonian(chain: ChainSpec, mode: SecularMode) -> np.ndarray:
     """Always-on secular dipolar Hamiltonian, all pairs, resolved per pair."""
-    mode = mode or SecularMode()
     n = chain.nsites
     h = np.zeros((2**n, 2**n), dtype=complex)
     for a, b, j in chain.couplings:
-        regime = resolve_secular_mode(mode, (a, b), chain, coarse_grain_dt)
+        regime = resolve_secular_mode(mode, (a, b), chain)
         h += dipolar_hamiltonian((a, b), j, regime, n)
     return h
 
 
 def ideal_propagator(program: PulseProgram, chain: ChainSpec,
-                     mode: SecularMode | None = None,
-                     coarse_grain_dt: float | None = None) -> np.ndarray:
+                     mode: SecularMode) -> np.ndarray:
     """Closed-evolution propagator with hard (instantaneous) pulses.
 
     Square pulses apply their full flip angle as an exact rotation with the
@@ -350,7 +344,7 @@ def ideal_propagator(program: PulseProgram, chain: ChainSpec,
     is the reference the gate checks compare against.
     """
     n = chain.nsites
-    h_coupling = coupling_hamiltonian(chain, mode, coarse_grain_dt)
+    h_coupling = coupling_hamiltonian(chain, mode)
     u = np.eye(2**n, dtype=complex)
     for seg in program.segments:
         if isinstance(seg, Delay):
@@ -392,12 +386,10 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
     the drive components of their targets.  Virtual-z and ideal-pi segments
     become exact zero-duration unitaries.
 
-    The mode must carry its coarse-graining window (see
-    `model.resolved_mode`); the secular cutoff is its inverse.  The
-    timescale check uses the largest pulse amplitude as omega_1.
+    The secular cutoff is the inverse of the mode's coarse-graining
+    window.  The timescale check uses the largest pulse amplitude as
+    omega_1.
     """
-    if mode.coarse_grain_dt is None:
-        raise ValueError("compile_program needs a mode with a resolved coarse_grain_dt")
     n = chain.nsites
     omega1 = max(
         (s.amplitude for s in program.segments if isinstance(s, SquarePulse)),

@@ -20,7 +20,7 @@ import numpy as np
 from .evolve import Trajectory, propagate
 from .linalg import ket2dm, single_blas_thread
 from .metrics import TransferReport, report
-from .model import BathSpec, ChainSpec, SecularMode, resolved_mode
+from .model import BathSpec, ChainSpec, SecularMode
 from .sequences import PulseProgram, compile_program, transport_protocol
 
 TABLE_HEADER = (
@@ -37,7 +37,10 @@ class GridSpec:
     Axis lists must be nonempty, strictly increasing and positive.  The
     chain's couplings are rescaled so every pair carries J = omega_D/2pi at
     each grid point; omega_SE is fixed by `bath` and tau_c is overridden
-    per point.
+    per point.  `mode` (with its coarse-graining window) is the same at
+    every point: a sweep corresponds to one figure, whose pulse sequence,
+    hence the resolved regime of every pair, is fixed while omega_1,
+    omega_D and tau_c vary.
     """
 
     omega1_values: tuple[float, ...]  # rad/s
@@ -45,10 +48,9 @@ class GridSpec:
     tauc_values: tuple[float, ...]  # s
     chain: ChainSpec
     bath: BathSpec
-    mode: SecularMode = SecularMode()
+    mode: SecularMode
     refocus: bool = True
     scale_to_omega_se: bool = True
-    omega1_nominal: float | None = None  # rad/s; pins the regime resolution
 
     def __post_init__(self):
         for name in ("omega1_values", "omegaD_values", "tauc_values"):
@@ -91,14 +93,13 @@ def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
                   ) -> tuple[PulseProgram, Trajectory, TransferReport]:
     """Run the transport pipeline once: protocol, compile, propagate, report.
 
-    The secular mode is pinned up front so the protocol builder and the
-    compiler agree on every pair's coupling form.  omega_d is echoed in
-    the report only; the couplings are the chain's own.  The run holds
-    OpenBLAS at one thread (see `linalg.single_blas_thread`), so serial
-    sweeps, pool workers and simulate all get the pin from here.
+    The protocol builder and the compiler resolve every pair's coupling
+    form from the same `mode`.  omega_d is echoed in the report only; the
+    couplings are the chain's own.  The run holds OpenBLAS at one thread
+    (see `linalg.single_blas_thread`), so serial sweeps, pool workers and
+    simulate all get the pin from here.
     """
     with single_blas_thread():
-        mode = resolved_mode(mode, bath, omega1)
         program = transport_protocol(chain, omega1, mode, refocus=refocus)
         windows = compile_program(program, chain, bath, mode)
         traj = propagate(ket2dm(program.meta["initial_state"]), windows,
@@ -124,19 +125,8 @@ def evaluate_point(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
     return run_transport(chain_pt, bath_pt, mode, omega1, omegaD, refocus)[2]
 
 
-def _sweep_mode(grid: GridSpec) -> SecularMode:
-    """One secular mode for the whole sweep, from the nominal parameters.
-
-    A sweep corresponds to one figure: the pulse sequence (hence the
-    resolved regime of every pair) is fixed while omega_1, omega_D and
-    tau_c vary, exactly as the reference heatmaps are produced.
-    """
-    nominal = grid.omega1_nominal or max(grid.omega1_values)
-    return resolved_mode(grid.mode, grid.bath, nominal)
-
-
 def _point_record(args) -> SweepRecord:
-    grid, mode, w1, wd, tc = args
+    grid, w1, wd, tc = args
     wse = grid.bath.omega_se
     scale_w = 1.0 / wse if (grid.scale_to_omega_se and wse > 0) else 1.0
     scale_t = wse if grid.scale_to_omega_se else 1.0
@@ -145,8 +135,8 @@ def _point_record(args) -> SweepRecord:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            rep = evaluate_point(grid.chain, grid.bath, mode, w1, wd, tc,
-                                 grid.refocus)
+            rep = evaluate_point(grid.chain, grid.bath, grid.mode, w1, wd,
+                                 tc, grid.refocus)
             fid, conc, eff, status = (
                 rep.fidelity, rep.concurrence_23, rep.efficiency, "ok",
             )
@@ -174,8 +164,7 @@ def _point_record(args) -> SweepRecord:
 
 def run_sweep(grid: GridSpec, workers: int = 1) -> list[SweepRecord]:
     """Evaluate every grid point; output order is grid order always."""
-    mode = _sweep_mode(grid)
-    jobs = [(grid, mode, w1, wd, tc) for (w1, wd, tc) in grid.points()]
+    jobs = [(grid, w1, wd, tc) for (w1, wd, tc) in grid.points()]
     if workers <= 1:
         return [_point_record(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

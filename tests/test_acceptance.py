@@ -28,7 +28,6 @@ from spinswap.model import (
     HarmonicComponent,
     Regime,
     SecularMode,
-    resolved_mode,
     system_env_coupling,
 )
 from spinswap.sequences import (
@@ -129,7 +128,7 @@ def test_criterion_3_frqme_structural_suite():
             ((0, 2, j), (0, 1, j), (1, 2, j)),
         )
         bath = BathSpec(wse, tau_c=tauc)
-        mode = resolved_mode(SecularMode(Regime.AUTO, 4.11e-7), bath, w1)
+        mode = SecularMode(Regime.AUTO, 4.11e-7)
         prog = transport_protocol(chain, w1, mode, refocus=True)
         windows = compile_program(prog, chain, bath, mode)
         gen_windows = [w for w in windows if hasattr(w, "spec")]
@@ -225,7 +224,6 @@ def test_criterion_6_coupling_strength_optimum():
         chain=cfg.chain,
         bath=cfg.bath,
         mode=cfg.mode,
-        omega1_nominal=cfg.omega1,
     )
     records = run_sweep(grid, workers=1)
     fids = _fidelity_column(records)

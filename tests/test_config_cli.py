@@ -10,6 +10,7 @@ from spinswap.config import (
     parse_config,
     parse_quantity,
 )
+from spinswap.model import Regime, SecularMode, default_coarse_grain_dt
 
 FIG2_DOC = {
     "chain": {
@@ -75,7 +76,24 @@ class TestParseConfig:
         assert len(cfg.grid.omega1_values) == 5
         np.testing.assert_allclose(cfg.grid.omega1_values[0], 2 * np.pi * 1e4)
         np.testing.assert_allclose(cfg.grid.omega1_values[-1], 2 * np.pi * 1e6)
-        assert cfg.grid.omega1_nominal == cfg.omega1
+
+    def test_window_resolved_once_at_load(self):
+        # no coarse_grain_dt: the default window comes from the bath and the
+        # drive's omega_1, and the grid shares the run's mode
+        doc = dict(FIG2_DOC)
+        doc["grid"] = {
+            "omega1": ["2*pi*10 kHz", "2*pi*10000 kHz"],
+            "omegaD": ["2*pi*150 kHz"],
+            "tau_c": ["0.1/(2*pi*1e5) s"],
+        }
+        cfg = parse_config(doc)
+        assert cfg.mode == SecularMode(
+            Regime.AUTO, default_coarse_grain_dt(cfg.bath, cfg.omega1))
+        assert cfg.grid.mode == cfg.mode
+        doc["regime"] = {"mode": "ising_only", "coarse_grain_dt": "4.11e-7 s"}
+        cfg = parse_config(doc)
+        assert cfg.mode == SecularMode(Regime.ISING_ONLY, 4.11e-7)
+        assert cfg.grid.mode == cfg.mode
 
     def test_missing_fields_diagnosed(self):
         with pytest.raises(ConfigError, match="chain"):
@@ -89,6 +107,9 @@ class TestParseConfig:
         doc = dict(FIG2_DOC)
         doc["regime"] = {"mode": "sideways"}
         with pytest.raises(ConfigError, match="regime.mode"):
+            parse_config(doc)
+        doc["regime"] = {"mode": "auto", "coarse_grain_dt": "0 s"}
+        with pytest.raises(ConfigError, match="regime.coarse_grain_dt"):
             parse_config(doc)
 
 
@@ -122,6 +143,12 @@ class TestCli:
         path = self._write_config(tmp_path, FIG2_DOC)
         assert main(["validate", "--config", path]) == 0
         assert "config ok" in capsys.readouterr().out
+
+    def test_validate_rejects_other_protocols(self, tmp_path, capsys):
+        doc = dict(FIG2_DOC, protocol="swap")
+        path = self._write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        assert "protocol" in capsys.readouterr().err
 
     def test_validate_rejects_missing_units(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIG2_DOC))

@@ -33,10 +33,11 @@ from spinswap.sequences import (
     Delay,
     PulseProgram,
     SquarePulse,
+    UnitaryWindow,
     compile_program,
     transport_protocol,
 )
-from spinswap.model import Regime, SecularMode, resolved_mode
+from spinswap.model import Regime, SecularMode, default_coarse_grain_dt
 from spinswap.sweep import run_transport
 
 IX, IY, IZ, IP, IM = spin_half_ops()
@@ -179,7 +180,7 @@ class TestChannel:
         )
         omega1 = 2 * np.pi * 1e3 * omega1_khz
         bath = BathSpec(WSE, tau_c=wse_tauc / WSE)
-        mode = resolved_mode(SecularMode(), bath, omega1)
+        mode = SecularMode(Regime.AUTO, default_coarse_grain_dt(bath, omega1))
         prog = transport_protocol(chain, omega1, mode)
         windows = compile_program(prog, chain, bath, mode)
         rho0 = ket2dm(prog.meta["initial_state"])
@@ -193,6 +194,20 @@ def run_preset_point(name):
     cfg = load_preset(name)
     return run_transport(cfg.chain, cfg.bath, cfg.mode, cfg.omega1,
                          2 * np.pi * cfg.chain.coupling_j((0, 2)), cfg.refocusing)
+
+
+def test_each_instantaneous_segment_adds_a_row_at_the_same_time():
+    # a unitary window takes no time: its sample repeats the previous
+    # sample's time and holds the state right after the unitary
+    program, traj, _ = run_preset_point("fig2")
+    cfg = load_preset("fig2")
+    unitaries = [w.unitary for w in compile_program(program, cfg.chain, cfg.bath, cfg.mode)
+                 if isinstance(w, UnitaryWindow)]
+    repeats = [k for k in range(1, len(traj.times)) if traj.times[k] == traj.times[k - 1]]
+    assert len(repeats) == len(unitaries) == 16
+    for k, u in zip(repeats, unitaries):
+        expected = u @ traj.states[k - 1] @ dagger(u)
+        assert max_norm(traj.states[k] - expected) < 1e-12
 
 
 class TestDistinctGenerators:
@@ -218,10 +233,9 @@ class TestDistinctGenerators:
         # then assembled and exponentiated on its own, as before sharing
         program, traj, _ = run_preset_point("fig2")
         cfg = load_preset("fig2")
-        mode = resolved_mode(cfg.mode, cfg.bath, cfg.omega1)
         windows = [
             replace(w, spec=replace(w.spec)) if hasattr(w, "spec") else w
-            for w in compile_program(program, cfg.chain, cfg.bath, mode)
+            for w in compile_program(program, cfg.chain, cfg.bath, cfg.mode)
         ]
         own = propagate(ket2dm(program.meta["initial_state"]), windows)
         np.testing.assert_array_equal(own.times, traj.times)

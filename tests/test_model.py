@@ -13,7 +13,6 @@ from spinswap.model import (
     dipolar_hamiltonian,
     drive_hamiltonian,
     resolve_secular_mode,
-    resolved_mode,
     system_env_coupling,
     zeeman_hamiltonian,
 )
@@ -168,7 +167,8 @@ class TestRegimeSelection:
     def test_explicit_modes_pass_through(self):
         chain = ChainSpec(FIG2_LARMOR)
         for regime in (Regime.ISING_ONLY, Regime.ZERO_QUANTUM):
-            assert resolve_secular_mode(SecularMode(regime), (0, 1), chain) == regime
+            mode = SecularMode(regime, 1e-5)
+            assert resolve_secular_mode(mode, (0, 1), chain) == regime
 
     def test_default_window_is_geometric_mean(self):
         bath = BathSpec(2 * np.pi * 1e5, tau_c=1.6e-7)
@@ -177,11 +177,12 @@ class TestRegimeSelection:
         np.testing.assert_allclose(dt, np.sqrt(bath.tau_c / w1))
         assert bath.tau_c < dt < 1.0 / w1
 
-    def test_resolved_mode_is_stable(self):
-        bath = BathSpec(2 * np.pi * 1e5, tau_c=1.6e-7)
-        mode = resolved_mode(SecularMode(), bath, 1e6)
-        assert mode.coarse_grain_dt is not None
-        assert resolved_mode(mode, bath, 1e9) == mode
+    def test_mode_requires_a_positive_window(self):
+        with pytest.raises(TypeError):
+            SecularMode(Regime.AUTO)
+        for dt in (0.0, -1e-7):
+            with pytest.raises(ValueError, match="coarse_grain_dt"):
+                SecularMode(Regime.AUTO, dt)
 
 
 class TestBathSpec:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from spinswap.model import BathSpec, ChainSpec
+from spinswap.model import (
+    BathSpec,
+    ChainSpec,
+    Regime,
+    SecularMode,
+    default_coarse_grain_dt,
+)
 from spinswap.sweep import (
     GridSpec,
     SweepRecord,
@@ -11,7 +17,6 @@ from spinswap.sweep import (
     format_table,
     run_sweep,
     summary_dict,
-    _sweep_mode,
 )
 
 J = 1.5e5
@@ -23,6 +28,7 @@ CHAIN3 = ChainSpec(
     ((0, 2, J), (0, 1, J), (1, 2, J)),
 )
 BATH = BathSpec(WSE, tau_c=TAU_C)
+MODE = SecularMode(Regime.AUTO, default_coarse_grain_dt(BATH, W1))
 
 
 def small_grid(**kw):
@@ -32,7 +38,7 @@ def small_grid(**kw):
         tauc_values=(TAU_C,),
         chain=CHAIN3,
         bath=BATH,
-        omega1_nominal=W1,
+        mode=MODE,
     )
     defaults.update(kw)
     return GridSpec(**defaults)
@@ -63,8 +69,7 @@ class TestRunSweep:
         grid = small_grid(omega1_values=(W1,))
         records = run_sweep(grid, workers=1)
         assert len(records) == 1
-        mode = _sweep_mode(grid)
-        rep = evaluate_point(CHAIN3, BATH, mode, W1, 2 * np.pi * J, TAU_C)
+        rep = evaluate_point(CHAIN3, BATH, MODE, W1, 2 * np.pi * J, TAU_C)
         assert records[0].fidelity == rep.fidelity
         assert records[0].concurrence_23 == rep.concurrence_23
         assert records[0].efficiency == rep.efficiency
