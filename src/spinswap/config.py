@@ -95,6 +95,14 @@ class RunConfig:
         return {k: v for k, v in self.echo.items() if k not in ("workers", "out")}
 
 
+def _flag(doc: dict, key: str, where: str) -> bool:
+    """A JSON boolean field, True when absent."""
+    value = doc.get(key, True)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _parse_axis(doc, kind: str, where: str) -> tuple[float, ...]:
     """Grid axis: either a list of quantities or a log-spaced range spec."""
     if isinstance(doc, dict):
@@ -183,7 +191,7 @@ def parse_config(doc: dict) -> RunConfig:
     protocol = doc.get("protocol", "transport")
     if protocol != "transport":
         raise ConfigError(f"protocol: {protocol!r} is not supported (only transport)")
-    refocusing = bool(doc.get("refocusing", True))
+    refocusing = _flag(doc, "refocusing", "refocusing")
 
     grid = None
     if "grid" in doc:
@@ -197,7 +205,7 @@ def parse_config(doc: dict) -> RunConfig:
                 bath=bath,
                 mode=mode,
                 refocus=refocusing,
-                scale_to_omega_se=bool(g.get("scale_to_omega_se", True)),
+                scale_to_omega_se=_flag(g, "scale_to_omega_se", "grid.scale_to_omega_se"),
             )
         except KeyError as exc:
             raise ConfigError(f"grid: missing field {exc}") from exc
@@ -206,9 +214,9 @@ def parse_config(doc: dict) -> RunConfig:
                 raise
             raise ConfigError(f"grid: {exc}") from exc
 
-    workers = int(doc.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("workers: must be >= 1")
+    workers = doc.get("workers", 1)
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers: expected an integer >= 1, got {workers!r}")
 
     return RunConfig(
         chain=chain,

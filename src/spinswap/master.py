@@ -30,17 +30,26 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import commutator_superop, dagger, identity, pauli_strings, vec
+from .linalg import (
+    HERMITICITY_TOL,
+    commutator_superop,
+    dagger,
+    identity,
+    max_norm,
+    pauli_strings,
+    vec,
+)
 from .model import BathSpec, HarmonicComponent
 
 GKLS_REL_TOL = 1e-9
 
 
-def regulator_integral(omega: float, tau_c: float) -> complex:
+def regulator_integral(omega: float | np.ndarray, tau_c: float) -> complex | np.ndarray:
     """Regulated memory-kernel integral tau_c / (1 - i omega tau_c).
 
     The real part tau_c/(1 + omega^2 tau_c^2) drives decay; the imaginary
-    part drives frequency shifts.
+    part drives frequency shifts.  `omega` may be a scalar or an array of
+    frequencies (rad/s), evaluated elementwise.
     """
     if tau_c <= 0:
         raise ValueError("tau_c must be positive")
@@ -76,13 +85,15 @@ class GeneratorSpec:
         return self.components[0].op.shape[0]
 
 
-def first_order_generator(spec: GeneratorSpec) -> np.ndarray:
-    """Coherent generator -i[H, .] from the secular components.
+def _coherent_hamiltonian(spec: GeneratorSpec) -> np.ndarray:
+    """Hamiltonian H of the first-order term -i[H, .] (rad/s).
 
     Environment-coupled components trace to zero against the maximally
     mixed environment state and never contribute here.  System-only
-    components enter only when their frequency magnitude lies below the
-    secular cutoff.
+    coherent components enter only when their frequency magnitude lies
+    below the secular cutoff.  Their sum must be Hermitian to within
+    HERMITICITY_TOL relative to its largest entry (component lists are
+    closed under conjugation); it is then symmetrized to remove rounding.
     """
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     for c in spec.components:
@@ -90,27 +101,67 @@ def first_order_generator(spec: GeneratorSpec) -> np.ndarray:
             continue
         if abs(c.freq) < spec.secular_cutoff:
             h = h + c.op
-    h = 0.5 * (h + dagger(h))  # conjugate-closed lists make this a no-op
-    return commutator_superop(h)
+    defect = max_norm(h - dagger(h))
+    if defect > HERMITICITY_TOL * max(max_norm(h), 1.0):
+        raise ValueError(f"Hamiltonian not Hermitian: max-norm defect {defect:.3e}")
+    return 0.5 * (h + dagger(h))
 
 
-def _env_trace_coeffs(a: HarmonicComponent, b: HarmonicComponent):
-    """Environment contraction coefficients (c1, c2) of a pair.
+def first_order_generator(spec: GeneratorSpec) -> np.ndarray:
+    """Coherent generator -i[H, .] of the secular system-only components.
 
-    c1 = Tr(E_a E_b rho_E), c2 = Tr(E_b E_a rho_E) with rho_E = I/2 on each
-    local environment.  Components without an environment factor contract
-    trivially; mixed and cross-site pairs vanish because the environment
-    operators are traceless.
+    H is the Hermitian sum built and checked by `_coherent_hamiltonian`.
     """
-    if not a.has_env and not b.has_env:
-        return 1.0, 1.0
-    if a.has_env != b.has_env:
-        return 0.0, 0.0
-    if a.env_site != b.env_site:
-        return 0.0, 0.0
-    c1 = 0.5 * np.trace(a.env_op @ b.env_op)
-    c2 = 0.5 * np.trace(b.env_op @ a.env_op)
-    return complex(c1), complex(c2)
+    return commutator_superop(_coherent_hamiltonian(spec))
+
+
+def _env_contractions(spec: GeneratorSpec) -> np.ndarray:
+    """Environment contraction matrix C[a, b] = Tr(E_a E_b rho_E).
+
+    rho_E = I/2 on each local environment.  Two components without an
+    environment factor contract trivially (1); mixed and cross-site pairs
+    vanish because the environment operators are traceless (0); two
+    components on one site give Tr(E_a E_b)/2.
+    """
+    comps = spec.components
+    site = np.array([c.env_site if c.has_env else -1 for c in comps])
+    system = site < 0
+    env = np.flatnonzero(~system)
+    contr = np.zeros((len(comps), len(comps)), dtype=complex)
+    contr[np.ix_(system, system)] = 1.0
+    if env.size:
+        e = np.array([comps[k].env_op for k in env])
+        same_site = site[env][:, None] == site[env][None, :]
+        contr[np.ix_(env, env)] = np.where(
+            same_site, 0.5 * np.einsum("aij,bji->ab", e, e), 0.0
+        )
+    return contr
+
+
+def _second_order_terms(spec: GeneratorSpec):
+    """Cross superoperator and left/right operators of the dissipator."""
+    d = spec.dim
+    ops = np.array([c.op for c in spec.components], dtype=complex)
+    n = len(ops)
+    flat = ops.reshape(n, d * d)
+    freq = np.array([c.freq for c in spec.components])
+    keep = np.abs(freq[:, None] + freq[None, :]) < spec.secular_cutoff
+    g = regulator_integral(freq, spec.bath.tau_c)
+    w = keep * _env_contractions(spec) * g[None, :]
+    weighted = (w @ flat).reshape(n, d, d)  # sum_b W[a, b] A_b
+    m_left = (ops @ weighted).sum(axis=0)
+    m_right = (weighted @ ops).sum(axis=0)
+    # (flat.T K flat)[(j i), (k l)] = sum_ab K[a,b] A_a[j,i] A_b[k,l], which is
+    # the entry [(i k), (j l)] of sum_ab K[a,b] A_a.T kron A_b.
+    cross = (flat.T @ (w + w.T) @ flat).reshape(d, d, d, d)
+    cross = cross.transpose(1, 2, 0, 3).reshape(d * d, d * d)
+    return cross, m_left, m_right
+
+
+def _generator(cross: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> cross(rho) - left rho - rho right."""
+    eye = identity(left.shape[0])
+    return cross - np.kron(eye, left) - np.kron(right.T, eye)
 
 
 def second_order_dissipator(spec: GeneratorSpec) -> np.ndarray:
@@ -118,25 +169,27 @@ def second_order_dissipator(spec: GeneratorSpec) -> np.ndarray:
 
     Returns the full complex-weighted sum, i.e. decay channels and shift
     terms together, as a (d^2, d^2) matrix in column-stacking convention.
+
+    With component operators A_a, frequencies f_a, regulator values
+    g_b = regulator_integral(f_b, tau_c), contractions C (see
+    `_env_contractions`) and keep[a, b] = |f_a + f_b| < secular_cutoff,
+    the pair (a, b) enters with weights
+
+        W1[a, b] = keep[a, b] C[a, b] g_b,   W2[a, b] = keep[a, b] C[b, a] g_b
+
+    on its two orderings, and the dissipator is, in closed form,
+
+        D = sum_ab (W1 + W2.T)[a, b] A_a.T kron A_b - I kron M_L - M_R.T kron I,
+        M_L = sum_ab W1[a, b] A_a A_b,   M_R = sum_ab W2[a, b] A_b A_a,
+
+    that is, D(rho) = sum_ab W1[a, b] (A_b rho A_a - A_a A_b rho)
+    + W2[a, b] (A_a rho A_b - rho A_b A_a).  C is symmetric because
+    Tr(E_a E_b) = Tr(E_b E_a), so W1 = W2 and one weight matrix W serves
+    all three sums.  Every weight is linear in g, so for a fixed component
+    list the generator (whose first-order part does not involve g) is
+    affine in the regulator values.
     """
-    d = spec.dim
-    diss = np.zeros((d * d, d * d), dtype=complex)
-    tau_c = spec.bath.tau_c
-    eye = identity(d)
-    comps = spec.components
-    for a in comps:
-        for b in comps:
-            if abs(a.freq + b.freq) >= spec.secular_cutoff:
-                continue
-            c1, c2 = _env_trace_coeffs(a, b)
-            if c1 == 0.0 and c2 == 0.0:
-                continue
-            g = regulator_integral(b.freq, tau_c)
-            sa, sb = a.op, b.op
-            term = c1 * (np.kron(eye, sa @ sb) - np.kron(sa.T, sb))
-            term += c2 * (np.kron((sb @ sa).T, eye) - np.kron(sb.T, sa))
-            diss -= g * term
-    return diss
+    return _generator(*_second_order_terms(spec))
 
 
 @dataclass
@@ -173,8 +226,15 @@ class Liouvillian:
 
 
 def assemble(spec: GeneratorSpec) -> Liouvillian:
-    """First-order generator plus second-order dissipator (with shifts)."""
-    return Liouvillian(first_order_generator(spec) + second_order_dissipator(spec))
+    """First-order generator plus second-order dissipator (with shifts).
+
+    -i[H, .] is -(I kron iH) - ((-iH).T kron I), so H joins the left and
+    right operators of the dissipator and the generator takes two
+    Kronecker products in all.
+    """
+    h = _coherent_hamiltonian(spec)
+    cross, m_left, m_right = _second_order_terms(spec)
+    return Liouvillian(_generator(cross, m_left + 1j * h, m_right - 1j * h))
 
 
 def kossakowski_matrix(gen: np.ndarray) -> np.ndarray:

@@ -150,6 +150,24 @@ class TestCli:
         assert main(["validate", "--config", path]) == 1
         assert "protocol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["refocusing", "grid.scale_to_omega_se"])
+    def test_validate_rejects_string_booleans(self, tmp_path, capsys, field):
+        # bool("false") is True: only JSON true/false may set a flag
+        doc = json.loads(json.dumps(FIG2_DOC))
+        doc["grid"] = {"omega1": ["2*pi*150 kHz"], "omegaD": ["2*pi*150 kHz"],
+                       "tau_c": ["0.1/(2*pi*1e5) s"]}
+        section, _, key = field.rpartition(".")
+        (doc[section] if section else doc)[key] = "false"
+        path = self._write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["2.5", 2.5, True, 0])
+    def test_validate_rejects_non_integer_workers(self, tmp_path, capsys, workers):
+        path = self._write_config(tmp_path, dict(FIG2_DOC, workers=workers))
+        assert main(["validate", "--config", path]) == 1
+        assert "workers" in capsys.readouterr().err
+
     def test_validate_rejects_missing_units(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIG2_DOC))
         doc["bath"]["tau_c"] = "1.6e-7"

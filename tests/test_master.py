@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spinswap.config import load_preset
 from spinswap.linalg import (
+    commutator_superop,
     dagger,
     identity,
     left_mult,
@@ -21,7 +24,14 @@ from spinswap.master import (
     regulator_integral,
     second_order_dissipator,
 )
-from spinswap.model import BathSpec, ChainSpec, HarmonicComponent, system_env_coupling
+from spinswap.model import (
+    BathSpec,
+    ChainSpec,
+    HarmonicComponent,
+    embed,
+    system_env_coupling,
+)
+from spinswap.sequences import compile_program, transport_protocol
 
 IX, IY, IZ, IP, IM = spin_half_ops()
 
@@ -105,6 +115,16 @@ class TestRegulator:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             regulator_integral(0.0, 0.0)
+
+    def test_frequency_arrays_elementwise(self):
+        freqs = np.array([-3.0, 0.0, 0.7]) / TAU_C
+        np.testing.assert_allclose(
+            regulator_integral(freqs, TAU_C),
+            [regulator_integral(float(f), TAU_C) for f in freqs],
+            rtol=1e-15,
+        )
+        with pytest.raises(ValueError):
+            regulator_integral(freqs, 0.0)
 
 
 def make_bath(omega_se=WSE, tau_c=TAU_C):
@@ -319,3 +339,145 @@ class TestKossakowski:
 def test_liouvillian_dim():
     liou = Liouvillian(np.zeros((64, 64)))
     assert liou.dim == 8
+
+
+def reference_first_order(spec):
+    """The coherent generator as built before vectorization (reference)."""
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for c in spec.components:
+        if c.has_env or not c.coherent:
+            continue
+        if abs(c.freq) < spec.secular_cutoff:
+            h = h + c.op
+    return commutator_superop(0.5 * (h + dagger(h)))
+
+
+def reference_env_trace_coeffs(a, b):
+    if not a.has_env and not b.has_env:
+        return 1.0, 1.0
+    if a.has_env != b.has_env:
+        return 0.0, 0.0
+    if a.env_site != b.env_site:
+        return 0.0, 0.0
+    c1 = 0.5 * np.trace(a.env_op @ b.env_op)
+    c2 = 0.5 * np.trace(b.env_op @ a.env_op)
+    return complex(c1), complex(c2)
+
+
+def reference_dissipator(spec):
+    """The per-pair Kronecker loop the vectorized dissipator replaced
+    (reference)."""
+    d = spec.dim
+    diss = np.zeros((d * d, d * d), dtype=complex)
+    tau_c = spec.bath.tau_c
+    eye = identity(d)
+    comps = spec.components
+    for a in comps:
+        for b in comps:
+            if abs(a.freq + b.freq) >= spec.secular_cutoff:
+                continue
+            c1, c2 = reference_env_trace_coeffs(a, b)
+            if c1 == 0.0 and c2 == 0.0:
+                continue
+            g = regulator_integral(b.freq, tau_c)
+            sa, sb = a.op, b.op
+            term = c1 * (np.kron(eye, sa @ sb) - np.kron(sa.T, sb))
+            term += c2 * (np.kron((sb @ sa).T, eye) - np.kron(sb.T, sa))
+            diss -= g * term
+    return diss
+
+
+def assert_matches_reference(spec, rel=1e-12):
+    want = reference_first_order(spec) + reference_dissipator(spec)
+    got = assemble(spec).gen
+    scale = max(max_norm(want), 1e-300)
+    assert max_norm(got - want) <= rel * scale
+    want_diss = reference_dissipator(spec)
+    assert max_norm(second_order_dissipator(spec) - want_diss) <= rel * max(
+        max_norm(want_diss), 1e-300
+    )
+
+
+def random_matrix(rng, d, scale):
+    return scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+
+def random_components(rng, nsites, n_static, n_detuned, env_sites, coherent):
+    """System-only Hermitian terms at zero frequency, detuned conjugate
+    pairs, and two environment-coupled components per listed site."""
+    d = 2**nsites
+    comps = []
+    for _ in range(n_static):
+        m = random_matrix(rng, d, W1)
+        comps.append(HarmonicComponent(m + dagger(m), 0.0, coherent=coherent))
+    for _ in range(n_detuned):
+        up = random_matrix(rng, d, W1)
+        f = rng.uniform(-5, 5) / TAU_C
+        comps.append(HarmonicComponent(up, -f, coherent=coherent))
+        comps.append(HarmonicComponent(dagger(up), f, coherent=coherent))
+    for k in env_sites:
+        e = random_matrix(rng, 2, 1.0)
+        f = rng.uniform(-1, 1) / TAU_C
+        amp = WSE * rng.uniform(0.1, 1.0)
+        comps.append(HarmonicComponent(amp * embed(IP, k, nsites), f, k, e))
+        comps.append(HarmonicComponent(amp * embed(IM, k, nsites), -f, k, dagger(e)))
+    return comps
+
+
+def preset_specs(name):
+    """The distinct generator specs of one preset transport point."""
+    cfg = load_preset(name)
+    program = transport_protocol(cfg.chain, cfg.omega1, cfg.mode, refocus=cfg.refocusing)
+    windows = compile_program(program, cfg.chain, cfg.bath, cfg.mode)
+    return list({id(w.spec): w.spec for w in windows if hasattr(w, "spec")}.values())
+
+
+class TestVectorizedAssembly:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nsites=st.integers(1, 2),
+        n_static=st.integers(0, 2),
+        n_detuned=st.integers(0, 3),
+        env_sites=st.lists(st.integers(0, 1), max_size=3),
+        coherent=st.booleans(),
+        cut=st.floats(0.0, 1.0),
+    )
+    def test_equals_per_pair_loop(self, seed, nsites, n_static, n_detuned,
+                                  env_sites, coherent, cut):
+        rng = np.random.default_rng(seed)
+        sites = [k % nsites for k in env_sites]
+        comps = random_components(rng, nsites, n_static, n_detuned, sites, coherent)
+        if not comps:
+            comps = [HarmonicComponent(np.zeros((2**nsites,) * 2), 0.0)]
+        # a cutoff between two distinct combined frequencies |f_a + f_b|
+        # keeps some pairs and drops the rest
+        sums = np.unique(np.abs(np.add.outer(*[[c.freq for c in comps]] * 2)))
+        edges = np.concatenate([sums, [2 * sums[-1] + 1.0]])
+        k = min(int(cut * len(sums)), len(sums) - 1)
+        cutoff = 0.5 * (edges[k] + edges[k + 1])
+        assert_matches_reference(GeneratorSpec(tuple(comps), make_bath(), cutoff))
+
+    @pytest.mark.parametrize("preset, distinct", [("fig2", 9), ("fig3", 3)])
+    def test_equals_per_pair_loop_on_presets(self, preset, distinct):
+        specs = preset_specs(preset)
+        assert len(specs) == distinct
+        for spec in specs:
+            assert_matches_reference(spec)
+
+    def test_two_kronecker_products_per_generator(self, monkeypatch):
+        calls = []
+        kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
+        for spec in preset_specs("fig2"):
+            calls.clear()
+            assemble(spec)
+            assert len(calls) == 2
+
+    def test_non_hermitian_coherent_hamiltonian_raises(self):
+        # I+ alone is not closed under conjugation
+        spec = GeneratorSpec((HarmonicComponent(W1 * IP, 0.0),), make_bath(), 1e9)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            assemble(spec)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            first_order_generator(spec)
