@@ -28,7 +28,7 @@ from .model import (
     system_env_coupling,
     zeeman_hamiltonian,
 )
-from .evolve import Trajectory, propagate
+from .evolve import ChannelPass, Trajectory, channel_pass, propagate
 from .sequences import (
     U_SWAP,
     Delay,

@@ -74,7 +74,7 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     j13 = cfg.chain.coupling_j((0, 2))
     program, traj, rep = run_transport(cfg.chain, cfg.bath, cfg.mode, cfg.omega1,
-                                       2 * np.pi * j13, cfg.refocusing)
+                                       2 * np.pi * j13, cfg.refocusing, sampled=True)
 
     traj_path = out / "trajectory.txt"
     traj_path.write_text(_config_banner(cfg) + "\n" + export_trajectory(traj))
@@ -88,6 +88,8 @@ def cmd_simulate(args) -> int:
         "omega_se_rad_s": rep.omega_se,
         "clip_count": traj.clip_count,
         "min_eigenvalue": traj.min_eigenvalue,
+        "tp_defect": rep.tp_defect,
+        "choi_min": rep.choi_min,
         "config": cfg.physics_echo(),
     }
     (out / "report.json").write_text(json.dumps(rep_doc, indent=2))

@@ -95,6 +95,20 @@ class RunConfig:
         return {k: v for k, v in self.echo.items() if k not in ("workers", "out")}
 
 
+def _section(value, where: str) -> dict:
+    """A config section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {value!r}")
+    return value
+
+
+def _integer(value, where: str, minimum: int) -> int:
+    """A JSON integer >= minimum; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{where}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _flag(doc: dict, key: str, where: str) -> bool:
     """A JSON boolean field, True when absent."""
     value = doc.get(key, True)
@@ -109,11 +123,11 @@ def _parse_axis(doc, kind: str, where: str) -> tuple[float, ...]:
         for key in ("log_points", "min", "max"):
             if key not in doc:
                 raise ConfigError(f"{where}: range spec needs 'log_points', 'min', 'max'")
-        n = int(doc["log_points"])
+        n = _integer(doc["log_points"], f"{where}.log_points", 1)
         lo = parse_quantity(doc["min"], kind, f"{where}.min")
         hi = parse_quantity(doc["max"], kind, f"{where}.max")
-        if n < 1 or lo <= 0 or hi <= lo:
-            raise ConfigError(f"{where}: need 0 < min < max and log_points >= 1")
+        if lo <= 0 or hi <= lo:
+            raise ConfigError(f"{where}: need 0 < min < max")
         return tuple(np.logspace(np.log10(lo), np.log10(hi), n))
     if isinstance(doc, list):
         return tuple(parse_quantity(v, kind, f"{where}[{i}]") for i, v in enumerate(doc))
@@ -126,16 +140,20 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("top level: expected a JSON object")
 
     try:
-        chain_doc = doc["chain"]
+        chain_doc = _section(doc["chain"], "chain")
         larmor = [
             parse_quantity(v, "angular_frequency", f"chain.larmor[{i}]")
             for i, v in enumerate(chain_doc["larmor"])
         ]
         couplings = []
         for i, c in enumerate(chain_doc.get("couplings", [])):
+            where = f"chain.couplings[{i}]"
             pair = c["pair"]
-            j = parse_quantity(c["j"], "frequency", f"chain.couplings[{i}].j")
-            couplings.append((int(pair[0]), int(pair[1]), j))
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError(f"{where}.pair: expected two site indices, got {pair!r}")
+            a, b = (_integer(site, f"{where}.pair", 0) for site in pair)
+            j = parse_quantity(c["j"], "frequency", f"{where}.j")
+            couplings.append((a, b, j))
         chain = ChainSpec(tuple(larmor), tuple(couplings),
                           chain_doc.get("geometry", "z-chain"))
     except KeyError as exc:
@@ -146,7 +164,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"chain: {exc}") from exc
 
     try:
-        bath_doc = doc["bath"]
+        bath_doc = _section(doc["bath"], "bath")
         omega_se = parse_quantity(bath_doc["omega_se"], "angular_frequency",
                                   "bath.omega_se")
         tau_c = kappa = None
@@ -163,14 +181,14 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"bath: {exc}") from exc
 
     try:
-        omega1 = parse_quantity(doc["drive"]["omega1"], "angular_frequency",
-                                "drive.omega1")
+        omega1 = parse_quantity(_section(doc["drive"], "drive")["omega1"],
+                                "angular_frequency", "drive.omega1")
     except KeyError as exc:
         raise ConfigError(f"drive: missing field {exc}") from exc
     if omega1 <= 0:
         raise ConfigError("drive.omega1: must be positive")
 
-    regime_doc = doc.get("regime", {})
+    regime_doc = _section(doc.get("regime", {}), "regime")
     mode_name = regime_doc.get("mode", "auto")
     try:
         regime = Regime(mode_name)
@@ -195,7 +213,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     grid = None
     if "grid" in doc:
-        g = doc["grid"]
+        g = _section(doc["grid"], "grid")
         try:
             grid = GridSpec(
                 omega1_values=_parse_axis(g["omega1"], "angular_frequency", "grid.omega1"),
@@ -214,9 +232,7 @@ def parse_config(doc: dict) -> RunConfig:
                 raise
             raise ConfigError(f"grid: {exc}") from exc
 
-    workers = doc.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"workers: expected an integer >= 1, got {workers!r}")
+    workers = _integer(doc.get("workers", 1), "workers", 1)
 
     return RunConfig(
         chain=chain,

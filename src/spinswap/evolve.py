@@ -3,7 +3,10 @@
 Generators are piecewise constant by construction, so each window is
 applied as a matrix exponential in Liouville space (exact up to expm
 accuracy, independent of the trajectory sampling step); zero-duration
-segments are exact unitary conjugations.
+segments are exact unitary conjugations.  `channel_pass` gives the program
+channel and the final state with one full-window exponential per distinct
+window and checks the channel (trace preservation, complete positivity);
+`propagate` adds the sampled trajectory on top of it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import clip_to_density, conjugation_superop, expm, vec
+from .linalg import choi_matrix, clip_to_density, conjugation_superop, expm, vec
 from .master import assemble
 from .sequences import UnitaryWindow
 
@@ -33,6 +36,33 @@ class PositivityError(RuntimeError):
         self.eigenvalue = eigenvalue
 
 
+class ChannelError(RuntimeError):
+    """The program channel is not trace preserving or not completely positive."""
+
+
+@dataclass(frozen=True)
+class ChannelPass:
+    """The program channel and the final state of one propagation.
+
+    channel: Liouville-space superoperator of the whole program, the product
+        of the window propagators in program order (identity for no windows).
+    final_state: the initial state stepped through every window boundary
+        (validated and clipped like a sampled state).
+    meta: program metadata (initial/target labels and kets).
+    tp_defect: trace-preservation defect max |vec(I)^dag S - vec(I)^dag|.
+    choi_min: smallest eigenvalue of the unnormalized Choi matrix
+        sum_ij |i><j| (x) S(|i><j|), whose trace is the dimension d (8 for
+        three spins) when S is trace preserving; S is completely positive
+        iff choi_min >= 0 (Choi, Linear Algebra Appl. 10, 285 (1975)).
+    """
+
+    channel: np.ndarray
+    final_state: np.ndarray
+    meta: dict
+    tp_defect: float
+    choi_min: float
+
+
 @dataclass
 class Trajectory:
     """Sampled states along a propagation.
@@ -42,8 +72,7 @@ class Trajectory:
     meta: program metadata (initial/target labels and kets).
     clip_count: number of samples whose tiny negative eigenvalues were
         floored at zero; min_eigenvalue is the worst value seen pre-clip.
-    channel: Liouville-space superoperator of the whole propagation, the
-        product of the window propagators in program order.
+    channel_pass: the channel pass the samples were stepped alongside.
     """
 
     times: np.ndarray
@@ -51,11 +80,15 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
     clip_count: int = 0
     min_eigenvalue: float = 0.0
-    channel: np.ndarray | None = None
+    channel_pass: ChannelPass | None = None
 
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+    @property
+    def channel(self) -> np.ndarray:
+        return self.channel_pass.channel
 
 
 def _checked(rhos: np.ndarray, times, stats: dict) -> list[np.ndarray]:
@@ -90,19 +123,91 @@ def _checked(rhos: np.ndarray, times, stats: dict) -> list[np.ndarray]:
     return states
 
 
+def _unvec_rows(vs: np.ndarray, d: int) -> np.ndarray:
+    """Rows of vectorized states as a (m, d, d) stack of views (column
+    stacking)."""
+    return vs.reshape(-1, d, d).transpose(0, 2, 1)
+
+
+def _generator(spec, generators: dict) -> np.ndarray:
+    """The generator of `spec`, assembled once per spec object.
+
+    Windows that share a spec object share a generator (see
+    compile_program).  The spec is stored with its generator so its id
+    stays unique while `generators` lives.
+    """
+    if id(spec) not in generators:
+        generators[id(spec)] = (spec, assemble(spec).gen)
+    return generators[id(spec)][1]
+
+
+def channel_pass(rho0: np.ndarray, windows, meta: dict | None = None,
+                 generators: dict | None = None) -> ChannelPass:
+    """The program channel and the final state, with no sampled states.
+
+    Each distinct generator is assembled once and exponentiated once per
+    distinct window duration, over the full window; the initial state is
+    stepped through the window boundaries.  Raises ChannelError if the
+    channel's trace-preservation defect exceeds TRACE_TOL or its Choi
+    minimum lies below EIG_FLOOR, and the errors of the state checks
+    (trace, Hermiticity, PositivityError) if a boundary state fails them.
+    `generators` (by spec id, see `_generator`) may be passed in to reuse
+    the assembled generators after the pass.
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    d = rho0.shape[0]
+    generators = {} if generators is None else generators
+    propagators: dict[tuple, np.ndarray] = {}
+    t = 0.0
+    times = [0.0]
+    v = vec(rho0)
+    vs = [v]
+    channel = None
+    for w in windows:
+        if isinstance(w, UnitaryWindow):
+            full = conjugation_superop(w.unitary)
+        elif w.duration == 0.0:
+            continue
+        else:
+            key = (id(w.spec), w.duration)
+            if key not in propagators:
+                propagators[key] = expm(_generator(w.spec, generators), w.duration)
+            full = propagators[key]
+            t += w.duration
+        v = full @ v
+        vs.append(v)
+        times.append(t)
+        channel = full if channel is None else full @ channel
+    if channel is None:
+        channel = np.eye(v.size, dtype=complex)
+    trace_row = vec(np.eye(d)).conj()
+    tp_defect = float(np.abs(trace_row @ channel - trace_row).max())
+    if tp_defect > TRACE_TOL:
+        raise ChannelError(f"channel not trace preserving: defect {tp_defect:.3e} "
+                           f"above {TRACE_TOL:.0e}")
+    choi = choi_matrix(channel)
+    choi_min = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
+    if choi_min < EIG_FLOOR:
+        raise ChannelError(f"channel not completely positive: Choi eigenvalue "
+                           f"{choi_min:.3e} below floor {EIG_FLOOR:.0e}")
+    states = _checked(_unvec_rows(np.array(vs), d), times, {"clips": 0, "min_eig": 0.0})
+    return ChannelPass(channel, states[-1], dict(meta or {}), tp_defect, choi_min)
+
+
 def propagate(rho0: np.ndarray, windows, sample_dt: float | None = None,
               meta: dict | None = None) -> Trajectory:
-    """Propagate a density matrix through compiled windows.
+    """Propagate a density matrix through compiled windows, sampling states.
 
-    One pass gives both the sampled trajectory and the program channel:
-    each distinct generator is assembled once and exponentiated, once per
-    distinct window duration, over the full window (a factor of the
-    channel) and over the sampling step (the recorded states).  sample_dt
+    The channel comes from `channel_pass`, whose assembled generators are
+    reused here: each distinct (generator, duration, nsub) is exponentiated
+    once more, over the sampling step, to record the states.  sample_dt
     controls trajectory recording only (default: each window is subdivided
-    into 50 samples); the final state is independent of it.  Raises
-    PositivityError if any sampled state develops an eigenvalue below
-    -1e-8; smaller negatives are clipped silently and counted.
+    into 50 samples).  Raises PositivityError if any sampled state develops
+    an eigenvalue below -1e-8; smaller negatives are clipped silently and
+    counted.
     """
+    generators: dict[int, tuple] = {}
+    result = channel_pass(rho0, windows, meta, generators)
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
     stats = {"clips": 0, "min_eig": 0.0}
@@ -110,17 +215,10 @@ def propagate(rho0: np.ndarray, windows, sample_dt: float | None = None,
     times = [0.0]
     states = _checked(rho0[None], times, stats)
     v = vec(rho0)
-    channel = None
-    # Windows that share a spec object share a generator (see
-    # compile_program): assemble each once, and exponentiate each
-    # (generator, duration, nsub) once.  The spec is stored with its
-    # generator so its id stays unique for the whole pass.
-    generators: dict[int, tuple] = {}
-    propagators: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    steps: dict[tuple, np.ndarray] = {}
     for w in windows:
         if isinstance(w, UnitaryWindow):
-            full = conjugation_superop(w.unitary)
-            v = full @ v
+            v = conjugation_superop(w.unitary) @ v
             # zero duration: a second sample at the current time holds the
             # state right after the unitary, so the jump stays visible
             new_times = [t]
@@ -130,12 +228,9 @@ def propagate(rho0: np.ndarray, windows, sample_dt: float | None = None,
         else:
             nsub = 50 if sample_dt is None else max(1, int(np.ceil(w.duration / sample_dt)))
             key = (id(w.spec), w.duration, nsub)
-            if key not in propagators:
-                if id(w.spec) not in generators:
-                    generators[id(w.spec)] = (w.spec, assemble(w.spec).gen)
-                gen = generators[id(w.spec)][1]
-                propagators[key] = (expm(gen, w.duration), expm(gen, w.duration / nsub))
-            full, step = propagators[key]
+            if key not in steps:
+                steps[key] = expm(_generator(w.spec, generators), w.duration / nsub)
+            step = steps[key]
             new_times = []
             vs = np.empty((nsub, v.size), dtype=complex)
             for k in range(nsub):
@@ -144,18 +239,14 @@ def propagate(rho0: np.ndarray, windows, sample_dt: float | None = None,
                 t += w.duration / nsub
                 new_times.append(t)
         times.extend(new_times)
-        # each row unvec'd (column stacking): a (len, d, d) stack of views
-        states.extend(_checked(vs.reshape(-1, d, d).transpose(0, 2, 1), new_times, stats))
-        channel = full if channel is None else full @ channel
-    if channel is None:
-        channel = np.eye(v.size, dtype=complex)
+        states.extend(_checked(_unvec_rows(vs, d), new_times, stats))
     return Trajectory(
         np.array(times),
         states,
         dict(meta or {}),
         clip_count=stats["clips"],
         min_eigenvalue=stats["min_eig"],
-        channel=channel,
+        channel_pass=result,
     )
 
 

@@ -140,6 +140,18 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(d, d, order="F")
 
 
+def choi_matrix(superop: np.ndarray) -> np.ndarray:
+    """Unnormalized Choi matrix sum_ij |i><j| (x) S(|i><j|) of a
+    column-stacking superoperator S on d x d matrices.
+
+    Its trace is d when S is trace preserving, and it is positive
+    semidefinite iff S is completely positive.
+    """
+    d = int(round(np.sqrt(superop.shape[0])))
+    # S[l*d + k, j*d + i] = S(|i><j|)[k, l]: axes (l, k, j, i) -> (i, k, j, l)
+    return superop.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+
+
 def left_mult(a: np.ndarray) -> np.ndarray:
     """Superoperator of rho -> a rho."""
     return np.kron(identity(a.shape[0]), a)

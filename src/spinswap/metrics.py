@@ -37,6 +37,8 @@ class TransferReport:
     fidelity: float
     concurrence_23: float
     efficiency: float
+    tp_defect: float = float("nan")  # of the program channel
+    choi_min: float = float("nan")
     omega1: float = float("nan")
     omega_d: float = float("nan")
     tau_c: float = float("nan")
@@ -143,26 +145,29 @@ def _clamp_metric(v: float) -> float:
     return v  # genuinely out of range: let TransferReport raise
 
 
-def report(traj, chain: ChainSpec, **params) -> TransferReport:
+def report(run, chain: ChainSpec, **params) -> TransferReport:
     """Fidelity, concurrence between spins 2 and 3, and SWAP efficiency.
 
-    Fidelity and concurrence come from the trajectory's final state
-    (concurrence after reducing to spins 2 and 3, 1-indexed); efficiency
-    comes from the trajectory's program channel reduced to the swapped
-    pair (1,3).
+    `run` is an `evolve.ChannelPass`.  Fidelity and concurrence come from
+    its final state (concurrence after reducing to spins 2 and 3,
+    1-indexed); efficiency comes from its program channel reduced to the
+    swapped pair (1,3).  The channel's TP defect and Choi minimum are
+    passed through.
     """
-    target = traj.meta.get("target_state")
+    target = run.meta.get("target_state")
     if target is None:
-        raise ValueError("trajectory has no target-state metadata")
-    rho = traj.final_state
+        raise ValueError("run has no target-state metadata")
+    rho = run.final_state
     fid = state_fidelity(rho, target)
     rho23 = partial_trace(rho, (1, 2), [2] * chain.nsites)
     conc = concurrence(rho23)
-    chan = pair_channel(traj.channel, (0, 2), chain.nsites)
+    chan = pair_channel(run.channel, (0, 2), chain.nsites)
     eff = swap_efficiency(chan)
     return TransferReport(
         fidelity=_clamp_metric(fid),
         concurrence_23=_clamp_metric(conc),
         efficiency=_clamp_metric(eff),
+        tp_defect=run.tp_defect,
+        choi_min=run.choi_min,
         **params,
     )

@@ -1,8 +1,8 @@
 """Grid sweeps of (omega_1, omega_D, tau_c) over the transport protocol.
 
 Points are embarrassingly parallel: each one runs an independent
-protocol -> compile -> propagate -> report pipeline (`run_transport`, which
-the simulate command shares) from immutable inputs.  Results are
+protocol -> compile -> channel pass -> report pipeline (`run_transport`,
+which the simulate command shares) from immutable inputs.  Results are
 gathered into deterministic row-major grid order (omega_1 outermost, tau_c
 innermost) regardless of worker count, and a failed point yields a marked
 record instead of aborting the sweep.
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .evolve import Trajectory, propagate
+from .evolve import Trajectory, channel_pass, propagate
 from .linalg import ket2dm, single_blas_thread
 from .metrics import TransferReport, report
 from .model import BathSpec, ChainSpec, SecularMode
@@ -86,25 +86,35 @@ class SweepRecord:
     wall_time: float
     error: str = ""  # exception message of a failed point
     warnings: tuple[str, ...] = ()  # unique "Category: message" raised by the point
+    tp_defect: float = float("nan")  # program channel checks; NaN for a failed point
+    choi_min: float = float("nan")
 
 
 def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
                   omega1: float, omega_d: float, refocus: bool = True,
-                  ) -> tuple[PulseProgram, Trajectory, TransferReport]:
-    """Run the transport pipeline once: protocol, compile, propagate, report.
+                  sampled: bool = False,
+                  ) -> tuple[PulseProgram, Trajectory | None, TransferReport]:
+    """Run the transport pipeline once: protocol, compile, channel pass, report.
 
-    The protocol builder and the compiler resolve every pair's coupling
-    form from the same `mode`.  omega_d is echoed in the report only; the
-    couplings are the chain's own.  The run holds OpenBLAS at one thread
-    (see `linalg.single_blas_thread`), so serial sweeps, pool workers and
-    simulate all get the pin from here.
+    The report reads the final state and the channel of `evolve.channel_pass`.
+    With `sampled` (simulate), `propagate` also records the sampled
+    trajectory alongside that pass; without it (a sweep point) no state is
+    sampled and the trajectory is None.  The protocol builder and the
+    compiler resolve every pair's coupling form from the same `mode`.
+    omega_d is echoed in the report only; the couplings are the chain's own.
+    The run holds OpenBLAS at one thread (see `linalg.single_blas_thread`),
+    so serial sweeps, pool workers and simulate all get the pin from here.
     """
     with single_blas_thread():
         program = transport_protocol(chain, omega1, mode, refocus=refocus)
         windows = compile_program(program, chain, bath, mode)
-        traj = propagate(ket2dm(program.meta["initial_state"]), windows,
-                         meta=program.meta)
-        rep = report(traj, chain, omega1=omega1, omega_d=omega_d,
+        rho0 = ket2dm(program.meta["initial_state"])
+        if sampled:
+            traj = propagate(rho0, windows, meta=program.meta)
+            run = traj.channel_pass
+        else:
+            traj, run = None, channel_pass(rho0, windows, meta=program.meta)
+        rep = report(run, chain, omega1=omega1, omega_d=omega_d,
                      tau_c=bath.tau_c, omega_se=bath.omega_se)
     return program, traj, rep
 
@@ -137,11 +147,12 @@ def _point_record(args) -> SweepRecord:
         try:
             rep = evaluate_point(grid.chain, grid.bath, grid.mode, w1, wd,
                                  tc, grid.refocus)
-            fid, conc, eff, status = (
-                rep.fidelity, rep.concurrence_23, rep.efficiency, "ok",
+            fid, conc, eff, tp, choi, status = (
+                rep.fidelity, rep.concurrence_23, rep.efficiency,
+                rep.tp_defect, rep.choi_min, "ok",
             )
         except Exception as exc:  # failure containment: mark, never abort
-            fid = conc = eff = float("nan")
+            fid = conc = eff = tp = choi = float("nan")
             status = f"failed({type(exc).__name__})"
             error = str(exc)
     return SweepRecord(
@@ -159,6 +170,8 @@ def _point_record(args) -> SweepRecord:
         error=error,
         warnings=tuple(dict.fromkeys(
             f"{w.category.__name__}: {w.message}" for w in caught)),
+        tp_defect=tp,
+        choi_min=choi,
     )
 
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from spinswap.config import load_preset
-from spinswap.evolve import propagate
+from spinswap.evolve import channel_pass, propagate
 from spinswap.linalg import (
     basis_state,
     identity,
@@ -94,8 +94,8 @@ def test_criterion_2_transport_correctness():
 
     prog = transport_protocol(cfg.chain, cfg.omega1, mode, refocus=True)
     windows = compile_program(prog, cfg.chain, bath_off, mode)
-    traj = propagate(ket2dm(prog.meta["initial_state"]), windows, meta=prog.meta)
-    rep = report(traj, cfg.chain)
+    run = channel_pass(ket2dm(prog.meta["initial_state"]), windows, meta=prog.meta)
+    rep = report(run, cfg.chain)
 
     prog_off = transport_protocol(cfg.chain, cfg.omega1, mode, refocus=False)
     u_off = ideal_propagator(prog_off, cfg.chain, mode)

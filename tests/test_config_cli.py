@@ -168,6 +168,34 @@ class TestCli:
         assert main(["validate", "--config", path]) == 1
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["chain", "bath", "drive", "regime", "grid"])
+    def test_validate_rejects_non_object_sections(self, tmp_path, capsys, field):
+        path = self._write_config(tmp_path, dict(FIG2_DOC, **{field: []}))
+        assert main(["validate", "--config", path]) == 1
+        assert f"{field}: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid.omega1.log_points", 2.7),
+        ("grid.omega1.log_points", "3"),
+        ("grid.omega1.log_points", True),
+        ("chain.couplings[0].pair", [0.9, 2]),
+        ("chain.couplings[0].pair", ["0", 2]),
+        ("chain.couplings[0].pair", [0, 1, 2]),
+    ])
+    def test_validate_rejects_non_integer_fields(self, tmp_path, capsys, field, value):
+        # int() would truncate 2.7 to a 2-point axis and 0.9 to site 0
+        doc = json.loads(json.dumps(FIG2_DOC))
+        doc["grid"] = {"omega1": {"log_points": 3, "min": "2*pi*10 kHz",
+                                  "max": "2*pi*1000 kHz"},
+                       "omegaD": ["2*pi*150 kHz"], "tau_c": ["0.1/(2*pi*1e5) s"]}
+        if field.startswith("grid"):
+            doc["grid"]["omega1"]["log_points"] = value
+        else:
+            doc["chain"]["couplings"][0]["pair"] = value
+        path = self._write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        assert field in capsys.readouterr().err
+
     def test_validate_rejects_missing_units(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIG2_DOC))
         doc["bath"]["tau_c"] = "1.6e-7"
@@ -306,7 +334,7 @@ class TestCli:
         report = json.loads((sim / "report.json").read_text())
         (record,) = json.loads((swp / "sweep_summary.json").read_text())["records"]
         assert record["status"] == "ok"
-        for key in ("fidelity", "concurrence_23", "efficiency"):
+        for key in ("fidelity", "concurrence_23", "efficiency", "tp_defect", "choi_min"):
             assert report[key] == record[key]
         assert (report["omega1_rad_s"], report["omegaD_rad_s"], report["tau_c_s"]) == (
             record["omega1"], record["omegaD"], record["tauc"])

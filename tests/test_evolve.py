@@ -11,8 +11,10 @@ from spinswap.evolve import (
     EIG_FLOOR,
     HERM_TOL,
     TRACE_TOL,
+    ChannelError,
     PositivityError,
     Trajectory,
+    channel_pass,
     export_trajectory,
     propagate,
 )
@@ -38,7 +40,8 @@ from spinswap.sequences import (
     transport_protocol,
 )
 from spinswap.model import Regime, SecularMode, default_coarse_grain_dt
-from spinswap.sweep import run_transport
+import spinswap.sweep as sweep
+from spinswap.sweep import GridSpec, evaluate_point, run_sweep, run_transport
 
 IX, IY, IZ, IP, IM = spin_half_ops()
 
@@ -190,16 +193,57 @@ class TestChannel:
         assert max_norm(tr_vec @ traj.channel - tr_vec) < 1e-12
 
 
-def run_preset_point(name):
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=5, deadline=None)
+@given(
+    larmor_khz=st.lists(st.floats(100.0, 1e4), min_size=3, max_size=3),
+    omega1_khz=st.floats(20.0, 500.0),
+    wse_tauc=st.floats(0.01, 0.3),
+)
+def test_pass_matches_sampled_propagation(larmor_khz, omega1_khz, wse_tauc):
+    # random 3-spin transport runs: the pass alone gives the sampled final
+    # state and the channel, which is trace preserving and completely
+    # positive by an explicitly built Choi matrix
+    j = 1.5e5
+    chain = ChainSpec(
+        tuple(2 * np.pi * 1e3 * w for w in larmor_khz),
+        ((0, 2, j), (0, 1, j), (1, 2, j)),
+    )
+    omega1 = 2 * np.pi * 1e3 * omega1_khz
+    bath = BathSpec(WSE, tau_c=wse_tauc / WSE)
+    mode = SecularMode(Regime.AUTO, default_coarse_grain_dt(bath, omega1))
+    prog = transport_protocol(chain, omega1, mode)
+    windows = compile_program(prog, chain, bath, mode)
+    rho0 = ket2dm(prog.meta["initial_state"])
+    run = channel_pass(rho0, windows, meta=prog.meta)
+    traj = propagate(rho0, windows, meta=prog.meta)
+    assert max_norm(run.final_state - traj.final_state) < 1e-12
+    assert max_norm(run.channel - traj.channel) < 1e-12
+    assert run.meta == traj.meta
+    tr_vec = vec(identity(8)).conj()
+    assert run.tp_defect == np.abs(tr_vec @ run.channel - tr_vec).max() <= 1e-12
+    choi = np.zeros((64, 64), dtype=complex)
+    for i in range(8):
+        for k in range(8):
+            e_ik = np.zeros((8, 8))
+            e_ik[i, k] = 1.0
+            choi += np.kron(e_ik, unvec(run.channel @ vec(e_ik)))
+    assert abs(np.trace(choi) - 8) < 1e-12
+    assert abs(run.choi_min - np.linalg.eigvalsh(choi).min()) < 1e-12
+    assert run.choi_min >= 0.0
+
+
+def run_preset_point(name, sampled=False):
     cfg = load_preset(name)
     return run_transport(cfg.chain, cfg.bath, cfg.mode, cfg.omega1,
-                         2 * np.pi * cfg.chain.coupling_j((0, 2)), cfg.refocusing)
+                         2 * np.pi * cfg.chain.coupling_j((0, 2)), cfg.refocusing,
+                         sampled=sampled)
 
 
 def test_each_instantaneous_segment_adds_a_row_at_the_same_time():
     # a unitary window takes no time: its sample repeats the previous
     # sample's time and holds the state right after the unitary
-    program, traj, _ = run_preset_point("fig2")
+    program, traj, _ = run_preset_point("fig2", sampled=True)
     cfg = load_preset("fig2")
     unitaries = [w.unitary for w in compile_program(program, cfg.chain, cfg.bath, cfg.mode)
                  if isinstance(w, UnitaryWindow)]
@@ -210,28 +254,50 @@ def test_each_instantaneous_segment_adds_a_row_at_the_same_time():
         assert max_norm(traj.states[k] - expected) < 1e-12
 
 
+def counting_calls(monkeypatch, targets):
+    """Count the calls of each (module, name) in `targets`."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
 class TestDistinctGenerators:
     @pytest.mark.parametrize("preset, assembles, expms",
                              [("fig2", 9, 22), ("fig3", 3, 8)])
     def test_one_assemble_and_expm_pair_per_distinct_generator(
             self, monkeypatch, preset, assembles, expms):
-        calls = Counter()
+        # simulate: the channel pass plus one sampling-step expm per
+        # distinct (generator, duration)
+        calls = counting_calls(monkeypatch, [(evolve, "assemble"), (evolve, "expm")])
+        run_preset_point(preset, sampled=True)
+        assert (calls["assemble"], calls["expm"]) == (assembles, expms)
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(evolve, "assemble", counting("assemble", evolve.assemble))
-        monkeypatch.setattr(evolve, "expm", counting("expm", evolve.expm))
+    @pytest.mark.parametrize("preset, assembles, expms",
+                             [("fig2", 9, 11), ("fig3", 3, 4)])
+    def test_sweep_point_exponentiates_full_windows_only(
+            self, monkeypatch, preset, assembles, expms):
+        calls = counting_calls(monkeypatch, [(evolve, "assemble"), (evolve, "expm"),
+                                             (sweep, "propagate")])
         run_preset_point(preset)
         assert (calls["assemble"], calls["expm"]) == (assembles, expms)
+        cfg = load_preset(preset)
+        evaluate_point(cfg.chain, cfg.bath, cfg.mode, cfg.omega1,
+                       2 * np.pi * cfg.chain.coupling_j((0, 2)), cfg.bath.tau_c)
+        assert (calls["assemble"], calls["expm"]) == (2 * assembles, 2 * expms)
+        assert calls["propagate"] == 0
 
     def test_shared_specs_change_no_number(self):
         # a copy of the spec per window defeats the memo: every window is
         # then assembled and exponentiated on its own, as before sharing
-        program, traj, _ = run_preset_point("fig2")
+        program, traj, _ = run_preset_point("fig2", sampled=True)
         cfg = load_preset("fig2")
         windows = [
             replace(w, spec=replace(w.spec)) if hasattr(w, "spec") else w
@@ -241,7 +307,56 @@ class TestDistinctGenerators:
         np.testing.assert_array_equal(own.times, traj.times)
         np.testing.assert_array_equal(np.array(own.states), np.array(traj.states))
         np.testing.assert_array_equal(own.channel, traj.channel)
+        np.testing.assert_array_equal(own.channel_pass.final_state,
+                                      traj.channel_pass.final_state)
         assert (own.clip_count, own.min_eigenvalue) == (traj.clip_count, traj.min_eigenvalue)
+
+
+def transpose_superop(d):
+    """Superoperator of rho -> rho^T: positive, trace preserving, not CP."""
+    return np.eye(d * d)[np.arange(d * d).reshape(d, d).T.reshape(-1)]
+
+
+class TestChannelChecks:
+    """A doctored window that breaks TP or CP stops the pass and fails the
+    sweep point with the check's message."""
+
+    CASES = [
+        (lambda: transpose_superop(8), "channel not completely positive: Choi eigenvalue"),
+        (lambda: 1.001 * np.eye(64), "channel not trace preserving: defect"),
+    ]
+
+    @pytest.mark.parametrize("superop, message", CASES, ids=["transpose", "trace-scaling"])
+    def test_pass_and_sweep_point_fail(self, monkeypatch, superop, message):
+        # fig2's first pulse window has a generator of its own: replace its
+        # propagator, and only that one, by the doctored superoperator.  The
+        # bath is off: a strongly depolarizing remainder would make even a
+        # transposed window's program CP.
+        cfg = load_preset("fig2")
+        bath = BathSpec(0.0, tau_c=1e-18)
+        program = transport_protocol(cfg.chain, cfg.omega1, cfg.mode)
+        windows = compile_program(program, cfg.chain, bath, cfg.mode)
+        rho0 = ket2dm(program.meta["initial_state"])
+        channel_pass(rho0, windows)  # the undoctored program passes
+        first = next(w for w in windows if hasattr(w, "spec"))
+        assert sum(w.spec is first.spec for w in windows if hasattr(w, "spec")) == 1
+        gen = assemble(first.spec).gen
+        real = evolve.expm
+        monkeypatch.setattr(evolve, "expm", lambda g, t: (
+            superop() if np.array_equal(g, gen) else real(g, t)))
+        with pytest.raises(ChannelError, match=message):
+            channel_pass(rho0, windows)
+        grid = GridSpec((cfg.omega1,), (2 * np.pi * cfg.chain.coupling_j((0, 2)),),
+                        (bath.tau_c,), cfg.chain, bath, cfg.mode)
+        (record,) = run_sweep(grid, workers=1)
+        assert record.status == "failed(ChannelError)"
+        assert record.error.startswith(message)
+        assert np.isnan(record.tp_defect) and np.isnan(record.choi_min)
+
+    def test_invalid_initial_state_fails_the_boundary_check(self):
+        bad = np.diag([1.5, -0.5]).astype(complex)
+        with pytest.raises(PositivityError):
+            channel_pass(bad, [])
 
 
 def per_sample_checked(rhos, times):

@@ -4,6 +4,7 @@ import pytest
 from spinswap import linalg
 from spinswap.linalg import (
     basis_state,
+    choi_matrix,
     clip_to_density,
     commutator_superop,
     conjugation_superop,
@@ -156,6 +157,33 @@ class TestVectorization:
         np.testing.assert_allclose(
             unvec(conjugation_superop(u) @ vec(rho)), u @ rho @ dagger(u), atol=1e-12
         )
+
+
+class TestChoiMatrix:
+    def test_matches_sum_over_matrix_units(self):
+        # sum_ij |i><j| (x) S(|i><j|) for a random (non-physical) superoperator
+        rng = np.random.default_rng(5)
+        d = 3
+        s = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        ref = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                e_ij = np.outer(np.eye(d)[i], np.eye(d)[j])
+                ref += np.kron(e_ij, unvec(s @ vec(e_ij)))
+        np.testing.assert_array_equal(choi_matrix(s), ref)
+
+    def test_unitary_channel_is_rank_one_with_trace_d(self):
+        rng = np.random.default_rng(6)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        w = np.linalg.eigvalsh(choi_matrix(conjugation_superop(u)))
+        np.testing.assert_allclose(w, [0.0] * 15 + [4.0], atol=1e-12)
+
+    def test_transpose_is_not_completely_positive(self):
+        d = 2
+        transpose = np.eye(d * d)[[0, 2, 1, 3]]
+        rho = random_density(np.random.default_rng(7), 1)
+        np.testing.assert_array_equal(unvec(transpose @ vec(rho)), rho.T)
+        assert np.linalg.eigvalsh(choi_matrix(transpose)).min() == pytest.approx(-1.0)
 
 
 class TestExpm:

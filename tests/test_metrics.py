@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinswap.evolve import propagate
+from spinswap.evolve import channel_pass, propagate
 from spinswap.linalg import (
     basis_state,
     conjugation_superop,
@@ -180,8 +180,8 @@ class TestReport:
     def _run(self, bath, refocus=True):
         prog = transport_protocol(CHAIN3, W1, MODE, refocus=refocus)
         windows = compile_program(prog, CHAIN3, bath, MODE)
-        return propagate(ket2dm(prog.meta["initial_state"]), windows,
-                         meta=prog.meta)
+        return channel_pass(ket2dm(prog.meta["initial_state"]), windows,
+                            meta=prog.meta)
 
     def test_ideal_closed_run_scores_unity(self):
         bath = BathSpec(0.0, tau_c=1e-18)
@@ -213,16 +213,18 @@ class TestReport:
         prog = transport_protocol(CHAIN3, W1, MODE)
         windows = compile_program(prog, CHAIN3, bath, MODE)
         rho0 = ket2dm(prog.meta["initial_state"])
-        r1 = report(propagate(rho0, windows, sample_dt=1e-6, meta=prog.meta), CHAIN3)
-        r2 = report(propagate(rho0, windows, sample_dt=1e-5, meta=prog.meta), CHAIN3)
+        r1 = report(propagate(rho0, windows, sample_dt=1e-6, meta=prog.meta).channel_pass,
+                    CHAIN3)
+        r2 = report(propagate(rho0, windows, sample_dt=1e-5, meta=prog.meta).channel_pass,
+                    CHAIN3)
         assert abs(r1.fidelity - r2.fidelity) < 1e-11
         assert abs(r1.concurrence_23 - r2.concurrence_23) < 1e-11
         assert r1.efficiency == r2.efficiency
 
     def test_missing_metadata_rejected(self):
-        traj = propagate(identity(8) / 8, [])
+        run = channel_pass(identity(8) / 8, [])
         with pytest.raises(ValueError):
-            report(traj, CHAIN3)
+            report(run, CHAIN3)
 
 
 class TestTransferReport:
