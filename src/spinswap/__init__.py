@@ -13,7 +13,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .master import GeneratorSpec, Liouvillian, assemble, regulator_integral
+from .master import GeneratorSpec, assemble, regulator_integral
 from .metrics import TransferReport, concurrence, report, state_fidelity, swap_efficiency
 from .model import (
     BathSpec,
@@ -26,7 +26,6 @@ from .model import (
     drive_hamiltonian,
     resolve_secular_mode,
     system_env_coupling,
-    zeeman_hamiltonian,
 )
 from .evolve import ChannelPass, Trajectory, channel_pass, propagate
 from .sequences import (

@@ -2,11 +2,11 @@
 
 Generators are piecewise constant by construction, so each window is
 applied as a matrix exponential in Liouville space (exact up to expm
-accuracy, independent of the trajectory sampling step); zero-duration
-segments are exact unitary conjugations.  `channel_pass` gives the program
-channel and the final state with one full-window exponential per distinct
-window and checks the channel (trace preservation, complete positivity);
-`propagate` adds the sampled trajectory on top of it.
+accuracy, independent of the trajectory sampling); zero-duration segments
+are exact unitary conjugations.  `channel_pass` gives the program channel
+and the final state with one full-window exponential per distinct window
+and checks the channel (trace preservation, complete positivity);
+`propagate` samples the trajectory in the same walk over the windows.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .sequences import UnitaryWindow
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-9
 EIG_FLOOR = -1e-8
+SAMPLES_PER_WINDOW = 50
 
 
 class PositivityError(RuntimeError):
@@ -129,55 +130,65 @@ def _unvec_rows(vs: np.ndarray, d: int) -> np.ndarray:
     return vs.reshape(-1, d, d).transpose(0, 2, 1)
 
 
-def _generator(spec, generators: dict) -> np.ndarray:
-    """The generator of `spec`, assembled once per spec object.
+def _walk(rho0: np.ndarray, windows, meta: dict | None,
+          sampled: bool) -> tuple[ChannelPass, Trajectory | None]:
+    """One walk over the windows: the channel pass, and with `sampled` the
+    sampled trajectory alongside it.
 
     Windows that share a spec object share a generator (see
-    compile_program).  The spec is stored with its generator so its id
-    stays unique while `generators` lives.
-    """
-    if id(spec) not in generators:
-        generators[id(spec)] = (spec, assemble(spec).gen)
-    return generators[id(spec)][1]
-
-
-def channel_pass(rho0: np.ndarray, windows, meta: dict | None = None,
-                 generators: dict | None = None) -> ChannelPass:
-    """The program channel and the final state, with no sampled states.
-
-    Each distinct generator is assembled once and exponentiated once per
-    distinct window duration, over the full window; the initial state is
-    stepped through the window boundaries.  Raises ChannelError if the
-    channel's trace-preservation defect exceeds TRACE_TOL or its Choi
-    minimum lies below EIG_FLOOR, and the errors of the state checks
-    (trace, Hermiticity, PositivityError) if a boundary state fails them.
-    `generators` (by spec id, see `_generator`) may be passed in to reuse
-    the assembled generators after the pass.
+    compile_program): each distinct generator is assembled once, and each
+    distinct (generator, duration) exponentiated once over the full window
+    and, with `sampled`, once over the sampling step duration /
+    SAMPLES_PER_WINDOW.  Both are keyed by spec id, which stays unique
+    because `windows` is a sequence that holds every spec for the whole
+    walk.  The sampled chain keeps its own state and clock, so its samples
+    do not depend on the full-window propagators.  The checks run after
+    the walk: the channel first, then the boundary states, then the
+    samples, each in time order.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
-    generators = {} if generators is None else generators
-    propagators: dict[tuple, np.ndarray] = {}
-    t = 0.0
-    times = [0.0]
-    v = vec(rho0)
-    vs = [v]
+    generators: dict[int, np.ndarray] = {}
+    propagators: dict[tuple, tuple] = {}
     channel = None
+    t = 0.0
+    v = vec(rho0)
+    times, vs = [0.0], [v]
+    t_sample = 0.0
+    u = v
+    # one (states, times) block per window, so each check stays small
+    blocks = [(v[None], [0.0])]
     for w in windows:
         if isinstance(w, UnitaryWindow):
-            full = conjugation_superop(w.unitary)
+            # zero duration: one sample at the current time holds the state
+            # right after the unitary, so the jump stays visible
+            full = step = conjugation_superop(w.unitary)
+            nsub, dt = 1, 0.0
         elif w.duration == 0.0:
             continue
         else:
+            nsub, dt = SAMPLES_PER_WINDOW, w.duration / SAMPLES_PER_WINDOW
             key = (id(w.spec), w.duration)
             if key not in propagators:
-                propagators[key] = expm(_generator(w.spec, generators), w.duration)
-            full = propagators[key]
+                if id(w.spec) not in generators:
+                    generators[id(w.spec)] = assemble(w.spec)
+                gen = generators[id(w.spec)]
+                propagators[key] = (expm(gen, w.duration),
+                                    expm(gen, dt) if sampled else None)
+            full, step = propagators[key]
             t += w.duration
         v = full @ v
         vs.append(v)
         times.append(t)
         channel = full if channel is None else full @ channel
+        if sampled:
+            us, ts = np.empty((nsub, u.size), dtype=complex), []
+            for k in range(nsub):
+                u = step @ u
+                us[k] = u
+                t_sample += dt
+                ts.append(t_sample)
+            blocks.append((us, ts))
     if channel is None:
         channel = np.eye(v.size, dtype=complex)
     trace_row = vec(np.eye(d)).conj()
@@ -191,63 +202,40 @@ def channel_pass(rho0: np.ndarray, windows, meta: dict | None = None,
         raise ChannelError(f"channel not completely positive: Choi eigenvalue "
                            f"{choi_min:.3e} below floor {EIG_FLOOR:.0e}")
     states = _checked(_unvec_rows(np.array(vs), d), times, {"clips": 0, "min_eig": 0.0})
-    return ChannelPass(channel, states[-1], dict(meta or {}), tp_defect, choi_min)
-
-
-def propagate(rho0: np.ndarray, windows, sample_dt: float | None = None,
-              meta: dict | None = None) -> Trajectory:
-    """Propagate a density matrix through compiled windows, sampling states.
-
-    The channel comes from `channel_pass`, whose assembled generators are
-    reused here: each distinct (generator, duration, nsub) is exponentiated
-    once more, over the sampling step, to record the states.  sample_dt
-    controls trajectory recording only (default: each window is subdivided
-    into 50 samples).  Raises PositivityError if any sampled state develops
-    an eigenvalue below -1e-8; smaller negatives are clipped silently and
-    counted.
-    """
-    generators: dict[int, tuple] = {}
-    result = channel_pass(rho0, windows, meta, generators)
-    rho0 = np.asarray(rho0, dtype=complex)
-    d = rho0.shape[0]
+    result = ChannelPass(channel, states[-1], dict(meta or {}), tp_defect, choi_min)
+    if not sampled:
+        return result, None
     stats = {"clips": 0, "min_eig": 0.0}
-    t = 0.0
-    times = [0.0]
-    states = _checked(rho0[None], times, stats)
-    v = vec(rho0)
-    steps: dict[tuple, np.ndarray] = {}
-    for w in windows:
-        if isinstance(w, UnitaryWindow):
-            v = conjugation_superop(w.unitary) @ v
-            # zero duration: a second sample at the current time holds the
-            # state right after the unitary, so the jump stays visible
-            new_times = [t]
-            vs = v[None]
-        elif w.duration == 0.0:
-            continue
-        else:
-            nsub = 50 if sample_dt is None else max(1, int(np.ceil(w.duration / sample_dt)))
-            key = (id(w.spec), w.duration, nsub)
-            if key not in steps:
-                steps[key] = expm(_generator(w.spec, generators), w.duration / nsub)
-            step = steps[key]
-            new_times = []
-            vs = np.empty((nsub, v.size), dtype=complex)
-            for k in range(nsub):
-                v = step @ v
-                vs[k] = v
-                t += w.duration / nsub
-                new_times.append(t)
-        times.extend(new_times)
-        states.extend(_checked(_unvec_rows(vs, d), new_times, stats))
-    return Trajectory(
-        np.array(times),
-        states,
-        dict(meta or {}),
-        clip_count=stats["clips"],
-        min_eigenvalue=stats["min_eig"],
-        channel_pass=result,
-    )
+    states, sample_times = [], []
+    for us, ts in blocks:
+        states += _checked(_unvec_rows(us, d), ts, stats)
+        sample_times += ts
+    return result, Trajectory(np.array(sample_times), states, dict(meta or {}),
+                              clip_count=stats["clips"], min_eigenvalue=stats["min_eig"],
+                              channel_pass=result)
+
+
+def channel_pass(rho0: np.ndarray, windows, meta: dict | None = None) -> ChannelPass:
+    """The program channel and the final state, with no sampled states.
+
+    The initial state is stepped through the window boundaries.  Raises
+    ChannelError if the channel's trace-preservation defect exceeds
+    TRACE_TOL or its Choi minimum lies below EIG_FLOOR, and the errors of
+    the state checks (trace, Hermiticity, PositivityError) if a boundary
+    state fails them.
+    """
+    return _walk(rho0, windows, meta, sampled=False)[0]
+
+
+def propagate(rho0: np.ndarray, windows, meta: dict | None = None) -> Trajectory:
+    """The channel pass plus SAMPLES_PER_WINDOW sampled states per generator
+    window and one per unitary window.
+
+    Raises what `channel_pass` raises, then PositivityError if a sampled
+    state has an eigenvalue below EIG_FLOOR; smaller negatives are clipped
+    and counted.
+    """
+    return _walk(rho0, windows, meta, sampled=True)[1]
 
 
 def export_trajectory(traj: Trajectory) -> str:

@@ -26,7 +26,6 @@ traceless environment factors but are retained in the enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,12 +36,8 @@ from .linalg import (
     identity,
     max_norm,
     pauli_strings,
-    vec,
 )
 from .model import BathSpec, HarmonicComponent
-
-GKLS_REL_TOL = 1e-9
-
 
 def regulator_integral(omega: float | np.ndarray, tau_c: float) -> complex | np.ndarray:
     """Regulated memory-kernel integral tau_c / (1 - i omega tau_c).
@@ -192,41 +187,9 @@ def second_order_dissipator(spec: GeneratorSpec) -> np.ndarray:
     return _generator(*_second_order_terms(spec))
 
 
-@dataclass
-class Liouvillian:
-    """Assembled generator with structural diagnostics.
-
-    gen: (d^2, d^2) generator matrix, units 1/s.
-    The GKLS diagnostic extracts the Kossakowski matrix over the normalized
-    traceless Pauli-string basis and reports its minimum eigenvalue; the
-    generator is flagged valid when that eigenvalue is >= -1e-9 relative to
-    the maximum eigenvalue (floored at 1).
-    """
-
-    gen: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.gen.shape[0])))
-
-    def trace_defect(self) -> float:
-        """Max-norm of the trace covector applied to the generator."""
-        tr_vec = vec(identity(self.dim)).conj()
-        return float(np.max(np.abs(tr_vec @ self.gen)))
-
-    @cached_property
-    def kossakowski(self) -> np.ndarray:
-        return kossakowski_matrix(self.gen)
-
-    @property
-    def is_gkls_valid(self) -> bool:
-        evals = np.linalg.eigvalsh(self.kossakowski)
-        scale = max(float(evals.max()), 1.0)
-        return bool(evals.min() >= -GKLS_REL_TOL * scale)
-
-
-def assemble(spec: GeneratorSpec) -> Liouvillian:
-    """First-order generator plus second-order dissipator (with shifts).
+def assemble(spec: GeneratorSpec) -> np.ndarray:
+    """First-order generator plus second-order dissipator (with shifts), as
+    a (d^2, d^2) matrix in 1/s.
 
     -i[H, .] is -(I kron iH) - ((-iH).T kron I), so H joins the left and
     right operators of the dissipator and the generator takes two
@@ -234,7 +197,7 @@ def assemble(spec: GeneratorSpec) -> Liouvillian:
     """
     h = _coherent_hamiltonian(spec)
     cross, m_left, m_right = _second_order_terms(spec)
-    return Liouvillian(_generator(cross, m_left + 1j * h, m_right - 1j * h))
+    return _generator(cross, m_left + 1j * h, m_right - 1j * h)
 
 
 def kossakowski_matrix(gen: np.ndarray) -> np.ndarray:

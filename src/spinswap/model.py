@@ -83,11 +83,17 @@ class ChainSpec:
         if not self.larmor:
             raise ValueError("chain needs at least one spin")
         n = self.nsites
+        pairs = set()
         for a, b, j in self.couplings:
             if a == b or not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"coupling pair ({a},{b}) invalid for {n} sites")
             if j < 0:
                 raise ValueError("coupling J must be >= 0")
+            # a pair listed twice would add its coupling twice to the
+            # Hamiltonian while coupling_j reads only the first J
+            if (min(a, b), max(a, b)) in pairs:
+                raise ValueError(f"coupling pair ({a},{b}) listed twice")
+            pairs.add((min(a, b), max(a, b)))
 
     @property
     def nsites(self) -> int:
@@ -179,15 +185,6 @@ class HarmonicComponent:
     @property
     def has_env(self) -> bool:
         return self.env_site is not None
-
-
-def zeeman_hamiltonian(chain: ChainSpec) -> np.ndarray:
-    """Lab-frame Zeeman Hamiltonian sum_k omega_0^k Iz^k (rad/s)."""
-    n = chain.nsites
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for k, w0 in enumerate(chain.larmor):
-        h += w0 * embed(_IZ, k, n)
-    return h
 
 
 def dipolar_hamiltonian(pair, j_hz: float, regime: Regime, nsites: int) -> np.ndarray:

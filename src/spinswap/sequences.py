@@ -430,7 +430,7 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
 
     # One spec object per distinct generator: all delays share one, and
     # pulses share one per drive (amplitude, phase, targets, carrier), so
-    # propagate can assemble each generator once.
+    # a channel pass can assemble each generator once.
     specs: dict = {}
     windows: list[Window] = []
     for seg in program.segments:

@@ -196,6 +196,14 @@ class TestCli:
         assert main(["validate", "--config", path]) == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair", [[2, 0], [0, 2]], ids=["reversed", "same-order"])
+    def test_validate_rejects_repeated_coupling_pair(self, tmp_path, capsys, pair):
+        doc = json.loads(json.dumps(FIG2_DOC))
+        doc["chain"]["couplings"].append({"pair": pair, "j": "150 kHz"})
+        path = self._write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        assert f"chain: coupling pair ({pair[0]},{pair[1]}) listed twice" in capsys.readouterr().err
+
     def test_validate_rejects_missing_units(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIG2_DOC))
         doc["bath"]["tau_c"] = "1.6e-7"

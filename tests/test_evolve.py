@@ -108,14 +108,6 @@ class TestPropagate:
         for a, b in zip(dists, dists[1:]):
             assert b <= a + 1e-12
 
-    def test_final_state_independent_of_sample_dt(self):
-        bath = BathSpec(WSE, tau_c=TAU_C)
-        windows = drive_window(W1, 1.1e-5, bath)
-        rho0 = ket2dm(basis_state([0]))
-        fine = propagate(rho0, windows, sample_dt=1e-7).final_state
-        coarse = propagate(rho0, windows, sample_dt=1e-5).final_state
-        assert max_norm(fine - coarse) < 1e-12
-
     def test_rejects_unphysical_initial_state(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises((PositivityError, RuntimeError)):
@@ -136,7 +128,7 @@ class TestRabiEnvelope:
             system_env_coupling(CHAIN1, bath)
         )
         spec = GeneratorSpec(comps, bath, 1e9)
-        gen_analytic = assemble(spec).gen
+        gen_analytic = assemble(spec)
         gen_brute = first_order_generator(spec) + brute_force_dissipator(
             comps, bath.tau_c, 1e9, 2
         )
@@ -187,7 +179,7 @@ class TestChannel:
         prog = transport_protocol(chain, omega1, mode)
         windows = compile_program(prog, chain, bath, mode)
         rho0 = ket2dm(prog.meta["initial_state"])
-        traj = propagate(rho0, windows, sample_dt=prog.total_duration / 20)
+        traj = propagate(rho0, windows)
         assert max_norm(unvec(traj.channel @ vec(rho0)) - traj.final_state) < 1e-12
         tr_vec = vec(identity(8)).conj()
         assert max_norm(tr_vec @ traj.channel - tr_vec) < 1e-12
@@ -270,15 +262,26 @@ def counting_calls(monkeypatch, targets):
 
 
 class TestDistinctGenerators:
-    @pytest.mark.parametrize("preset, assembles, expms",
-                             [("fig2", 9, 22), ("fig3", 3, 8)])
+    @pytest.mark.parametrize("preset, assembles, expms, unitaries, validated",
+                             [("fig2", 9, 22, 16, 850), ("fig3", 3, 8, 6, 524)],
+                             ids=["fig2-9-22", "fig3-3-8"])
     def test_one_assemble_and_expm_pair_per_distinct_generator(
-            self, monkeypatch, preset, assembles, expms):
-        # simulate: the channel pass plus one sampling-step expm per
-        # distinct (generator, duration)
-        calls = counting_calls(monkeypatch, [(evolve, "assemble"), (evolve, "expm")])
+            self, monkeypatch, preset, assembles, expms, unitaries, validated):
+        # simulate walks the windows once: one full-window and one
+        # sampling-step expm per distinct (generator, duration), one
+        # conjugation superoperator per unitary window serving both the
+        # channel and the samples, and each boundary state and sample
+        # validated once
+        calls = counting_calls(monkeypatch, [(evolve, "assemble"), (evolve, "expm"),
+                                             (evolve, "conjugation_superop")])
+        checked = []
+        real = evolve._checked
+        monkeypatch.setattr(evolve, "_checked",
+                            lambda rhos, *args: checked.append(len(rhos)) or real(rhos, *args))
         run_preset_point(preset, sampled=True)
         assert (calls["assemble"], calls["expm"]) == (assembles, expms)
+        assert calls["conjugation_superop"] == unitaries
+        assert sum(checked) == validated
 
     @pytest.mark.parametrize("preset, assembles, expms",
                              [("fig2", 9, 11), ("fig3", 3, 4)])
@@ -340,7 +343,7 @@ class TestChannelChecks:
         channel_pass(rho0, windows)  # the undoctored program passes
         first = next(w for w in windows if hasattr(w, "spec"))
         assert sum(w.spec is first.spec for w in windows if hasattr(w, "spec")) == 1
-        gen = assemble(first.spec).gen
+        gen = assemble(first.spec)
         real = evolve.expm
         monkeypatch.setattr(evolve, "expm", lambda g, t: (
             superop() if np.array_equal(g, gen) else real(g, t)))

@@ -208,19 +208,6 @@ class TestReport:
         rho23 = partial_trace(ket2dm(PSI_I), (1, 2), [2, 2, 2])
         assert concurrence(rho23) < 1e-12
 
-    def test_report_independent_of_sample_dt(self):
-        bath = BathSpec(2 * np.pi * 1e5, tau_c=0.1 / (2 * np.pi * 1e5))
-        prog = transport_protocol(CHAIN3, W1, MODE)
-        windows = compile_program(prog, CHAIN3, bath, MODE)
-        rho0 = ket2dm(prog.meta["initial_state"])
-        r1 = report(propagate(rho0, windows, sample_dt=1e-6, meta=prog.meta).channel_pass,
-                    CHAIN3)
-        r2 = report(propagate(rho0, windows, sample_dt=1e-5, meta=prog.meta).channel_pass,
-                    CHAIN3)
-        assert abs(r1.fidelity - r2.fidelity) < 1e-11
-        assert abs(r1.concurrence_23 - r2.concurrence_23) < 1e-11
-        assert r1.efficiency == r2.efficiency
-
     def test_missing_metadata_rejected(self):
         run = channel_pass(identity(8) / 8, [])
         with pytest.raises(ValueError):

@@ -14,33 +14,11 @@ from spinswap.model import (
     drive_hamiltonian,
     resolve_secular_mode,
     system_env_coupling,
-    zeeman_hamiltonian,
 )
 
 IX, IY, IZ, IP, IM = spin_half_ops()
 
 FIG2_LARMOR = (2 * np.pi * 1e7, 2 * np.pi * 1e6, 2 * np.pi * 5e5)
-
-
-class TestZeeman:
-    def test_single_spin(self):
-        chain = ChainSpec((2 * np.pi * 1e7,))
-        np.testing.assert_allclose(
-            zeeman_hamiltonian(chain), np.diag([np.pi * 1e7, -np.pi * 1e7])
-        )
-
-    def test_equal_frequencies_degenerate(self):
-        chain = ChainSpec((2 * np.pi * 1e6, 2 * np.pi * 1e6))
-        h = zeeman_hamiltonian(chain)
-        assert abs(h[1, 1] - h[2, 2]) < 1e-9
-
-    def test_three_spin_reference_values(self):
-        chain = ChainSpec(FIG2_LARMOR)
-        h = zeeman_hamiltonian(chain)
-        # |000> carries +(w1+w2+w3)/2
-        np.testing.assert_allclose(h[0, 0], np.pi * (1e7 + 1e6 + 5e5))
-        assert np.argmax(np.diag(h).real) == 0
-        assert max_norm(h - h.conj().T) < 1e-12
 
 
 class TestDipolar:
@@ -223,3 +201,10 @@ class TestChainSpec:
             ChainSpec((1.0, 2.0), ((0, 1, -1e3),))
         with pytest.raises(ValueError):
             ChainSpec(())
+
+    @pytest.mark.parametrize("second", [(0, 2), (2, 0)], ids=["same-order", "reversed"])
+    def test_pair_listed_twice_rejected(self, second):
+        # a repeated pair would put 2J into the Hamiltonian while
+        # coupling_j times the SWAP for J
+        with pytest.raises(ValueError, match=r"coupling pair \(\d,\d\) listed twice"):
+            ChainSpec(FIG2_LARMOR, ((0, 2, 1.5e5), (0, 1, 1.5e5), second + (1.5e5,)))

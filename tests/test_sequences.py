@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spinswap.cli import GATE_UNITARY_TOL
 from spinswap.evolve import propagate
 from spinswap.linalg import ket2dm, max_norm, unvec, vec
 from spinswap.model import BathSpec, ChainSpec, Regime, SecularMode
@@ -37,14 +39,34 @@ def phase_of(u):
     return np.angle(u[0, 0])
 
 
+# closed-system limit over random couplings, drive amplitudes and Larmor
+# frequencies (kHz), each sequence in its own secular regime
+J_KHZ = st.floats(10.0, 1000.0)
+OMEGA1_KHZ = st.floats(10.0, 1e4)
+LARMOR_KHZ = st.floats(100.0, 1e5)
+
+
+def swap_mismatch(sequence, larmor_khz, j_khz, omega1_khz, regime, phase):
+    """Max-norm distance of the sequence's ideal propagator from
+    exp(i phase) U_swap."""
+    j = 1e3 * j_khz
+    chain = ChainSpec(tuple(2 * np.pi * 1e3 * w for w in larmor_khz), ((0, 1, j),))
+    u = ideal_propagator(sequence((0, 1), j, 2 * np.pi * 1e3 * omega1_khz), chain,
+                         SecularMode(regime, 4.1e-7))
+    return max_norm(u - np.exp(1j * phase) * U_SWAP)
+
+
 class TestSwapNonidentical:
     def setup_method(self):
         self.prog = swap_nonidentical((0, 1), J, W1)
         self.u = ideal_propagator(self.prog, NONIDEN, MODE)
 
-    def test_matches_swap_up_to_global_phase(self):
-        phase = phase_of(self.u)
-        assert max_norm(self.u - np.exp(1j * phase) * U_SWAP) < 1e-10
+    @settings(max_examples=25, deadline=None)
+    @given(larmor_khz=st.lists(LARMOR_KHZ, min_size=2, max_size=2), j_khz=J_KHZ,
+           omega1_khz=OMEGA1_KHZ)
+    def test_matches_swap_up_to_global_phase(self, larmor_khz, j_khz, omega1_khz):
+        assert swap_mismatch(swap_nonidentical, larmor_khz, j_khz, omega1_khz,
+                             Regime.ISING_ONLY, -np.pi / 4) < GATE_UNITARY_TOL
 
     def test_global_phase(self):
         assert abs(np.exp(1j * phase_of(self.u)) - np.exp(-1j * np.pi / 4)) < 1e-10
@@ -87,9 +109,11 @@ class TestSwapIdentical:
         self.prog = swap_identical((0, 1), J, W1)
         self.u = ideal_propagator(self.prog, IDEN, MODE)
 
-    def test_matches_swap_up_to_global_phase(self):
-        phase = phase_of(self.u)
-        assert max_norm(self.u - np.exp(1j * phase) * U_SWAP) < 1e-10
+    @settings(max_examples=25, deadline=None)
+    @given(larmor_khz=LARMOR_KHZ, j_khz=J_KHZ, omega1_khz=OMEGA1_KHZ)
+    def test_matches_swap_up_to_global_phase(self, larmor_khz, j_khz, omega1_khz):
+        assert swap_mismatch(swap_identical, (larmor_khz, larmor_khz), j_khz, omega1_khz,
+                             Regime.ZERO_QUANTUM, -3 * np.pi / 4) < GATE_UNITARY_TOL
 
     def test_global_phase(self):
         assert abs(np.exp(1j * phase_of(self.u)) - np.exp(-3j * np.pi / 4)) < 1e-10
