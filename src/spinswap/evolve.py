@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import choi_matrix, clip_to_density, conjugation_superop, expm, vec
+from .linalg import (choi_matrix, clip_to_density, conjugation_superop, expm,
+                     single_blas_thread, trace_defect, vec)
 from .master import assemble
 from .sequences import UnitaryWindow
 
@@ -130,6 +131,7 @@ def _unvec_rows(vs: np.ndarray, d: int) -> np.ndarray:
     return vs.reshape(-1, d, d).transpose(0, 2, 1)
 
 
+@single_blas_thread()
 def _walk(rho0: np.ndarray, windows, meta: dict | None,
           sampled: bool) -> tuple[ChannelPass, Trajectory | None]:
     """One walk over the windows: the channel pass, and with `sampled` the
@@ -144,7 +146,9 @@ def _walk(rho0: np.ndarray, windows, meta: dict | None,
     walk.  The sampled chain keeps its own state and clock, so its samples
     do not depend on the full-window propagators.  The checks run after
     the walk: the channel first, then the boundary states, then the
-    samples, each in time order.
+    samples, each in time order.  Every walk, whoever calls it, holds
+    OpenBLAS at one thread (`linalg.single_blas_thread`): the 64x64
+    operands are too small to split.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
@@ -191,8 +195,7 @@ def _walk(rho0: np.ndarray, windows, meta: dict | None,
             blocks.append((us, ts))
     if channel is None:
         channel = np.eye(v.size, dtype=complex)
-    trace_row = vec(np.eye(d)).conj()
-    tp_defect = float(np.abs(trace_row @ channel - trace_row).max())
+    tp_defect = trace_defect(channel)
     if tp_defect > TRACE_TOL:
         raise ChannelError(f"channel not trace preserving: defect {tp_defect:.3e} "
                            f"above {TRACE_TOL:.0e}")

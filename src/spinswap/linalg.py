@@ -152,6 +152,15 @@ def choi_matrix(superop: np.ndarray) -> np.ndarray:
     return superop.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
+def trace_defect(superop: np.ndarray) -> float:
+    """Trace-preservation defect max |vec(I)^dag S - vec(I)^dag| of a
+    column-stacking superoperator S: the largest change of Tr X over the
+    matrix units X = |i><j|, 0 iff S is trace preserving."""
+    d = int(round(np.sqrt(superop.shape[0])))
+    trace_row = vec(np.eye(d)).conj()
+    return float(np.abs(trace_row @ superop - trace_row).max())
+
+
 def left_mult(a: np.ndarray) -> np.ndarray:
     """Superoperator of rho -> a rho."""
     return np.kron(identity(a.shape[0]), a)

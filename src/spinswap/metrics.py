@@ -1,14 +1,17 @@
 """Transfer observables: state fidelity, two-qubit concurrence, gate efficiency.
 
 Efficiency is the average gate fidelity of the realized channel on the
-swapped pair against the ideal SWAP,
+swapped pair against the ideal SWAP (Horodecki, Horodecki & Horodecki,
+PRA 60, 1888 (1999)),
 
     F_avg = (d * F_pro + 1) / (d + 1),
-    F_pro = (1/d^2) sum_k Tr[U P_k^dag U^dag E(P_k)],
+    F_pro = Tr(S_U^dag S) / d^2 = (1/d^2) sum_k Tr[U P_k^dag U^dag E(P_k)],
 
-with d = 4 and {P_k} the Hilbert-Schmidt-orthonormal two-qubit Pauli
-basis; F_avg equals 1 iff the channel is the target unitary up to a global
-phase (identity channel against SWAP scores 2/5, the completely
+with d = 4, S and S_U the superoperators of the channel E and of the
+target unitary U, and {P_k} the Hilbert-Schmidt-orthonormal two-qubit
+Pauli basis; the trace form is the Pauli sum read in the superoperator
+basis.  F_avg equals 1 iff the channel is the target unitary up to a
+global phase (identity channel against SWAP scores 2/5, the completely
 depolarizing channel 1/4).
 """
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, kron_all, partial_trace, pauli_strings, unvec, vec
+from .linalg import conjugation_superop, dagger, partial_trace, trace_defect
 from .model import ChainSpec
 from .sequences import U_SWAP
 
@@ -28,6 +31,8 @@ _SY2 = np.kron(
 
 METRIC_SLACK = 1e-9
 TRACE_PRESERVATION_TOL = 1e-6
+
+_SWAP_SUPEROP = conjugation_superop(U_SWAP)
 
 
 @dataclass(frozen=True)
@@ -83,21 +88,16 @@ def swap_efficiency(channel_superop: np.ndarray) -> float:
     """Average gate fidelity of a two-qubit channel against the ideal SWAP.
 
     The channel is given as its 16x16 superoperator (column stacking).
-    Raises if the channel fails trace preservation beyond 1e-6.
+    Raises if its trace-preservation defect (`linalg.trace_defect`)
+    exceeds TRACE_PRESERVATION_TOL.
     """
     if channel_superop.shape != (16, 16):
         raise ValueError("expected a 16x16 pair-channel superoperator")
-    d = 4
-    paulis = pauli_strings(2, traceless=False)
-    f_pro = 0.0
-    tp_defect = 0.0
-    for p in paulis:
-        ep = unvec(channel_superop @ vec(p))
-        tp_defect = max(tp_defect, abs(np.trace(ep) - np.trace(p)))
-        f_pro += np.real(np.trace(U_SWAP @ dagger(p) @ dagger(U_SWAP) @ ep))
+    tp_defect = trace_defect(channel_superop)
     if tp_defect > TRACE_PRESERVATION_TOL:
         raise ValueError(f"channel not trace preserving (defect {tp_defect:.3e})")
-    f_pro /= d * d
+    d = 4
+    f_pro = np.vdot(_SWAP_SUPEROP, channel_superop).real / (d * d)
     return float((d * f_pro + 1.0) / (d + 1.0))
 
 
@@ -107,35 +107,19 @@ def pair_channel(total_superop: np.ndarray, pair, nsites: int) -> np.ndarray:
     Inputs on the pair are completed with the bystanders in the maximally
     mixed state (the reduced state of the middle spin in the transport
     initial condition), propagated through the full channel, and traced
-    back down to the pair.
+    back down to the pair.  In one contraction: the superoperator's axes
+    are (output column, output row, input column, input row) per site, and
+    each bystander ties its output row and column labels (partial trace)
+    and its input row and column labels (identity filler, scaled by 1/2).
     """
-    pair = tuple(sorted(pair))
-    others = [s for s in range(nsites) if s not in pair]
-    dims = [2] * nsites
-    bystander_state = np.eye(2, dtype=complex) / 2.0
-    out = np.zeros((16, 16), dtype=complex)
-    basis = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            basis[:] = 0.0
-            basis[i, j] = 1.0
-            full = _embed_pair_operator(basis, pair, others, bystander_state)
-            evolved = unvec(total_superop @ vec(full))
-            reduced = partial_trace(evolved, pair, dims)
-            out[:, j * 4 + i] = vec(reduced)  # column stacking: vec index j*4+i
-    return out
-
-
-def _embed_pair_operator(x: np.ndarray, pair, others, filler: np.ndarray):
-    """Tensor a pair operator with filler states on the remaining sites."""
-    nsites = len(pair) + len(others)
-    full = kron_all([x] + [filler] * len(others))
-    # tensor axes run over sites in the order (pair, others); permute them
-    # back into register order for the row and the column indices
-    perm = list(np.argsort(list(pair) + list(others)))
-    full = full.reshape((2,) * (2 * nsites))
-    full = full.transpose(perm + [nsites + p for p in perm])
-    return full.reshape(2**nsites, 2**nsites)
+    pair = sorted(pair)
+    labels = np.arange(4 * nsites).reshape(4, nsites)
+    for s in set(range(nsites)) - set(pair):
+        labels[1, s] = labels[0, s]
+        labels[3, s] = labels[2, s]
+    t = np.asarray(total_superop).reshape((2,) * (4 * nsites))
+    out = np.einsum(t, labels.ravel().tolist(), labels[:, pair].ravel().tolist())
+    return out.reshape(16, 16) / 2 ** (nsites - 2)
 
 
 def _clamp_metric(v: float) -> float:

@@ -126,6 +126,10 @@ class BathSpec:
         tau_c, kappa = self.tau_c, self.kappa
         if tau_c is None and kappa is None:
             raise ValueError("supply tau_c or kappa")
+        # checked before either is derived from the other
+        for name, value in (("tau_c", tau_c), ("kappa", kappa)):
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive")
         if tau_c is None:
             tau_c = 2.0 / kappa**2
         elif kappa is None:
@@ -133,8 +137,6 @@ class BathSpec:
         else:
             if abs(tau_c - 2.0 / kappa**2) > TAU_C_KAPPA_REL_TOL * tau_c:
                 raise ValueError("tau_c and kappa inconsistent with tau_c = 2/kappa^2")
-        if tau_c <= 0:
-            raise ValueError("tau_c must be positive")
         object.__setattr__(self, "tau_c", float(tau_c))
         object.__setattr__(self, "kappa", float(kappa))
         if self.omega_se * self.tau_c >= 1.0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import embed, expm, spin_half_ops
+from .linalg import embed, expm, single_blas_thread, spin_half_ops
 from .master import GeneratorSpec
 from .model import (
     BathSpec,
@@ -433,20 +433,24 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
     # a channel pass can assemble each generator once.
     specs: dict = {}
     windows: list[Window] = []
-    for seg in program.segments:
-        if isinstance(seg, Delay):
-            if "delay" not in specs:
-                specs["delay"] = GeneratorSpec(delay_comps, bath, cutoff)
-            windows.append(GeneratorWindow(specs["delay"], seg.duration))
-        elif isinstance(seg, SquarePulse):
-            key = (seg.amplitude, seg.phase, seg.targets, seg.carrier)
-            if key not in specs:
-                specs[key] = pulse_spec(seg)
-            windows.append(GeneratorWindow(specs[key], seg.duration))
-        elif isinstance(seg, (VirtualZ, IdealPi)):
-            windows.append(UnitaryWindow(_segment_unitary(seg, n)))
-        else:
-            raise TypeError(f"unknown segment {seg!r}")
+    # the segment unitaries' 8x8 expm runs on one OpenBLAS thread, as the
+    # window walk does: left on two, it woke OpenBLAS worker threads and a
+    # sweep point took about twice the CPU time
+    with single_blas_thread():
+        for seg in program.segments:
+            if isinstance(seg, Delay):
+                if "delay" not in specs:
+                    specs["delay"] = GeneratorSpec(delay_comps, bath, cutoff)
+                windows.append(GeneratorWindow(specs["delay"], seg.duration))
+            elif isinstance(seg, SquarePulse):
+                key = (seg.amplitude, seg.phase, seg.targets, seg.carrier)
+                if key not in specs:
+                    specs[key] = pulse_spec(seg)
+                windows.append(GeneratorWindow(specs[key], seg.duration))
+            elif isinstance(seg, (VirtualZ, IdealPi)):
+                windows.append(UnitaryWindow(_segment_unitary(seg, n)))
+            else:
+                raise TypeError(f"unknown segment {seg!r}")
     return windows
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .evolve import Trajectory, channel_pass, propagate
-from .linalg import ket2dm, single_blas_thread
+from .linalg import ket2dm
 from .metrics import TransferReport, report
 from .model import BathSpec, ChainSpec, SecularMode
 from .sequences import PulseProgram, compile_program, transport_protocol
@@ -102,20 +102,17 @@ def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
     sampled and the trajectory is None.  The protocol builder and the
     compiler resolve every pair's coupling form from the same `mode`.
     omega_d is echoed in the report only; the couplings are the chain's own.
-    The run holds OpenBLAS at one thread (see `linalg.single_blas_thread`),
-    so serial sweeps, pool workers and simulate all get the pin from here.
     """
-    with single_blas_thread():
-        program = transport_protocol(chain, omega1, mode, refocus=refocus)
-        windows = compile_program(program, chain, bath, mode)
-        rho0 = ket2dm(program.meta["initial_state"])
-        if sampled:
-            traj = propagate(rho0, windows, meta=program.meta)
-            run = traj.channel_pass
-        else:
-            traj, run = None, channel_pass(rho0, windows, meta=program.meta)
-        rep = report(run, chain, omega1=omega1, omega_d=omega_d,
-                     tau_c=bath.tau_c, omega_se=bath.omega_se)
+    program = transport_protocol(chain, omega1, mode, refocus=refocus)
+    windows = compile_program(program, chain, bath, mode)
+    rho0 = ket2dm(program.meta["initial_state"])
+    if sampled:
+        traj = propagate(rho0, windows, meta=program.meta)
+        run = traj.channel_pass
+    else:
+        traj, run = None, channel_pass(rho0, windows, meta=program.meta)
+    rep = report(run, chain, omega1=omega1, omega_d=omega_d,
+                 tau_c=bath.tau_c, omega_se=bath.omega_se)
     return program, traj, rep
 
 

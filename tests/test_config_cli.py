@@ -204,6 +204,19 @@ class TestCli:
         assert main(["validate", "--config", path]) == 1
         assert f"chain: coupling pair ({pair[0]},{pair[1]}) listed twice" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, value", [("tau_c", "0 s"), ("kappa", "0 1/sqrt(s)"),
+                                              ("tau_c", "-1.6e-7 s"),
+                                              ("kappa", "-3.5e3 1/sqrt(s)")])
+    def test_validate_rejects_nonpositive_tau_c_or_kappa(self, tmp_path, capsys,
+                                                         field, value):
+        doc = json.loads(json.dumps(FIG2_DOC))
+        del doc["bath"]["tau_c"]
+        doc["bath"][field] = value
+        path = self._write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        assert f"bath: {field} must be positive" in capsys.readouterr().err
+
     def test_validate_rejects_missing_units(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIG2_DOC))
         doc["bath"]["tau_c"] = "1.6e-7"

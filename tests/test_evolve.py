@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinswap.evolve as evolve
+import spinswap.linalg as linalg
+import spinswap.sequences as sequences
 from spinswap.config import load_preset
 from spinswap.evolve import (
     EIG_FLOOR,
@@ -318,6 +320,38 @@ class TestDistinctGenerators:
 def transpose_superop(d):
     """Superoperator of rho -> rho^T: positive, trace preserving, not CP."""
     return np.eye(d * d)[np.arange(d * d).reshape(d, d).T.reshape(-1)]
+
+
+def test_direct_calls_run_expm_on_one_blas_thread(monkeypatch):
+    # the pin sits in compile_program and in the window walk themselves,
+    # so direct calls get it, not only runs through run_transport
+    handles = linalg._openblas_handles()
+    if not handles:
+        pytest.skip("no OpenBLAS with thread-count symbols is loaded")
+    counts = lambda: [get() for get, _ in handles]
+    before = counts()
+    for _, set_ in handles:
+        set_(2)
+    try:
+        if counts() != [2] * len(handles):
+            pytest.skip("OpenBLAS does not take a thread count of 2 here")
+        seen = {"compile": [], "walk": []}
+        for module, key in ((sequences, "compile"), (evolve, "walk")):
+            real = module.expm
+            monkeypatch.setattr(module, "expm", lambda g, t=1.0, real=real, key=key: (
+                seen[key].append(counts()) or real(g, t)))
+        cfg = load_preset("fig3")
+        program = transport_protocol(cfg.chain, cfg.omega1, cfg.mode,
+                                     refocus=cfg.refocusing)
+        windows = compile_program(program, cfg.chain, cfg.bath, cfg.mode)
+        assert counts() == [2] * len(handles)
+        channel_pass(ket2dm(program.meta["initial_state"]), windows)
+        assert (len(seen["compile"]), len(seen["walk"])) == (6, 4)
+        assert all(c == [1] * len(handles) for c in seen["compile"] + seen["walk"])
+        assert counts() == [2] * len(handles)
+    finally:
+        for (_, set_), n in zip(handles, before):
+            set_(n)
 
 
 class TestChannelChecks:

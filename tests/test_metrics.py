@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinswap.evolve import channel_pass, propagate
 from spinswap.linalg import (
@@ -10,13 +11,15 @@ from spinswap.linalg import (
     identity,
     ket2dm,
     kron_all,
+    partial_trace,
     pauli_strings,
     spin_half_ops,
+    trace_defect,
+    unvec,
     vec,
 )
 from spinswap.metrics import (
     TransferReport,
-    _embed_pair_operator,
     concurrence,
     pair_channel,
     report,
@@ -159,21 +162,47 @@ class TestPairChannel:
         np.testing.assert_allclose(swap_efficiency(chan), 1.0, atol=1e-10)
 
     def test_embedding_matches_site_by_site_reference(self):
-        # reference: sum over the pair's matrix units of site-ordered
-        # Kronecker products; every entry is one product in both forms
+        # reference: embed each pair matrix unit with maximally mixed
+        # bystanders as a sum of site-ordered Kronecker products, apply the
+        # full channel, and trace the bystanders out
         rng = np.random.default_rng(7)
         filler = identity(2) / 2
         for pair, nsites in (((0, 2), 3), ((0, 1), 3), ((1, 2), 3), ((1, 3), 4)):
-            others = [s for s in range(nsites) if s not in pair]
-            x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            ref = np.zeros((2**nsites, 2**nsites), dtype=complex)
-            for (ao, bo, ai, bi), coeff in np.ndenumerate(x.reshape(2, 2, 2, 2)):
-                factors = [filler] * nsites
-                factors[pair[0]] = np.outer(np.eye(2)[ao], np.eye(2)[ai])
-                factors[pair[1]] = np.outer(np.eye(2)[bo], np.eye(2)[bi])
-                ref += coeff * kron_all(factors)
-            got = _embed_pair_operator(x, pair, others, filler)
-            np.testing.assert_array_equal(got, ref)
+            dims = [2] * nsites
+            n2 = 4**nsites
+            superop = rng.normal(size=(n2, n2)) + 1j * rng.normal(size=(n2, n2))
+            ref = np.zeros((16, 16), dtype=complex)
+            for k in range(16):
+                x = unvec(np.eye(16)[k])
+                full = np.zeros((2**nsites, 2**nsites), dtype=complex)
+                for (ao, bo, ai, bi), coeff in np.ndenumerate(x.reshape(2, 2, 2, 2)):
+                    factors = [filler] * nsites
+                    factors[pair[0]] = np.outer(np.eye(2)[ao], np.eye(2)[ai])
+                    factors[pair[1]] = np.outer(np.eye(2)[bo], np.eye(2)[bi])
+                    full += coeff * kron_all(factors)
+                ref[:, k] = vec(partial_trace(unvec(superop @ vec(full)), pair, dims))
+            np.testing.assert_allclose(pair_channel(superop, pair, nsites), ref,
+                                       rtol=0, atol=1e-12)
+
+
+def random_kraus(seed, rank):
+    """`rank` Kraus operators of a random two-qubit CPTP channel, the 4x4
+    blocks of a random isometry (Q of a Gaussian (4 rank) x 4 matrix), so
+    sum_k K_k^dag K_k = Q^dag Q = I to rounding."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4 * rank, 4)) + 1j * rng.normal(size=(4 * rank, 4))
+    return list(np.linalg.qr(g)[0].reshape(rank, 4, 4))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_closed_forms_match_pauli_sum_on_random_channels(seed, rank):
+    kraus = random_kraus(seed, rank)
+    superop = sum(conjugation_superop(k) for k in kraus)
+    assert trace_defect(superop) <= 1e-13
+    oracle = pauli_overlap_oracle(
+        lambda p: sum(k @ p @ dagger(k) for k in kraus), U_SWAP)
+    assert abs(swap_efficiency(superop) - oracle) <= 1e-12
 
 
 class TestReport:

@@ -185,6 +185,15 @@ class TestBathSpec:
         with pytest.raises(ValueError):
             BathSpec(1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, value", [("tau_c", 0.0), ("kappa", 0.0),
+                                              ("tau_c", -1.6e-7), ("kappa", -3.5e3)])
+    def test_nonpositive_tau_c_or_kappa_rejected(self, field, value):
+        # checked before the other is derived: no division by zero, no
+        # sqrt of a negative, and a negative kappa is not squared away
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            BathSpec(0.0, **{field: value})
+
 
 class TestChainSpec:
     def test_coupling_lookup_is_order_insensitive(self):
