@@ -7,6 +7,13 @@ are exact unitary conjugations.  `channel_pass` gives the program channel
 and the final state with one full-window exponential per distinct window
 and checks the channel (trace preservation, complete positivity);
 `propagate` samples the trajectory in the same walk over the windows.
+
+The walk runs in real arithmetic on Pauli transfer matrices and Pauli
+coordinates (`linalg.superop_to_pauli`): every generator preserves
+Hermiticity, so each is real in the Pauli basis, and so are its
+exponentials, the channel and the states.  The channel and the states are
+converted back to column stacking once, at the end of the walk, and every
+check runs on the converted values.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (choi_matrix, clip_to_density, conjugation_superop, expm,
-                     single_blas_thread, trace_defect, vec)
+from .linalg import (choi_matrix, clip_to_density, expm, pauli_to_superop,
+                     pauli_to_vecs, single_blas_thread, superop_to_pauli,
+                     trace_defect, vec, vecs_to_pauli)
 from .master import assemble
 from .sequences import UnitaryWindow
 
@@ -138,17 +146,23 @@ def _walk(rho0: np.ndarray, windows, meta: dict | None,
     sampled trajectory alongside it.
 
     Windows that share a spec object share a generator (see
-    compile_program): each distinct generator is assembled once, and each
-    distinct (generator, duration) exponentiated once over the full window
-    and, with `sampled`, once over the sampling step duration /
+    compile_program): each distinct generator is assembled and converted
+    to its real Pauli transfer matrix once (the conversion raises if the
+    generator does not preserve Hermiticity), and each distinct
+    (generator, duration) exponentiated once over the full window and,
+    with `sampled`, once over the sampling step duration /
     SAMPLES_PER_WINDOW.  Both are keyed by spec id, which stays unique
     because `windows` is a sequence that holds every spec for the whole
-    walk.  The sampled chain keeps its own state and clock, so its samples
-    do not depend on the full-window propagators.  The checks run after
-    the walk: the channel first, then the boundary states, then the
-    samples, each in time order.  Every walk, whoever calls it, holds
-    OpenBLAS at one thread (`linalg.single_blas_thread`): the 64x64
-    operands are too small to split.
+    walk.  Unitary windows bring their cached transfer matrices.  The
+    sampled chain keeps its own state and clock, so its samples do not
+    depend on the full-window propagators.  The channel, the boundary
+    states and the samples are stepped as real Pauli coordinates and
+    converted back to column stacking after the walk; the initial state is
+    kept as given.  The checks then run: the channel first, then the
+    boundary states, then the samples, each in time order.  Every walk,
+    whoever calls it, holds OpenBLAS at one thread
+    (`linalg.single_blas_thread`): the 64x64 operands are too small to
+    split.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
@@ -156,17 +170,18 @@ def _walk(rho0: np.ndarray, windows, meta: dict | None,
     propagators: dict[tuple, tuple] = {}
     channel = None
     t = 0.0
-    v = vec(rho0)
-    times, vs = [0.0], [v]
+    v0 = vec(rho0)
+    r = vecs_to_pauli(v0)
+    times, rs = [0.0], [r]
     t_sample = 0.0
-    u = v
+    u = r
     # one (states, times) block per window, so each check stays small
-    blocks = [(v[None], [0.0])]
+    blocks = []
     for w in windows:
         if isinstance(w, UnitaryWindow):
             # zero duration: one sample at the current time holds the state
             # right after the unitary, so the jump stays visible
-            full = step = conjugation_superop(w.unitary)
+            full = step = w.transfer
             nsub, dt = 1, 0.0
         elif w.duration == 0.0:
             continue
@@ -175,18 +190,18 @@ def _walk(rho0: np.ndarray, windows, meta: dict | None,
             key = (id(w.spec), w.duration)
             if key not in propagators:
                 if id(w.spec) not in generators:
-                    generators[id(w.spec)] = assemble(w.spec)
+                    generators[id(w.spec)] = superop_to_pauli(assemble(w.spec))
                 gen = generators[id(w.spec)]
                 propagators[key] = (expm(gen, w.duration),
                                     expm(gen, dt) if sampled else None)
             full, step = propagators[key]
             t += w.duration
-        v = full @ v
-        vs.append(v)
+        r = full @ r
+        rs.append(r)
         times.append(t)
         channel = full if channel is None else full @ channel
         if sampled:
-            us, ts = np.empty((nsub, u.size), dtype=complex), []
+            us, ts = np.empty((nsub, u.size)), []
             for k in range(nsub):
                 u = step @ u
                 us[k] = u
@@ -194,7 +209,9 @@ def _walk(rho0: np.ndarray, windows, meta: dict | None,
                 ts.append(t_sample)
             blocks.append((us, ts))
     if channel is None:
-        channel = np.eye(v.size, dtype=complex)
+        channel = np.eye(v0.size, dtype=complex)
+    else:
+        channel = pauli_to_superop(channel)
     tp_defect = trace_defect(channel)
     if tp_defect > TRACE_TOL:
         raise ChannelError(f"channel not trace preserving: defect {tp_defect:.3e} "
@@ -204,14 +221,17 @@ def _walk(rho0: np.ndarray, windows, meta: dict | None,
     if choi_min < EIG_FLOOR:
         raise ChannelError(f"channel not completely positive: Choi eigenvalue "
                            f"{choi_min:.3e} below floor {EIG_FLOOR:.0e}")
-    states = _checked(_unvec_rows(np.array(vs), d), times, {"clips": 0, "min_eig": 0.0})
+    vs = pauli_to_vecs(np.array(rs))
+    vs[0] = v0
+    states = _checked(_unvec_rows(vs, d), times, {"clips": 0, "min_eig": 0.0})
     result = ChannelPass(channel, states[-1], dict(meta or {}), tp_defect, choi_min)
     if not sampled:
         return result, None
     stats = {"clips": 0, "min_eig": 0.0}
-    states, sample_times = [], []
+    states = _checked(_unvec_rows(v0[None], d), [0.0], stats)
+    sample_times = [0.0]
     for us, ts in blocks:
-        states += _checked(_unvec_rows(us, d), ts, stats)
+        states += _checked(_unvec_rows(pauli_to_vecs(us), d), ts, stats)
         sample_times += ts
     return result, Trajectory(np.array(sample_times), states, dict(meta or {}),
                               clip_count=stats["clips"], min_eigenvalue=stats["min_eig"],

@@ -11,9 +11,14 @@ Conventions fixed here and relied on everywhere else in the package:
 - Hamiltonians are in angular-frequency units (rad/s); Liouville-space
   generators are in 1/s.
 
-Everything is dense complex128; the largest system handled is three qubits
-(8-dimensional Hilbert space, 64-dimensional Liouville space), so sparsity
-is deliberately not used.
+Operators are dense complex128; the largest system handled is three
+qubits (8-dimensional Hilbert space, 64-dimensional Liouville space), so
+sparsity is deliberately not used.  A superoperator that preserves
+Hermiticity (every GKLS generator, every channel) is real in the
+orthonormal Pauli-string basis: its Pauli transfer matrix R_ij =
+Tr(P_i S(P_j)) (Greenbaum, arXiv:1509.02921).  The window walk runs in
+that real form and converts back to column stacking once (see
+`superop_to_pauli` and `pauli_to_superop`).
 """
 
 from __future__ import annotations
@@ -23,11 +28,13 @@ from contextlib import contextmanager
 from functools import cache
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as _sla
 
 HERMITICITY_TOL = 1e-12
+PAULI_REAL_TOL = 1e-12
 
 _I2 = np.eye(2, dtype=complex)
 _IX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,6 +86,35 @@ def embed(op: np.ndarray, site: int, nsites: int) -> np.ndarray:
     factors = [_I2] * nsites
     factors[site] = op
     return kron_all(factors)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class SiteOperators(NamedTuple):
+    """Embedded single-site spin operators of one register, read-only.
+
+    Each field stacks embed(op, k, nsites) over the sites k, shape
+    (nsites, d, d): `x[k]` is Ix on site k, and so on.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+
+
+@cache
+def site_operators(nsites: int) -> SiteOperators:
+    """The embedded Ix, Iy, Iz, I+ and I- of every site of an `nsites`-qubit
+    register, built once per register size and shared read-only."""
+    return SiteOperators(*(
+        _read_only(np.array([embed(op, k, nsites) for k in range(nsites)]))
+        for op in (_IX, _IY, _IZ, _IP, _IM)
+    ))
 
 
 def basis_state(bits, nsites: int | None = None) -> np.ndarray:
@@ -192,9 +228,11 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     """Matrix exponential of a*t via scaling-and-squaring (Pade).
 
     Raises on non-finite entries.  Dense 64x64 worst case lands well below
-    the 1e-12 relative-accuracy target of the propagation layer.
+    the 1e-12 relative-accuracy target of the propagation layer.  The input
+    is not cast: a real generator (a Pauli transfer matrix) is exponentiated
+    in real arithmetic, about three times faster than as complex.
     """
-    m = np.asarray(a, dtype=complex)
+    m = np.asarray(a)
     if not np.all(np.isfinite(m)) or not np.isfinite(t):
         raise ValueError("expm: non-finite entries in generator")
     return _sla.expm(m * t)
@@ -261,13 +299,15 @@ def single_blas_thread():
             set_(n)
 
 
+@cache
 def pauli_strings(nqubits: int, traceless: bool = True) -> np.ndarray:
     """Normalized Pauli-string basis for `nqubits` qubits.
 
     Returns an array of shape (m, d, d) with d = 2**nqubits and
     Tr(P_i P_j) = delta_ij.  With traceless=True the all-identity string is
     omitted (m = 4**nqubits - 1), which is the basis used for Kossakowski
-    extraction.
+    extraction; otherwise it comes first.  Built once per argument pair and
+    returned read-only.
     """
     sx = 2.0 * _IX
     sy = 2.0 * _IY
@@ -279,7 +319,57 @@ def pauli_strings(nqubits: int, traceless: bool = True) -> np.ndarray:
         if traceless and all(c == 0 for c in combo):
             continue
         strings.append(kron_all([singles[c] for c in combo]) / norm)
-    return np.array(strings)
+    return _read_only(np.array(strings))
+
+
+@cache
+def _pauli_vec_basis(dim2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, B^dag), read-only: the unitary (dim2, dim2) matrix B whose column
+    i is vec(P_i), over the full Pauli-string basis of a register with
+    Liouville dimension dim2, and its adjoint."""
+    n = int(round(np.log2(dim2) / 2))
+    if 4**n != dim2:
+        raise ValueError(f"Liouville dimension {dim2} is not that of a qubit register")
+    strings = pauli_strings(n, traceless=False)
+    # vec(P) stacks the columns of P, i.e. the rows of P.T
+    b = np.ascontiguousarray(strings.transpose(0, 2, 1).reshape(dim2, dim2).T)
+    return _read_only(b), _read_only(np.ascontiguousarray(b.conj().T))
+
+
+def superop_to_pauli(superop: np.ndarray) -> np.ndarray:
+    """Pauli transfer matrix R = B^dag S B of a column-stacking superoperator
+    S, B the vectorized Pauli-string basis; R_ij = Tr(P_i S(P_j)).
+
+    R is real iff S preserves Hermiticity.  Raises ValueError if the
+    imaginary residue of R exceeds PAULI_REAL_TOL relative to its largest
+    entry, which means S does not preserve Hermiticity.
+    """
+    b, b_dag = _pauli_vec_basis(superop.shape[0])
+    r = b_dag @ superop @ b
+    residue = max_norm(r.imag)
+    if residue > PAULI_REAL_TOL * max_norm(r):
+        raise ValueError(f"superoperator does not preserve Hermiticity: imaginary "
+                         f"Pauli transfer residue {residue:.3e}")
+    return np.ascontiguousarray(r.real)
+
+
+def pauli_to_superop(transfer: np.ndarray) -> np.ndarray:
+    """Column-stacking superoperator B R B^dag of a Pauli transfer matrix R."""
+    b, b_dag = _pauli_vec_basis(transfer.shape[0])
+    return b @ transfer @ b_dag
+
+
+def vecs_to_pauli(vs: np.ndarray) -> np.ndarray:
+    """Real Pauli coordinates Tr(P_i rho) of vectorized states, one per row
+    of `vs` (or a single vector), for the Hermitian part of each rho."""
+    return (vs @ _pauli_vec_basis(vs.shape[-1])[1].T).real
+
+
+def pauli_to_vecs(rs: np.ndarray) -> np.ndarray:
+    """Vectorized (column-stacking) states of Pauli coordinates, one per row
+    of `rs` (or a single vector); the inverse of `vecs_to_pauli` on
+    Hermitian states."""
+    return rs @ _pauli_vec_basis(rs.shape[-1])[0].T
 
 
 def clip_to_density(rho: np.ndarray) -> np.ndarray:

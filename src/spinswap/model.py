@@ -18,13 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import embed, spin_half_ops
-
-_IX, _IY, _IZ, _IP, _IM = spin_half_ops()
+from .linalg import site_operators, spin_half_ops
 
 # Environment raising/lowering operators for the local two-level baths.
-ENV_PLUS = _IP.copy()
-ENV_MINUS = _IM.copy()
+ENV_PLUS, ENV_MINUS = spin_half_ops()[3:]
 
 RESONANCE_TOL = 1e-6  # rad/s; carriers closer than this count as on-resonance
 
@@ -107,13 +104,19 @@ class ChainSpec:
         return 0.0
 
 
+def _check_positive_finite(name: str, value: float, origin: str = "") -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {float(value)!r}{origin}")
+
+
 @dataclass(frozen=True)
 class BathSpec:
     """Local-environment parameters.
 
     Either tau_c or kappa may be given; they are tied by tau_c = 2/kappa**2
     and the constructor fills in the missing one (or checks consistency to
-    1e-9 relative when both are supplied).
+    1e-9 relative when both are supplied).  Both, supplied or derived, must
+    be positive and finite.
     """
 
     omega_se: float  # rad/s
@@ -128,15 +131,18 @@ class BathSpec:
             raise ValueError("supply tau_c or kappa")
         # checked before either is derived from the other
         for name, value in (("tau_c", tau_c), ("kappa", kappa)):
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive")
+            if value is not None:
+                _check_positive_finite(name, value)
+        # float products and quotients overflow to inf and underflow to 0
+        # without raising, so a derived value out of range is caught here
         if tau_c is None:
-            tau_c = 2.0 / kappa**2
+            tau_c = 2.0 / (kappa * kappa)
+            _check_positive_finite("tau_c", tau_c, f" from kappa = {float(kappa)!r}")
         elif kappa is None:
             kappa = np.sqrt(2.0 / tau_c)
-        else:
-            if abs(tau_c - 2.0 / kappa**2) > TAU_C_KAPPA_REL_TOL * tau_c:
-                raise ValueError("tau_c and kappa inconsistent with tau_c = 2/kappa^2")
+            _check_positive_finite("kappa", kappa, f" from tau_c = {float(tau_c)!r}")
+        elif abs(tau_c - 2.0 / (kappa * kappa)) > TAU_C_KAPPA_REL_TOL * tau_c:
+            raise ValueError("tau_c and kappa inconsistent with tau_c = 2/kappa^2")
         object.__setattr__(self, "tau_c", float(tau_c))
         object.__setattr__(self, "kappa", float(kappa))
         if self.omega_se * self.tau_c >= 1.0:
@@ -203,11 +209,11 @@ def dipolar_hamiltonian(pair, j_hz: float, regime: Regime, nsites: int) -> np.nd
         raise ValueError("J must be >= 0")
     if regime == Regime.AUTO:
         raise ValueError("regime must be resolved before building the coupling")
-    zz = embed(_IZ, a, nsites) @ embed(_IZ, b, nsites)
-    h = zz.copy()
+    ops = site_operators(nsites)
+    h = ops.z[a] @ ops.z[b]
     if regime == Regime.ZERO_QUANTUM:
-        ff = embed(_IP, a, nsites) @ embed(_IM, b, nsites)
-        ff = ff + embed(_IM, a, nsites) @ embed(_IP, b, nsites)
+        ff = ops.plus[a] @ ops.minus[b]
+        ff = ff + ops.minus[a] @ ops.plus[b]
         h -= 0.25 * ff
     return 2.0 * np.pi * j_hz * h
 
@@ -250,19 +256,19 @@ def drive_hamiltonian(drive: DriveSpec, chain: ChainSpec) -> list[HarmonicCompon
     Counter-rotating terms at 2*omega are dropped unconditionally.
     """
     n = chain.nsites
+    ops = site_operators(n)
     comps: list[HarmonicComponent] = []
     for k in drive.targets:
         if not 0 <= k < n:
             raise ValueError(f"drive target {k} out of range")
         det = chain.larmor[k] - drive.carrier
         if drive.amplitude > 0:
-            axis = np.cos(drive.phase) * embed(_IX, k, n) \
-                + np.sin(drive.phase) * embed(_IY, k, n)
+            axis = np.cos(drive.phase) * ops.x[k] + np.sin(drive.phase) * ops.y[k]
             if abs(det) <= RESONANCE_TOL:
                 comps.append(HarmonicComponent(drive.amplitude * axis, 0.0))
             else:
                 half = 0.5 * drive.amplitude
-                up = half * np.exp(-1j * drive.phase) * embed(_IP, k, n)
+                up = half * np.exp(-1j * drive.phase) * ops.plus[k]
                 comps.append(HarmonicComponent(up, -det))
                 comps.append(HarmonicComponent(up.conj().T, det))
     return comps
@@ -278,10 +284,10 @@ def system_env_coupling(chain: ChainSpec, bath: BathSpec) -> list[HarmonicCompon
     """
     if bath.omega_se == 0:
         return []
-    n = chain.nsites
+    ops = site_operators(chain.nsites)
     half = 0.5 * bath.omega_se
     comps = []
-    for k in range(n):
-        comps.append(HarmonicComponent(half * embed(_IP, k, n), 0.0, k, ENV_MINUS))
-        comps.append(HarmonicComponent(half * embed(_IM, k, n), 0.0, k, ENV_PLUS))
+    for k in range(chain.nsites):
+        comps.append(HarmonicComponent(half * ops.plus[k], 0.0, k, ENV_MINUS))
+        comps.append(HarmonicComponent(half * ops.minus[k], 0.0, k, ENV_PLUS))
     return comps

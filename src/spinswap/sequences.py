@@ -25,10 +25,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .linalg import embed, expm, single_blas_thread, spin_half_ops
+from .linalg import conjugation_superop, expm, site_operators, superop_to_pauli
 from .master import GeneratorSpec
 from .model import (
     BathSpec,
@@ -43,8 +44,6 @@ from .model import (
     resolve_secular_mode,
     system_env_coupling,
 )
-
-_IX, _IY, _IZ, _IP, _IM = spin_half_ops()
 
 U_SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -314,15 +313,38 @@ def transport_protocol(chain: ChainSpec, drive_amp: float, mode: SecularMode,
 
 
 def _axis_op(phase: float, site: int, n: int) -> np.ndarray:
-    return np.cos(phase) * embed(_IX, site, n) + np.sin(phase) * embed(_IY, site, n)
+    ops = site_operators(n)
+    return np.cos(phase) * ops.x[site] + np.sin(phase) * ops.y[site]
 
 
-def _segment_unitary(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
-    """Exact propagator of a zero-duration segment on an n-spin register."""
+# Segments are frozen dataclasses that do not depend on the sweep point, so
+# each distinct (segment, register size) is built once per process; the
+# bound keeps programs with many distinct angles from growing the caches.
+@lru_cache(maxsize=256)
+def segment_unitary(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
+    """Exact propagator of a zero-duration segment on an n-spin register,
+    read-only.
+
+    Closed forms, no exponential: exp(-i angle Iz_k) is diagonal with
+    entries exp(-i angle m_k), m_k = +-1/2 the site's Iz eigenvalue; and
+    (2 I_a)^2 = 1 gives exp(-i pi I_a) = -2i I_a.
+    """
+    ops = site_operators(n)
     if isinstance(seg, VirtualZ):
-        return expm(-1j * seg.angle * embed(_IZ, seg.target, n))
-    op = {"x": _IX, "y": _IY, "z": _IZ}[seg.axis]
-    return expm(-1j * np.pi * embed(op, seg.target, n))
+        u = np.diag(np.exp(-1j * seg.angle * np.diagonal(ops.z[seg.target])))
+    else:
+        u = -2j * getattr(ops, seg.axis)[seg.target]
+    u.setflags(write=False)
+    return u
+
+
+@lru_cache(maxsize=256)
+def segment_transfer(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
+    """Real Pauli transfer matrix of rho -> U rho U^dag for the segment's
+    unitary U (`segment_unitary`), read-only."""
+    r = superop_to_pauli(conjugation_superop(segment_unitary(seg, n)))
+    r.setflags(write=False)
+    return r
 
 
 def coupling_hamiltonian(chain: ChainSpec, mode: SecularMode) -> np.ndarray:
@@ -353,7 +375,7 @@ def ideal_propagator(program: PulseProgram, chain: ChainSpec,
             gen = sum(_axis_op(seg.phase, t, n) for t in seg.targets)
             u = expm(-1j * seg.flip_angle * gen) @ u
         elif isinstance(seg, (VirtualZ, IdealPi)):
-            u = _segment_unitary(seg, n) @ u
+            u = segment_unitary(seg, n) @ u
         else:
             raise TypeError(f"unknown segment {seg!r}")
     return u
@@ -367,9 +389,21 @@ class GeneratorWindow:
 
 @dataclass(frozen=True)
 class UnitaryWindow:
-    unitary: np.ndarray
+    """A zero-duration segment, applied exactly on an `nsites` register."""
+
+    segment: VirtualZ | IdealPi
+    nsites: int
 
     duration = 0.0
+
+    @property
+    def unitary(self) -> np.ndarray:
+        return segment_unitary(self.segment, self.nsites)
+
+    @property
+    def transfer(self) -> np.ndarray:
+        """Real Pauli transfer matrix of the window's conjugation."""
+        return segment_transfer(self.segment, self.nsites)
 
 
 Window = GeneratorWindow | UnitaryWindow
@@ -384,7 +418,9 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
     order and feed the regulated dissipator at second order, alongside the
     drive) plus the system-environment components; square-pulse windows add
     the drive components of their targets.  Virtual-z and ideal-pi segments
-    become exact zero-duration unitaries.
+    become exact zero-duration unitary windows, whose unitary and transfer
+    matrix come from per-segment caches (`segment_unitary`,
+    `segment_transfer`).
 
     The secular cutoff is the inverse of the mode's coarse-graining
     window.  The timescale check uses the largest pulse amplitude as
@@ -433,24 +469,20 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
     # a channel pass can assemble each generator once.
     specs: dict = {}
     windows: list[Window] = []
-    # the segment unitaries' 8x8 expm runs on one OpenBLAS thread, as the
-    # window walk does: left on two, it woke OpenBLAS worker threads and a
-    # sweep point took about twice the CPU time
-    with single_blas_thread():
-        for seg in program.segments:
-            if isinstance(seg, Delay):
-                if "delay" not in specs:
-                    specs["delay"] = GeneratorSpec(delay_comps, bath, cutoff)
-                windows.append(GeneratorWindow(specs["delay"], seg.duration))
-            elif isinstance(seg, SquarePulse):
-                key = (seg.amplitude, seg.phase, seg.targets, seg.carrier)
-                if key not in specs:
-                    specs[key] = pulse_spec(seg)
-                windows.append(GeneratorWindow(specs[key], seg.duration))
-            elif isinstance(seg, (VirtualZ, IdealPi)):
-                windows.append(UnitaryWindow(_segment_unitary(seg, n)))
-            else:
-                raise TypeError(f"unknown segment {seg!r}")
+    for seg in program.segments:
+        if isinstance(seg, Delay):
+            if "delay" not in specs:
+                specs["delay"] = GeneratorSpec(delay_comps, bath, cutoff)
+            windows.append(GeneratorWindow(specs["delay"], seg.duration))
+        elif isinstance(seg, SquarePulse):
+            key = (seg.amplitude, seg.phase, seg.targets, seg.carrier)
+            if key not in specs:
+                specs[key] = pulse_spec(seg)
+            windows.append(GeneratorWindow(specs[key], seg.duration))
+        elif isinstance(seg, (VirtualZ, IdealPi)):
+            windows.append(UnitaryWindow(seg, n))
+        else:
+            raise TypeError(f"unknown segment {seg!r}")
     return windows
 
 

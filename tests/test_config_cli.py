@@ -217,6 +217,18 @@ class TestCli:
         assert main(["validate", "--config", path]) == 1
         assert f"bath: {field} must be positive" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, value, bad", [("kappa", "1e200 1/sqrt(s)", "tau_c"),
+                                                   ("tau_c", "1e-320 s", "kappa")])
+    def test_validate_rejects_out_of_range_derived_tau_c_or_kappa(
+            self, tmp_path, capsys, field, value, bad):
+        doc = json.loads(json.dumps(FIG2_DOC))
+        del doc["bath"]["tau_c"]
+        doc["bath"][field] = value
+        path = self._write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        assert f"bath: {bad} must be positive and finite" in capsys.readouterr().err
+
     def test_validate_rejects_missing_units(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIG2_DOC))
         doc["bath"]["tau_c"] = "1.6e-7"

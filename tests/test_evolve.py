@@ -23,11 +23,13 @@ from spinswap.evolve import (
 from spinswap.linalg import (
     basis_state,
     clip_to_density,
+    conjugation_superop,
     dagger,
     identity,
     ket2dm,
     max_norm,
     spin_half_ops,
+    superop_to_pauli,
     unvec,
     vec,
 )
@@ -227,6 +229,57 @@ def test_pass_matches_sampled_propagation(larmor_khz, omega1_khz, wse_tauc):
     assert run.choi_min >= 0.0
 
 
+def complex_reference_pass(rho0, windows):
+    """The program channel and the final state walked in column-stacking
+    complex arithmetic, one scipy expm per generator window (reference)."""
+    from scipy.linalg import expm as scipy_expm
+
+    v = vec(rho0)
+    channel = np.eye(v.size, dtype=complex)
+    for w in windows:
+        if isinstance(w, UnitaryWindow):
+            full = conjugation_superop(w.unitary)
+        else:
+            full = scipy_expm(assemble(w.spec) * w.duration)
+        v = full @ v
+        channel = full @ channel
+    return channel, unvec(v)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=8, deadline=None)
+@given(
+    larmor_khz=st.lists(st.floats(100.0, 1e4), min_size=3, max_size=3),
+    identical=st.booleans(),
+    omega1_khz=st.floats(20.0, 2000.0),
+    wse_khz=st.floats(10.0, 300.0),
+    wse_tauc=st.floats(1e-3, 0.5),
+)
+def test_pass_matches_complex_reference_walk(larmor_khz, identical, omega1_khz,
+                                             wse_khz, wse_tauc):
+    # the real Pauli-basis walk against a complex column-stacking walk, in
+    # both secular regimes of the SWAP (identical spins 1 and 3 select the
+    # zero-quantum sequence)
+    if identical:
+        larmor_khz = [larmor_khz[0], larmor_khz[1], larmor_khz[0]]
+    j = 1.5e5
+    chain = ChainSpec(
+        tuple(2 * np.pi * 1e3 * w for w in larmor_khz),
+        ((0, 2, j), (0, 1, j), (1, 2, j)),
+    )
+    omega1 = 2 * np.pi * 1e3 * omega1_khz
+    wse = 2 * np.pi * 1e3 * wse_khz
+    bath = BathSpec(wse, tau_c=wse_tauc / wse)
+    mode = SecularMode(Regime.AUTO, default_coarse_grain_dt(bath, omega1))
+    prog = transport_protocol(chain, omega1, mode)
+    windows = compile_program(prog, chain, bath, mode)
+    rho0 = ket2dm(prog.meta["initial_state"])
+    run = channel_pass(rho0, windows)
+    channel, final = complex_reference_pass(rho0, windows)
+    assert max_norm(run.channel - channel) < 1e-12
+    assert max_norm(run.final_state - final) < 1e-12
+
+
 def run_preset_point(name, sampled=False):
     cfg = load_preset(name)
     return run_transport(cfg.chain, cfg.bath, cfg.mode, cfg.omega1,
@@ -264,26 +317,47 @@ def counting_calls(monkeypatch, targets):
 
 
 class TestDistinctGenerators:
-    @pytest.mark.parametrize("preset, assembles, expms, unitaries, validated",
-                             [("fig2", 9, 22, 16, 850), ("fig3", 3, 8, 6, 524)],
+    @pytest.mark.parametrize("preset, assembles, expms, segments, validated",
+                             [("fig2", 9, 22, 7, 850), ("fig3", 3, 8, 1, 524)],
                              ids=["fig2-9-22", "fig3-3-8"])
     def test_one_assemble_and_expm_pair_per_distinct_generator(
-            self, monkeypatch, preset, assembles, expms, unitaries, validated):
-        # simulate walks the windows once: one full-window and one
-        # sampling-step expm per distinct (generator, duration), one
-        # conjugation superoperator per unitary window serving both the
-        # channel and the samples, and each boundary state and sample
-        # validated once
+            self, monkeypatch, preset, assembles, expms, segments, validated):
+        # simulate walks the windows once: one conversion to the Pauli
+        # basis per distinct generator, one full-window and one
+        # sampling-step expm per distinct (generator, duration), and each
+        # boundary state and sample validated once.  The walk builds no
+        # conjugation superoperator: each distinct segment's transfer
+        # matrix is built once per process and serves every later run.
+        sequences.segment_unitary.cache_clear()
+        sequences.segment_transfer.cache_clear()
         calls = counting_calls(monkeypatch, [(evolve, "assemble"), (evolve, "expm"),
-                                             (evolve, "conjugation_superop")])
+                                             (evolve, "superop_to_pauli"),
+                                             (sequences, "conjugation_superop")])
         checked = []
         real = evolve._checked
         monkeypatch.setattr(evolve, "_checked",
                             lambda rhos, *args: checked.append(len(rhos)) or real(rhos, *args))
         run_preset_point(preset, sampled=True)
         assert (calls["assemble"], calls["expm"]) == (assembles, expms)
-        assert calls["conjugation_superop"] == unitaries
+        assert calls["superop_to_pauli"] == assembles
+        assert calls["conjugation_superop"] == segments
         assert sum(checked) == validated
+        run_preset_point(preset, sampled=True)
+        assert calls["conjugation_superop"] == segments
+
+    def test_warm_point_makes_two_kronecker_products_per_generator(self, monkeypatch):
+        # once the operator table and the segment transfer matrices exist,
+        # a fig2 sweep point builds no embedded operator and no
+        # conjugation superoperator: its only Kronecker products are the
+        # two of each of its 9 generator assemblies
+        run_preset_point("fig2")
+        calls = []
+        kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
+        embeds = counting_calls(monkeypatch, [(linalg, "embed")])
+        run_preset_point("fig2")
+        assert len(calls) == 2 * 9
+        assert embeds["embed"] == 0
 
     @pytest.mark.parametrize("preset, assembles, expms",
                              [("fig2", 9, 11), ("fig3", 3, 4)])
@@ -323,8 +397,9 @@ def transpose_superop(d):
 
 
 def test_direct_calls_run_expm_on_one_blas_thread(monkeypatch):
-    # the pin sits in compile_program and in the window walk themselves,
-    # so direct calls get it, not only runs through run_transport
+    # the pin sits in the window walk itself, so direct calls get it, not
+    # only runs through run_transport; compile_program makes no expm call
+    # (the segment unitaries have closed forms)
     handles = linalg._openblas_handles()
     if not handles:
         pytest.skip("no OpenBLAS with thread-count symbols is loaded")
@@ -346,8 +421,8 @@ def test_direct_calls_run_expm_on_one_blas_thread(monkeypatch):
         windows = compile_program(program, cfg.chain, cfg.bath, cfg.mode)
         assert counts() == [2] * len(handles)
         channel_pass(ket2dm(program.meta["initial_state"]), windows)
-        assert (len(seen["compile"]), len(seen["walk"])) == (6, 4)
-        assert all(c == [1] * len(handles) for c in seen["compile"] + seen["walk"])
+        assert (len(seen["compile"]), len(seen["walk"])) == (0, 4)
+        assert all(c == [1] * len(handles) for c in seen["walk"])
         assert counts() == [2] * len(handles)
     finally:
         for (_, set_), n in zip(handles, before):
@@ -377,10 +452,12 @@ class TestChannelChecks:
         channel_pass(rho0, windows)  # the undoctored program passes
         first = next(w for w in windows if hasattr(w, "spec"))
         assert sum(w.spec is first.spec for w in windows if hasattr(w, "spec")) == 1
-        gen = assemble(first.spec)
+        # the walk exponentiates the generator's Pauli transfer matrix, so
+        # the doctored window enters in that basis too
+        gen = superop_to_pauli(assemble(first.spec))
         real = evolve.expm
         monkeypatch.setattr(evolve, "expm", lambda g, t: (
-            superop() if np.array_equal(g, gen) else real(g, t)))
+            superop_to_pauli(superop()) if np.array_equal(g, gen) else real(g, t)))
         with pytest.raises(ChannelError, match=message):
             channel_pass(rho0, windows)
         grid = GridSpec((cfg.omega1,), (2 * np.pi * cfg.chain.coupling_j((0, 2)),),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinswap import linalg
 from spinswap.linalg import (
@@ -18,11 +19,16 @@ from spinswap.linalg import (
     max_norm,
     partial_trace,
     pauli_strings,
+    pauli_to_superop,
+    pauli_to_vecs,
     right_mult,
     single_blas_thread,
+    site_operators,
     spin_half_ops,
+    superop_to_pauli,
     unvec,
     vec,
+    vecs_to_pauli,
 )
 
 IX, IY, IZ, IP, IM = spin_half_ops()
@@ -254,6 +260,70 @@ class TestPauliStrings:
                 assert abs(np.trace(f)) < 1e-14
             gram = np.einsum("iab,jba->ij", fs, fs)
             np.testing.assert_allclose(gram, np.eye(4**n - 1), atol=1e-12)
+
+
+    @pytest.mark.parametrize("traceless", [True, False])
+    def test_built_once_and_read_only(self, traceless):
+        fs = pauli_strings(3, traceless)
+        assert pauli_strings(3, traceless) is fs
+        assert not fs.flags.writeable
+        with pytest.raises(ValueError):
+            fs[0, 0, 0] = 1.0
+
+
+def random_channel(seed, nqubits, nkraus):
+    """Column-stacking superoperator of a random CPTP map: its Kraus
+    operators are the blocks of the Q factor of a complex Gaussian matrix,
+    so sum_k K_k^dag K_k = I."""
+    rng = np.random.default_rng(seed)
+    d = 2**nqubits
+    g = rng.normal(size=(nkraus * d, d)) + 1j * rng.normal(size=(nkraus * d, d))
+    q, _ = np.linalg.qr(g)
+    return sum(conjugation_superop(k) for k in q.reshape(nkraus, d, d))
+
+
+class TestPauliTransfer:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nqubits=st.integers(1, 3),
+           nkraus=st.integers(1, 4))
+    def test_round_trip_of_random_channels(self, seed, nqubits, nkraus):
+        s = random_channel(seed, nqubits, nkraus)
+        r = superop_to_pauli(s)
+        assert r.dtype == float
+        assert max_norm(pauli_to_superop(r) - s) < 1e-13
+        # trace preservation reads off the first row: R[0] = e_0
+        assert max_norm(r[0] - np.eye(4**nqubits)[0]) < 1e-13
+        rho = random_density(np.random.default_rng(seed), nqubits)
+        coords = vecs_to_pauli(vec(rho))
+        assert coords.dtype == float
+        assert max_norm(pauli_to_vecs(coords) - vec(rho)) < 1e-14
+        assert max_norm(pauli_to_vecs(r @ coords) - s @ vec(rho)) < 1e-13
+
+    @pytest.mark.parametrize("superop", [
+        lambda: left_mult(embed(IP, 1, 2)),
+        lambda: 1j * np.eye(16),
+        lambda: random_channel(5, 2, 2) + 1e-9j * random_channel(6, 2, 2),
+    ], ids=["one-sided", "imaginary-identity", "small-anti-hermitian-part"])
+    def test_hermiticity_breaking_superoperator_raises(self, superop):
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            superop_to_pauli(superop())
+
+    def test_generator_exponential_stays_real(self):
+        r = superop_to_pauli(commutator_superop(2 * np.pi * 1e5 * embed(IX, 0, 2)))
+        prop = expm(r, 1e-6)
+        assert prop.dtype == float
+        want = expm(commutator_superop(2 * np.pi * 1e5 * embed(IX, 0, 2)), 1e-6)
+        assert max_norm(pauli_to_superop(prop) - want) < 1e-13
+
+
+def test_site_operator_table_matches_embed():
+    for n in (1, 2, 3):
+        ops = site_operators(n)
+        assert site_operators(n) is ops
+        for table, op in zip(ops, (IX, IY, IZ, IP, IM)):
+            assert table.shape == (n, 2**n, 2**n) and not table.flags.writeable
+            for k in range(n):
+                np.testing.assert_array_equal(table[k], embed(op, k, n))
 
 
 def test_clip_to_density_floors_and_renormalizes():

@@ -6,6 +6,7 @@ from spinswap.config import load_preset
 from spinswap.linalg import (
     commutator_superop,
     dagger,
+    embed,
     identity,
     left_mult,
     max_norm,
@@ -27,7 +28,6 @@ from spinswap.model import (
     BathSpec,
     ChainSpec,
     HarmonicComponent,
-    embed,
     system_env_coupling,
 )
 from spinswap.sequences import compile_program, transport_protocol

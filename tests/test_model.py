@@ -194,6 +194,23 @@ class TestBathSpec:
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             BathSpec(0.0, **{field: value})
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("given, bad", [
+        ({"kappa": 1e200}, "tau_c"),  # derived tau_c underflows to 0
+        ({"tau_c": 1e-320}, "kappa"),  # derived kappa overflows to inf
+        ({"tau_c": np.inf}, "tau_c"),
+        ({"kappa": np.inf}, "kappa"),
+        ({"tau_c": np.nan}, "tau_c"),
+        ({"tau_c": 1.0, "kappa": 1e200}, "inconsistent"),
+    ], ids=["kappa-1e200", "tau_c-1e-320", "tau_c-inf", "kappa-inf", "tau_c-nan",
+            "both-kappa-1e200"])
+    def test_out_of_range_tau_c_or_kappa_rejected(self, given, bad):
+        # supplied and derived values alike must be finite and positive,
+        # and the error is a ValueError naming the field
+        message = bad if bad == "inconsistent" else f"{bad} must be positive and finite"
+        with pytest.raises(ValueError, match=message):
+            BathSpec(0.0, **given)
+
 
 class TestChainSpec:
     def test_coupling_lookup_is_order_insensitive(self):

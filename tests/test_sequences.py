@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm as scipy_expm
 
+import spinswap.sequences as sequences
 from spinswap.cli import GATE_UNITARY_TOL
 from spinswap.evolve import propagate
-from spinswap.linalg import ket2dm, max_norm, unvec, vec
+from spinswap.linalg import (conjugation_superop, embed, ket2dm, max_norm,
+                             spin_half_ops, superop_to_pauli, unvec, vec)
 from spinswap.model import BathSpec, ChainSpec, Regime, SecularMode
 from spinswap.sequences import (
     Delay,
@@ -19,6 +22,8 @@ from spinswap.sequences import (
     ideal_propagator,
     program_from_json,
     program_to_json,
+    segment_transfer,
+    segment_unitary,
     swap_identical,
     swap_nonidentical,
     transport_protocol,
@@ -286,6 +291,48 @@ class TestCompile:
         u = windows[0].unitary
         np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-12)
         np.testing.assert_allclose(out[2, 2], 1.0, atol=1e-12)
+
+
+SPIN_OPS = dict(zip("xyz", spin_half_ops()[:3]))
+
+
+class TestSegmentClosedForms:
+    """VirtualZ and IdealPi unitaries come from closed forms, not expm."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(angle=st.floats(-4 * np.pi, 4 * np.pi))
+    def test_virtual_z_equals_exponential(self, angle):
+        for n in range(1, 5):
+            for k in range(n):
+                want = scipy_expm(-1j * angle * embed(SPIN_OPS["z"], k, n))
+                assert max_norm(segment_unitary(VirtualZ(angle, k), n) - want) < 1e-14
+
+    @pytest.mark.parametrize("axis", "xyz")
+    def test_ideal_pi_equals_exponential(self, axis):
+        for n in range(1, 5):
+            for k in range(n):
+                want = scipy_expm(-1j * np.pi * embed(SPIN_OPS[axis], k, n))
+                assert max_norm(segment_unitary(IdealPi(axis, k), n) - want) < 1e-14
+
+    def test_built_once_and_read_only(self):
+        seg = VirtualZ(np.pi / 4, 2)
+        u, r = segment_unitary(seg, 3), segment_transfer(seg, 3)
+        assert segment_unitary(VirtualZ(np.pi / 4, 2), 3) is u
+        assert segment_transfer(VirtualZ(np.pi / 4, 2), 3) is r
+        assert not u.flags.writeable and not r.flags.writeable
+        assert r.dtype == float
+        np.testing.assert_array_equal(r, superop_to_pauli(conjugation_superop(u)))
+
+    def test_compile_makes_no_exponential(self, monkeypatch):
+        calls = []
+        real = sequences.expm
+        monkeypatch.setattr(sequences, "expm",
+                            lambda *args: calls.append(1) or real(*args))
+        sequences.segment_unitary.cache_clear()
+        prog = transport_protocol(CHAIN3, W1, MODE)
+        windows = compile_program(prog, CHAIN3, BathSpec(0.0, tau_c=1e-18), MODE)
+        unitaries = [w.unitary for w in windows if isinstance(w, UnitaryWindow)]
+        assert unitaries and calls == []
 
 
 class TestProgramStructure:

@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import spinswap.linalg as linalg
+import spinswap.sequences as sequences
 from spinswap.model import (
     BathSpec,
     ChainSpec,
@@ -82,6 +87,31 @@ class TestRunSweep:
         assert format_table(serial) == format_table(parallel)
         for a, b in zip(serial, parallel):
             assert a.fidelity == b.fidelity
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=4, deadline=None)
+    @given(shape=st.sampled_from([(1, 1), (2, 1), (3, 1), (1, 2), (1, 3)]),
+           omega1_scale=st.floats(0.2, 5.0), wse_tauc=st.floats(0.005, 0.5),
+           step=st.floats(1.1, 3.0))
+    def test_any_worker_count_gives_the_same_records(self, shape, omega1_scale,
+                                                     wse_tauc, step):
+        # with the caches emptied first, each pool worker builds its own
+        # Pauli basis, operator table and segment transfer matrices; the
+        # records must not notice
+        n_w1, n_tc = shape
+        grid = small_grid(
+            omega1_values=tuple(omega1_scale * W1 * step**k for k in range(n_w1)),
+            tauc_values=tuple(wse_tauc / WSE * step**k for k in range(n_tc)),
+        )
+        for cached in (linalg.site_operators, linalg.pauli_strings,
+                       linalg._pauli_vec_basis, sequences.segment_unitary,
+                       sequences.segment_transfer):
+            cached.cache_clear()
+        parallel = run_sweep(grid, workers=2)
+        serial = run_sweep(grid, workers=1)
+        # repr keeps NaN fields comparable and every float exact
+        assert ([repr(replace(r, wall_time=0.0)) for r in serial]
+                == [repr(replace(r, wall_time=0.0)) for r in parallel])
 
     def test_removing_a_point_removes_only_that_record(self):
         full = run_sweep(small_grid(), workers=1)
