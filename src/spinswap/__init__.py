@@ -20,6 +20,7 @@ from .model import (
     ChainSpec,
     DriveSpec,
     HarmonicComponent,
+    Mechanism,
     Regime,
     SecularMode,
     dipolar_hamiltonian,

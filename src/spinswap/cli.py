@@ -86,6 +86,7 @@ def cmd_simulate(args) -> int:
         "omegaD_rad_s": rep.omega_d,
         "tau_c_s": rep.tau_c,
         "omega_se_rad_s": rep.omega_se,
+        "transfer_time_s": rep.transfer_time_s,
         "clip_count": traj.clip_count,
         "min_eigenvalue": traj.min_eigenvalue,
         "tp_defect": rep.tp_defect,

@@ -9,11 +9,12 @@ and checks the channel (trace preservation, complete positivity);
 `propagate` samples the trajectory in the same walk over the windows.
 
 The walk runs in real arithmetic on Pauli transfer matrices and Pauli
-coordinates (`linalg.superop_to_pauli`): every generator preserves
-Hermiticity, so each is real in the Pauli basis, and so are its
-exponentials, the channel and the states.  The channel and the states are
-converted back to column stacking once, at the end of the walk, and every
-check runs on the converted values.
+coordinates: every generator preserves Hermiticity, so each is real in the
+Pauli basis, and so are its exponentials, the channel and the states.
+`master.assemble` gives each generator in that basis already, so the walk
+converts no generator.  The channel and the states are converted back to
+column stacking once, at the end of the walk, and every check runs on the
+converted values.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (choi_matrix, clip_to_density, expm, pauli_to_superop,
-                     pauli_to_vecs, single_blas_thread, superop_to_pauli,
-                     trace_defect, vec, vecs_to_pauli)
+                     pauli_to_vecs, single_blas_thread, trace_defect, vec,
+                     vecs_to_pauli)
 from .master import assemble
 from .sequences import UnitaryWindow
 
@@ -32,6 +33,13 @@ TRACE_TOL = 1e-9
 HERM_TOL = 1e-9
 EIG_FLOOR = -1e-8
 SAMPLES_PER_WINDOW = 50
+
+
+def rounding_floor(d: int) -> float:
+    """d times machine epsilon: how far below zero rounding alone takes the
+    smallest eigenvalue of a d x d state (a pure state has d - 1 zero
+    eigenvalues).  States above minus this are not clipped."""
+    return d * np.finfo(float).eps
 
 
 class PositivityError(RuntimeError):
@@ -80,8 +88,9 @@ class Trajectory:
     times: sample times in seconds (starting at 0).
     states: density matrices at those times (validated and clipped).
     meta: program metadata (initial/target labels and kets).
-    clip_count: number of samples whose tiny negative eigenvalues were
-        floored at zero; min_eigenvalue is the worst value seen pre-clip.
+    clip_count: number of samples whose small negative eigenvalues (below
+        minus `rounding_floor`) were floored at zero; min_eigenvalue is the
+        worst value seen pre-clip, rounding-level ones included.
     channel_pass: the channel pass the samples were stepped alongside.
     """
 
@@ -106,8 +115,9 @@ def _checked(rhos: np.ndarray, times, stats: dict) -> list[np.ndarray]:
 
     Each sample must have unit trace, be Hermitian and be positive, checked
     in that order; the first failing sample in time order raises.  Samples
-    whose smallest eigenvalue lies in [EIG_FLOOR, 0) are clipped one by one
-    and counted.
+    whose smallest eigenvalue lies in [EIG_FLOOR, -rounding_floor(d)) are
+    clipped one by one and counted; those in [-rounding_floor(d), 0) stay
+    as they are and only reach stats["min_eig"].
     """
     adj = rhos.conj().transpose(0, 2, 1)
     tr = np.trace(rhos, axis1=1, axis2=2)
@@ -125,8 +135,9 @@ def _checked(rhos: np.ndarray, times, stats: dict) -> list[np.ndarray]:
         raise PositivityError(t, float(wmin[k]))
     stats["min_eig"] = min(stats["min_eig"], float(wmin.min()))
     states = []
+    floor = -rounding_floor(rhos.shape[-1])
     for rho, w in zip(rhos, wmin):
-        if w < 0.0:
+        if w < floor:
             stats["clips"] += 1
             rho = clip_to_density(rho)
         states.append(rho)
@@ -146,12 +157,10 @@ def _walk(rho0: np.ndarray, windows, meta: dict | None,
     sampled trajectory alongside it.
 
     Windows that share a spec object share a generator (see
-    compile_program): each distinct generator is assembled and converted
-    to its real Pauli transfer matrix once (the conversion raises if the
-    generator does not preserve Hermiticity), and each distinct
-    (generator, duration) exponentiated once over the full window and,
-    with `sampled`, once over the sampling step duration /
-    SAMPLES_PER_WINDOW.  Both are keyed by spec id, which stays unique
+    compile_program): each distinct generator is assembled once, as its
+    real Pauli transfer matrix, and each distinct (generator, duration)
+    exponentiated once over the full window and, with `sampled`, once over
+    the sampling step duration / SAMPLES_PER_WINDOW.  Both are keyed by spec id, which stays unique
     because `windows` is a sequence that holds every spec for the whole
     walk.  Unitary windows bring their cached transfer matrices.  The
     sampled chain keeps its own state and clock, so its samples do not
@@ -190,7 +199,7 @@ def _walk(rho0: np.ndarray, windows, meta: dict | None,
             key = (id(w.spec), w.duration)
             if key not in propagators:
                 if id(w.spec) not in generators:
-                    generators[id(w.spec)] = superop_to_pauli(assemble(w.spec))
+                    generators[id(w.spec)] = assemble(w.spec)
                 gen = generators[id(w.spec)]
                 propagators[key] = (expm(gen, w.duration),
                                     expm(gen, dt) if sampled else None)
@@ -255,8 +264,8 @@ def propagate(rho0: np.ndarray, windows, meta: dict | None = None) -> Trajectory
     window and one per unitary window.
 
     Raises what `channel_pass` raises, then PositivityError if a sampled
-    state has an eigenvalue below EIG_FLOOR; smaller negatives are clipped
-    and counted.
+    state has an eigenvalue below EIG_FLOOR; smaller negatives beyond the
+    rounding floor are clipped and counted.
     """
     return _walk(rho0, windows, meta, sampled=True)[1]
 

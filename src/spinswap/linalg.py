@@ -88,7 +88,8 @@ def embed(op: np.ndarray, site: int, nsites: int) -> np.ndarray:
     return kron_all(factors)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, marked read-only: for arrays shared through a cache."""
     a.setflags(write=False)
     return a
 
@@ -112,7 +113,7 @@ def site_operators(nsites: int) -> SiteOperators:
     """The embedded Ix, Iy, Iz, I+ and I- of every site of an `nsites`-qubit
     register, built once per register size and shared read-only."""
     return SiteOperators(*(
-        _read_only(np.array([embed(op, k, nsites) for k in range(nsites)]))
+        read_only(np.array([embed(op, k, nsites) for k in range(nsites)]))
         for op in (_IX, _IY, _IZ, _IP, _IM)
     ))
 
@@ -319,7 +320,7 @@ def pauli_strings(nqubits: int, traceless: bool = True) -> np.ndarray:
         if traceless and all(c == 0 for c in combo):
             continue
         strings.append(kron_all([singles[c] for c in combo]) / norm)
-    return _read_only(np.array(strings))
+    return read_only(np.array(strings))
 
 
 @cache
@@ -333,24 +334,37 @@ def _pauli_vec_basis(dim2: int) -> tuple[np.ndarray, np.ndarray]:
     strings = pauli_strings(n, traceless=False)
     # vec(P) stacks the columns of P, i.e. the rows of P.T
     b = np.ascontiguousarray(strings.transpose(0, 2, 1).reshape(dim2, dim2).T)
-    return _read_only(b), _read_only(np.ascontiguousarray(b.conj().T))
+    return read_only(b), read_only(np.ascontiguousarray(b.conj().T))
+
+
+def pauli_transfer(superop: np.ndarray) -> np.ndarray:
+    """Complex Pauli transfer matrix B^dag S B of a column-stacking
+    superoperator S, B the vectorized Pauli-string basis; entry (i, j) is
+    Tr(P_i S(P_j)).  It is real iff S preserves Hermiticity."""
+    b, b_dag = _pauli_vec_basis(superop.shape[0])
+    return b_dag @ superop @ b
+
+
+def is_real_transfer(r: np.ndarray) -> bool:
+    """Whether the imaginary residue of a Pauli transfer matrix lies within
+    PAULI_REAL_TOL relative to its largest entry."""
+    return max_norm(r.imag) <= PAULI_REAL_TOL * max_norm(r)
+
+
+def real_transfer(r: np.ndarray) -> np.ndarray:
+    """The real part of a Pauli transfer matrix, contiguous.  Raises
+    ValueError if its imaginary residue exceeds PAULI_REAL_TOL relative to
+    its largest entry, which means the map does not preserve Hermiticity."""
+    if not is_real_transfer(r):
+        raise ValueError(f"superoperator does not preserve Hermiticity: imaginary "
+                         f"Pauli transfer residue {max_norm(r.imag):.3e}")
+    return np.ascontiguousarray(r.real)
 
 
 def superop_to_pauli(superop: np.ndarray) -> np.ndarray:
-    """Pauli transfer matrix R = B^dag S B of a column-stacking superoperator
-    S, B the vectorized Pauli-string basis; R_ij = Tr(P_i S(P_j)).
-
-    R is real iff S preserves Hermiticity.  Raises ValueError if the
-    imaginary residue of R exceeds PAULI_REAL_TOL relative to its largest
-    entry, which means S does not preserve Hermiticity.
-    """
-    b, b_dag = _pauli_vec_basis(superop.shape[0])
-    r = b_dag @ superop @ b
-    residue = max_norm(r.imag)
-    if residue > PAULI_REAL_TOL * max_norm(r):
-        raise ValueError(f"superoperator does not preserve Hermiticity: imaginary "
-                         f"Pauli transfer residue {residue:.3e}")
-    return np.ascontiguousarray(r.real)
+    """Real Pauli transfer matrix of a column-stacking superoperator that
+    preserves Hermiticity (`pauli_transfer`, checked by `real_transfer`)."""
+    return real_transfer(pauli_transfer(superop))
 
 
 def pauli_to_superop(transfer: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Fluctuation-regulated master-equation generator.
 
-Assembles, for one piecewise-constant evolution window, the Liouville-space
-generator consisting of the first-order coherent term -i[H, .] and the
-second-order dissipator
+Builds, for one piecewise-constant evolution window, the generator
+consisting of the first-order coherent term -i[H, .] and the second-order
+dissipator
 
     D(rho) = - sum_{secular pairs (a,b)} G(freq_b) Tr_E [A_a, [A_b, rho x rho_E]]
 
@@ -20,12 +20,32 @@ order of the master equation, decay and shifts together.
 Drive components pair with themselves to give drive-induced dissipation;
 system-environment components pair on each local environment to give
 thermal relaxation; mixed drive/environment pairs vanish against the
-traceless environment factors but are retained in the enumeration.
+traceless environment factors.
+
+Polynomial form.  Each component is A_a = s_m U_a, a mechanism scale s_m
+(2 pi J, omega_1 or omega_SE; 1 for an untagged component) times a unit
+operator U_a (`model.HarmonicComponent`).  The first order is linear in
+the scales and the second order bilinear in them and linear in the
+regulator values g(f) = tau_c / (1 - i f tau_c), so the generator is
+
+    L = sum_m s_m L_m + sum_{(m, n), f} s_m s_n g(f) Q_{m,n,f}
+
+with one matrix per coherent mechanism m and one per unordered mechanism
+pair (m, n) and regulator frequency f.  Those matrices depend only on the
+point-independent `GeneratorShape` (unit operators, frequencies,
+environment factors, coherent flags, secular cutoff), are built once per
+shape as real Pauli transfer matrices (Greenbaum, arXiv:1509.02921) and
+kept in a bounded per-process cache; `assemble` only forms the linear
+combination, so the window walk converts no generator.  A matrix whose
+imaginary Pauli residue exceeds `linalg.PAULI_REAL_TOL` stays complex, and
+a combination that is complex (a detuned component gives a complex g) is
+checked and reduced to its real part by `linalg.real_transfer`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,10 +54,19 @@ from .linalg import (
     commutator_superop,
     dagger,
     identity,
+    is_real_transfer,
     max_norm,
     pauli_strings,
+    pauli_transfer,
+    read_only,
+    real_transfer,
 )
 from .model import BathSpec, HarmonicComponent
+
+# Distinct shapes a process keeps (fig2 has 9, fig3 3); each holds a few
+# 64x64 real matrices, about 0.15 MB for a three-spin window.
+SHAPE_CACHE_SIZE = 64
+
 
 def regulator_integral(omega: float | np.ndarray, tau_c: float) -> complex | np.ndarray:
     """Regulated memory-kernel integral tau_c / (1 - i omega tau_c).
@@ -52,11 +81,29 @@ def regulator_integral(omega: float | np.ndarray, tau_c: float) -> complex | np.
 
 
 @dataclass(frozen=True)
+class GeneratorShape:
+    """The point-independent part of a generator.
+
+    `key` names it exactly: the dimension, the secular cutoff and, per
+    component, its mechanism, label, frequency, environment site and
+    coherent flag.  Shapes compare and hash by `key` alone, because equal
+    labels mean bitwise-equal unit operators and environment factors.  A
+    spec with an unlabelled component has no key and its shape is never
+    cached.  `components` supply the unit operators.
+    """
+
+    key: tuple | None
+    components: tuple[HarmonicComponent, ...] = field(compare=False, repr=False)
+    secular_cutoff: float = field(compare=False)
+
+
+@dataclass(frozen=True)
 class GeneratorSpec:
     """Inputs for one evolution window's generator.
 
     components: harmonic components (couplings, drive and
         system-environment terms); nonempty, as they fix the dimension.
+        Components of one mechanism share one scale.
     bath: bath parameters (tau_c feeds the regulator).
     secular_cutoff: rad/s; pairs oscillating faster are dropped.
     """
@@ -71,46 +118,73 @@ class GeneratorSpec:
             raise ValueError("a generator needs at least one component")
         if self.secular_cutoff <= 0:
             raise ValueError("secular_cutoff must be positive")
+        scales = {}
         for c in self.components:
             if not np.isfinite(c.freq):
                 raise ValueError("component frequency must be finite")
+            if scales.setdefault(c.mechanism, c.scale) != c.scale:
+                raise ValueError(f"components of mechanism {c.mechanism} carry "
+                                 f"different scales")
 
     @property
     def dim(self) -> int:
         return self.components[0].op.shape[0]
 
+    def shape(self) -> GeneratorShape:
+        comps = self.components
+        key = None
+        if all(c.label is not None for c in comps):
+            key = (self.dim, self.secular_cutoff,
+                   tuple((c.mechanism.value, c.label, c.freq, c.env_site, c.coherent)
+                         for c in comps))
+        return GeneratorShape(key, comps, self.secular_cutoff)
 
-def _coherent_hamiltonian(spec: GeneratorSpec) -> np.ndarray:
-    """Hamiltonian H of the first-order term -i[H, .] (rad/s).
 
-    Environment-coupled components trace to zero against the maximally
-    mixed environment state and never contribute here.  System-only
-    coherent components enter only when their frequency magnitude lies
-    below the secular cutoff.  Their sum must be Hermitian to within
-    HERMITICITY_TOL relative to its largest entry (component lists are
-    closed under conjugation); it is then symmetrized to remove rounding.
+def _coherent_hamiltonian(ops: np.ndarray) -> np.ndarray:
+    """Hamiltonian H of the first-order term -i[H, .]: the sum of `ops`.
+
+    The sum must be Hermitian to within HERMITICITY_TOL relative to its
+    largest entry (component lists are closed under conjugation); it is
+    then symmetrized to remove rounding.
     """
-    h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for c in spec.components:
-        if c.has_env or not c.coherent:
-            continue
-        if abs(c.freq) < spec.secular_cutoff:
-            h = h + c.op
+    h = ops.sum(axis=0)
     defect = max_norm(h - dagger(h))
     if defect > HERMITICITY_TOL * max(max_norm(h), 1.0):
         raise ValueError(f"Hamiltonian not Hermitian: max-norm defect {defect:.3e}")
     return 0.5 * (h + dagger(h))
 
 
+def _first_order_mask(comps, cutoff: float) -> np.ndarray:
+    """Components of the first-order term.
+
+    Environment-coupled components trace to zero against the maximally
+    mixed environment state and never contribute.  System-only coherent
+    components enter only when their frequency magnitude lies below the
+    secular cutoff.
+    """
+    return np.array([not c.has_env and c.coherent and abs(c.freq) < cutoff
+                     for c in comps], dtype=bool)
+
+
+def _operators(comps, unit: bool) -> np.ndarray:
+    """Stack of the component operators, (n, d, d); with `unit` the unit
+    operators (an untagged component is its own unit)."""
+    return np.array([c.unit if unit and c.unit is not None else c.op for c in comps],
+                    dtype=complex)
+
+
 def first_order_generator(spec: GeneratorSpec) -> np.ndarray:
-    """Coherent generator -i[H, .] of the secular system-only components.
+    """Coherent generator -i[H, .] of the secular system-only components,
+    in column stacking.
 
     H is the Hermitian sum built and checked by `_coherent_hamiltonian`.
     """
-    return commutator_superop(_coherent_hamiltonian(spec))
+    ops = _operators(spec.components, unit=False)
+    mask = _first_order_mask(spec.components, spec.secular_cutoff)
+    return commutator_superop(_coherent_hamiltonian(ops[mask]))
 
 
-def _env_contractions(spec: GeneratorSpec) -> np.ndarray:
+def _env_contractions(comps) -> np.ndarray:
     """Environment contraction matrix C[a, b] = Tr(E_a E_b rho_E).
 
     rho_E = I/2 on each local environment.  Two components without an
@@ -118,7 +192,6 @@ def _env_contractions(spec: GeneratorSpec) -> np.ndarray:
     vanish because the environment operators are traceless (0); two
     components on one site give Tr(E_a E_b)/2.
     """
-    comps = spec.components
     site = np.array([c.env_site if c.has_env else -1 for c in comps])
     system = site < 0
     env = np.flatnonzero(~system)
@@ -133,16 +206,18 @@ def _env_contractions(spec: GeneratorSpec) -> np.ndarray:
     return contr
 
 
-def _second_order_terms(spec: GeneratorSpec):
-    """Cross superoperator and left/right operators of the dissipator."""
-    d = spec.dim
-    ops = np.array([c.op for c in spec.components], dtype=complex)
-    n = len(ops)
+def _pair_weights(comps, cutoff: float) -> np.ndarray:
+    """keep[a, b] C[a, b]: the pair weights at unit regulator value."""
+    freq = np.array([c.freq for c in comps])
+    keep = np.abs(freq[:, None] + freq[None, :]) < cutoff
+    return keep * _env_contractions(comps)
+
+
+def _second_order_terms(ops: np.ndarray, w: np.ndarray):
+    """Cross superoperator and left/right operators of the dissipator with
+    pair weights `w`."""
+    n, d = ops.shape[:2]
     flat = ops.reshape(n, d * d)
-    freq = np.array([c.freq for c in spec.components])
-    keep = np.abs(freq[:, None] + freq[None, :]) < spec.secular_cutoff
-    g = regulator_integral(freq, spec.bath.tau_c)
-    w = keep * _env_contractions(spec) * g[None, :]
     weighted = (w @ flat).reshape(n, d, d)  # sum_b W[a, b] A_b
     m_left = (ops @ weighted).sum(axis=0)
     m_right = (weighted @ ops).sum(axis=0)
@@ -180,24 +255,114 @@ def second_order_dissipator(spec: GeneratorSpec) -> np.ndarray:
     that is, D(rho) = sum_ab W1[a, b] (A_b rho A_a - A_a A_b rho)
     + W2[a, b] (A_a rho A_b - rho A_b A_a).  C is symmetric because
     Tr(E_a E_b) = Tr(E_b E_a), so W1 = W2 and one weight matrix W serves
-    all three sums.  Every weight is linear in g, so for a fixed component
-    list the generator (whose first-order part does not involve g) is
-    affine in the regulator values.
+    all three sums.  Every weight is linear in g and D is bilinear in the
+    operators, which gives the polynomial form of the module docstring.
     """
-    return _generator(*_second_order_terms(spec))
+    comps = spec.components
+    freq = np.array([c.freq for c in comps])
+    w = _pair_weights(comps, spec.secular_cutoff) * regulator_integral(freq, spec.bath.tau_c)
+    return _generator(*_second_order_terms(_operators(comps, unit=False), w))
+
+
+@dataclass(frozen=True)
+class _Polynomial:
+    """The generator of one shape as sum_k c_k M_k over Pauli transfer
+    matrices M_k, linear monomials first (see the module docstring).
+
+    heads: per mechanism, in order of first appearance, the index of its
+        first component, which carries the mechanism's scale.  Every spec
+        of the shape has its mechanisms at the same positions, because the
+        shape key lists them in component order.
+    linear: the mechanism of each linear monomial, as an index into heads.
+    quadratic: (mechanism, mechanism, regulator frequency) of each
+        quadratic monomial.
+    real: per monomial, whether its matrix is real; those sit in
+        `real_stack` (float64), the others in `complex_stack`, each in
+        monomial order, flattened to rows and read-only.
+    """
+
+    heads: tuple[int, ...]
+    linear: tuple[int, ...]
+    quadratic: tuple[tuple[int, int, float], ...]
+    real: np.ndarray
+    real_stack: np.ndarray
+    complex_stack: np.ndarray
+
+    def combine(self, spec: GeneratorSpec) -> np.ndarray:
+        """The generator at the spec's mechanism scales and tau_c."""
+        s = [spec.components[k].scale for k in self.heads]
+        tau_c = spec.bath.tau_c
+        coef = np.array([s[m] for m in self.linear]
+                        + [s[m] * s[n] * regulator_integral(f, tau_c)
+                           for m, n, f in self.quadratic], dtype=complex)
+        c_real = coef[self.real]
+        if not c_real.imag.any():
+            c_real = c_real.real
+        gen = c_real @ self.real_stack
+        if len(self.complex_stack):
+            gen = gen + coef[~self.real] @ self.complex_stack
+        gen = gen.reshape(spec.dim**2, -1)
+        # a real combination of real matrices preserves Hermiticity
+        return real_transfer(gen) if np.iscomplexobj(gen) else gen
+
+
+def _build_polynomial(shape: GeneratorShape) -> _Polynomial:
+    """The monomial matrices of a shape, each built with the bilinear
+    formulas at unit scale and regulator value and converted to the Pauli
+    basis once.  Raises "Hamiltonian not Hermitian" if a mechanism's
+    coherent unit sum is not Hermitian."""
+    comps = shape.components
+    mechanisms = [c.mechanism for c in comps]
+    groups = list(dict.fromkeys(mechanisms))
+    heads = tuple(mechanisms.index(m) for m in groups)
+    slot = np.array([groups.index(m) for m in mechanisms])
+    units = _operators(comps, unit=True)
+    first = _first_order_mask(comps, shape.secular_cutoff)
+    mats, linear, quadratic = [], [], []
+    for m in range(len(groups)):
+        sel = first & (slot == m)
+        if sel.any():
+            linear.append(m)
+            mats.append(commutator_superop(_coherent_hamiltonian(units[sel])))
+    w0 = _pair_weights(comps, shape.secular_cutoff)
+    freq = np.array([c.freq for c in comps])
+    for m in range(len(groups)):
+        for n in range(m, len(groups)):
+            both = (((slot[:, None] == m) & (slot[None, :] == n))
+                    | ((slot[:, None] == n) & (slot[None, :] == m)))
+            for f in np.unique(freq):
+                w = np.where(both & (freq[None, :] == f), w0, 0.0)
+                if w.any():
+                    quadratic.append((m, n, float(f)))
+                    mats.append(_generator(*_second_order_terms(units, w)))
+    d2 = units.shape[1] ** 2
+    transfers = [pauli_transfer(g) for g in mats]
+    real = np.array([is_real_transfer(r) for r in transfers], dtype=bool)
+    real_stack = np.array([r.real for r, ok in zip(transfers, real) if ok])
+    complex_stack = np.array([r for r, ok in zip(transfers, real) if not ok])
+    return _Polynomial(
+        heads, tuple(linear), tuple(quadratic), real,
+        read_only(real_stack.reshape(-1, d2 * d2)),
+        read_only(complex_stack.reshape(-1, d2 * d2).astype(complex)),
+    )
+
+
+_cached_polynomial = lru_cache(maxsize=SHAPE_CACHE_SIZE)(_build_polynomial)
 
 
 def assemble(spec: GeneratorSpec) -> np.ndarray:
     """First-order generator plus second-order dissipator (with shifts), as
-    a (d^2, d^2) matrix in 1/s.
+    a real (d^2, d^2) Pauli transfer matrix in 1/s.
 
-    -i[H, .] is -(I kron iH) - ((-iH).T kron I), so H joins the left and
-    right operators of the dissipator and the generator takes two
-    Kronecker products in all.
+    The shape's monomial matrices come from the per-process cache (built
+    on first use); the point enters only through the mechanism scales and
+    tau_c.  Raises "Hamiltonian not Hermitian" when a shape's coherent unit
+    sum is not Hermitian and "does not preserve Hermiticity" when a complex
+    combination has an imaginary residue above `linalg.PAULI_REAL_TOL`.
     """
-    h = _coherent_hamiltonian(spec)
-    cross, m_left, m_right = _second_order_terms(spec)
-    return _generator(cross, m_left + 1j * h, m_right - 1j * h)
+    shape = spec.shape()
+    poly = _build_polynomial(shape) if shape.key is None else _cached_polynomial(shape)
+    return poly.combine(spec)
 
 
 def kossakowski_matrix(gen: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ class TransferReport:
     omega_d: float = float("nan")
     tau_c: float = float("nan")
     omega_se: float = float("nan")
+    transfer_time_s: float = float("nan")  # the protocol's duration
 
     def __post_init__(self):
         for name in ("fidelity", "concurrence_23", "efficiency"):

@@ -3,7 +3,11 @@
 Builds the rotating-frame Hamiltonians in the two secular regimes, the
 drive terms, and the per-spin couplings to local two-level environments,
 all decomposed into harmonic components (operator, oscillation frequency)
-for consumption by the master-equation engine.
+for consumption by the master-equation engine.  Every component the
+builders here make is tagged with its mechanism (coupling, drive or
+system-environment) and is a scale times a unit operator named exactly by
+a label, so that the engine can build its generator structure once per
+label and combine it per parameter point (see `master`).
 
 Units: Larmor frequencies, drive amplitudes and the system-environment
 strength are angular frequencies in rad/s; dipolar couplings J are plain
@@ -15,13 +19,14 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .linalg import site_operators, spin_half_ops
+from .linalg import read_only, site_operators, spin_half_ops
 
 # Environment raising/lowering operators for the local two-level baths.
-ENV_PLUS, ENV_MINUS = spin_half_ops()[3:]
+ENV_PLUS, ENV_MINUS = (read_only(e) for e in spin_half_ops()[3:])
 
 RESONANCE_TOL = 1e-6  # rad/s; carriers closer than this count as on-resonance
 
@@ -30,6 +35,14 @@ TAU_C_KAPPA_REL_TOL = 1e-9
 
 class TimescaleSeparationWarning(UserWarning):
     """Raised when omega_1 * tau_c or omega_SE * tau_c approaches 1."""
+
+
+class Mechanism(enum.Enum):
+    """Physical origin of a harmonic component."""
+
+    COUPLING = "coupling"  # always-on dipolar couplings, scale 2 pi J
+    DRIVE = "drive"  # square-pulse drive, scale omega_1
+    ENVIRONMENT = "environment"  # system-environment flip-flop, scale omega_SE
 
 
 class Regime(enum.Enum):
@@ -182,6 +195,12 @@ class HarmonicComponent:
     while it still feeds the second-order dissipator; the compiler uses
     this for the always-on couplings during hard pulses, whose coherent
     action is applied exactly by the pulse algebra.
+
+    A tagged component (see `tagged`) also carries its `mechanism`, its
+    `unit` operator with op = scale * unit, and a hashable `label` that
+    names the unit operator and the environment factor exactly, so equal
+    labels mean bitwise-equal units.  An untagged component is its own
+    unit at scale 1.
     """
 
     op: np.ndarray
@@ -189,10 +208,66 @@ class HarmonicComponent:
     env_site: int | None = None
     env_op: np.ndarray | None = None
     coherent: bool = True
+    mechanism: Mechanism | None = None
+    label: tuple | None = None
+    unit: np.ndarray | None = None
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if self.label is not None and (self.unit is None or self.mechanism is None):
+            raise ValueError("a labelled component needs its mechanism and unit operator")
+        if self.unit is None and self.scale != 1.0:
+            raise ValueError("a scaled component needs its unit operator")
 
     @property
     def has_env(self) -> bool:
         return self.env_site is not None
+
+
+def tagged(mechanism: Mechanism, label: tuple, unit: np.ndarray, scale: float,
+           freq: float, env_site: int | None = None, env_op: np.ndarray | None = None,
+           coherent: bool = True) -> HarmonicComponent:
+    """Component scale * unit of `mechanism`; `label` must name `unit` (and
+    the environment factor) exactly."""
+    return HarmonicComponent(read_only(scale * unit), freq, env_site, env_op, coherent,
+                             mechanism, label, unit, float(scale))
+
+
+# Unit operators depend only on their labels, never on the parameter
+# point, so each is built once per process; the bounds keep programs with
+# many distinct phases or couplings from growing the caches.
+@lru_cache(maxsize=64)
+def _dipolar_unit(pair: tuple[int, int], regime: Regime, nsites: int) -> np.ndarray:
+    """Iz Iz, less (I+ I- + I- I+)/4 in the zero-quantum regime, read-only."""
+    a, b = pair
+    ops = site_operators(nsites)
+    h = ops.z[a] @ ops.z[b]
+    if regime == Regime.ZERO_QUANTUM:
+        ff = ops.plus[a] @ ops.minus[b]
+        ff = ff + ops.minus[a] @ ops.plus[b]
+        h -= 0.25 * ff
+    return read_only(h)
+
+
+@lru_cache(maxsize=64)
+def _coupling_unit(terms: tuple, nsites: int) -> np.ndarray:
+    """Sum of ratio * (pair's unit coupling) over (a, b, regime, ratio)
+    terms, read-only."""
+    h = np.zeros((2**nsites, 2**nsites), dtype=complex)
+    for a, b, regime, ratio in terms:
+        h += ratio * _dipolar_unit((a, b), Regime(regime), nsites)
+    return read_only(h)
+
+
+@lru_cache(maxsize=256)
+def _drive_units(site: int, phase: float, nsites: int) -> tuple[np.ndarray, ...]:
+    """Ix cos phi + Iy sin phi, U = exp(-i phi) I+ / 2 and U^dag on one
+    site, read-only: the resonant drive axis and the two rotating halves of
+    an off-resonant one."""
+    ops = site_operators(nsites)
+    axis = np.cos(phase) * ops.x[site] + np.sin(phase) * ops.y[site]
+    up = 0.5 * np.exp(-1j * phase) * ops.plus[site]
+    return read_only(axis), read_only(up), read_only(up.conj().T)
 
 
 def dipolar_hamiltonian(pair, j_hz: float, regime: Regime, nsites: int) -> np.ndarray:
@@ -209,13 +284,7 @@ def dipolar_hamiltonian(pair, j_hz: float, regime: Regime, nsites: int) -> np.nd
         raise ValueError("J must be >= 0")
     if regime == Regime.AUTO:
         raise ValueError("regime must be resolved before building the coupling")
-    ops = site_operators(nsites)
-    h = ops.z[a] @ ops.z[b]
-    if regime == Regime.ZERO_QUANTUM:
-        ff = ops.plus[a] @ ops.minus[b]
-        ff = ff + ops.minus[a] @ ops.plus[b]
-        h -= 0.25 * ff
-    return 2.0 * np.pi * j_hz * h
+    return 2.0 * np.pi * j_hz * _dipolar_unit((a, b), regime, nsites)
 
 
 def resolve_secular_mode(mode: SecularMode, pair, chain: ChainSpec) -> Regime:
@@ -229,6 +298,24 @@ def resolve_secular_mode(mode: SecularMode, pair, chain: ChainSpec) -> Regime:
     a, b = pair
     dw = abs(chain.larmor[a] - chain.larmor[b])
     return Regime.ZERO_QUANTUM if dw * mode.coarse_grain_dt < 1.0 else Regime.ISING_ONLY
+
+
+def coupling_component(chain: ChainSpec, mode: SecularMode) -> HarmonicComponent | None:
+    """The always-on secular couplings of every pair as one zero-frequency
+    component, or None for a chain without a nonzero coupling.
+
+    Its scale is 2 pi J with J the largest coupling, and its unit operator
+    sums each pair's unit coupling (`dipolar_hamiltonian` at 2 pi J = 1)
+    times J_pair / J; the label lists (a, b, resolved regime, J_pair / J),
+    so chains that differ only in a common J share it.
+    """
+    j = max((jp for _, _, jp in chain.couplings), default=0.0)
+    if j <= 0:
+        return None
+    terms = tuple((a, b, resolve_secular_mode(mode, (a, b), chain).value, jp / j)
+                  for a, b, jp in chain.couplings if jp > 0)
+    return tagged(Mechanism.COUPLING, terms, _coupling_unit(terms, chain.nsites),
+                  2.0 * np.pi * j, 0.0)
 
 
 def default_coarse_grain_dt(bath: BathSpec, omega1: float) -> float:
@@ -253,24 +340,25 @@ def drive_hamiltonian(drive: DriveSpec, chain: ChainSpec) -> list[HarmonicCompon
     (the frame the propagation layer uses): a resonant target contributes
     a static omega_1 (Ix cos phi + Iy sin phi), an off-resonant one a
     conjugate pair oscillating at its residual frequency omega - omega_0^k.
-    Counter-rotating terms at 2*omega are dropped unconditionally.
+    Counter-rotating terms at 2*omega are dropped unconditionally.  Every
+    component has scale omega_1.
     """
     n = chain.nsites
-    ops = site_operators(n)
     comps: list[HarmonicComponent] = []
     for k in drive.targets:
         if not 0 <= k < n:
             raise ValueError(f"drive target {k} out of range")
         det = chain.larmor[k] - drive.carrier
         if drive.amplitude > 0:
-            axis = np.cos(drive.phase) * ops.x[k] + np.sin(drive.phase) * ops.y[k]
+            axis, up, down = _drive_units(k, drive.phase, n)
             if abs(det) <= RESONANCE_TOL:
-                comps.append(HarmonicComponent(drive.amplitude * axis, 0.0))
+                comps.append(tagged(Mechanism.DRIVE, (k, drive.phase, "axis"), axis,
+                                    drive.amplitude, 0.0))
             else:
-                half = 0.5 * drive.amplitude
-                up = half * np.exp(-1j * drive.phase) * ops.plus[k]
-                comps.append(HarmonicComponent(up, -det))
-                comps.append(HarmonicComponent(up.conj().T, det))
+                comps.append(tagged(Mechanism.DRIVE, (k, drive.phase, "up"), up,
+                                    drive.amplitude, -det))
+                comps.append(tagged(Mechanism.DRIVE, (k, drive.phase, "down"), down,
+                                    drive.amplitude, det))
     return comps
 
 
@@ -280,14 +368,20 @@ def system_env_coupling(chain: ChainSpec, bath: BathSpec) -> list[HarmonicCompon
     H_SE^k = omega_SE (I+^k S-^k + I-^k S+^k) / 2 with the environment in
     the maximally mixed state.  Resonant environment levels cancel the
     system Larmor precession, so both components sit at zero frequency in
-    the interaction frame.
+    the interaction frame.  Every component has scale omega_SE.
     """
     if bath.omega_se == 0:
         return []
-    ops = site_operators(chain.nsites)
-    half = 0.5 * bath.omega_se
+    return list(_env_components(chain.nsites, bath.omega_se))
+
+
+@lru_cache(maxsize=16)
+def _env_components(nsites: int, omega_se: float) -> tuple[HarmonicComponent, ...]:
+    ops = site_operators(nsites)
     comps = []
-    for k in range(chain.nsites):
-        comps.append(HarmonicComponent(half * ops.plus[k], 0.0, k, ENV_MINUS))
-        comps.append(HarmonicComponent(half * ops.minus[k], 0.0, k, ENV_PLUS))
-    return comps
+    for k in range(nsites):
+        comps.append(tagged(Mechanism.ENVIRONMENT, (k, "plus"), read_only(0.5 * ops.plus[k]),
+                            omega_se, 0.0, k, ENV_MINUS))
+        comps.append(tagged(Mechanism.ENVIRONMENT, (k, "minus"), read_only(0.5 * ops.minus[k]),
+                            omega_se, 0.0, k, ENV_PLUS))
+    return tuple(comps)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +39,7 @@ from .model import (
     Regime,
     SecularMode,
     TimescaleSeparationWarning,
-    dipolar_hamiltonian,
+    coupling_component,
     drive_hamiltonian,
     resolve_secular_mode,
     system_env_coupling,
@@ -347,16 +347,6 @@ def segment_transfer(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
     return r
 
 
-def coupling_hamiltonian(chain: ChainSpec, mode: SecularMode) -> np.ndarray:
-    """Always-on secular dipolar Hamiltonian, all pairs, resolved per pair."""
-    n = chain.nsites
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for a, b, j in chain.couplings:
-        regime = resolve_secular_mode(mode, (a, b), chain)
-        h += dipolar_hamiltonian((a, b), j, regime, n)
-    return h
-
-
 def ideal_propagator(program: PulseProgram, chain: ChainSpec,
                      mode: SecularMode) -> np.ndarray:
     """Closed-evolution propagator with hard (instantaneous) pulses.
@@ -366,11 +356,12 @@ def ideal_propagator(program: PulseProgram, chain: ChainSpec,
     is the reference the gate checks compare against.
     """
     n = chain.nsites
-    h_coupling = coupling_hamiltonian(chain, mode)
+    coupling = coupling_component(chain, mode)
     u = np.eye(2**n, dtype=complex)
     for seg in program.segments:
         if isinstance(seg, Delay):
-            u = expm(-1j * h_coupling, seg.duration) @ u
+            if coupling is not None:
+                u = expm(-1j * coupling.op, seg.duration) @ u
         elif isinstance(seg, SquarePulse):
             gen = sum(_axis_op(seg.phase, t, n) for t in seg.targets)
             u = expm(-1j * seg.flip_angle * gen) @ u
@@ -414,13 +405,13 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
     """Compile a program to piecewise-constant evolution windows.
 
     Every finite-duration window carries the always-on secular couplings as
-    a zero-frequency harmonic component (so they evolve the state at first
-    order and feed the regulated dissipator at second order, alongside the
-    drive) plus the system-environment components; square-pulse windows add
-    the drive components of their targets.  Virtual-z and ideal-pi segments
-    become exact zero-duration unitary windows, whose unitary and transfer
-    matrix come from per-segment caches (`segment_unitary`,
-    `segment_transfer`).
+    one zero-frequency harmonic component (`model.coupling_component`), so
+    they evolve the state at first order and feed the regulated dissipator
+    at second order, alongside the drive, plus the system-environment
+    components; square-pulse windows add the drive components of their
+    targets.  Virtual-z and ideal-pi segments become exact zero-duration
+    unitary windows, whose unitary and transfer matrix come from
+    per-segment caches (`segment_unitary`, `segment_transfer`).
 
     The secular cutoff is the inverse of the mode's coarse-graining
     window.  The timescale check uses the largest pulse amplitude as
@@ -440,17 +431,16 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
         )
     cutoff = 1.0 / mode.coarse_grain_dt
 
-    h_coupling = coupling_hamiltonian(chain, mode)
     env_comps = tuple(system_env_coupling(chain, bath))
-    has_coupling = bool(np.any(h_coupling))
+    coupling = coupling_component(chain, mode)
     # couplings evolve the state during delays; during hard pulses their
     # coherent action is negligible over the narrow pulse (the ideal pulse
     # algebra assumes it away) but they still feed the dissipator
     delay_comps = env_comps
     pulse_comps = env_comps
-    if has_coupling:
-        delay_comps = (HarmonicComponent(h_coupling, 0.0),) + env_comps
-        pulse_comps = (HarmonicComponent(h_coupling, 0.0, coherent=False),) + env_comps
+    if coupling is not None:
+        delay_comps = (coupling,) + env_comps
+        pulse_comps = (replace(coupling, coherent=False),) + env_comps
 
     def pulse_spec(seg: SquarePulse) -> GeneratorSpec:
         comps: list[HarmonicComponent] = list(pulse_comps)

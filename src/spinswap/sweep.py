@@ -88,6 +88,7 @@ class SweepRecord:
     warnings: tuple[str, ...] = ()  # unique "Category: message" raised by the point
     tp_defect: float = float("nan")  # program channel checks; NaN for a failed point
     choi_min: float = float("nan")
+    transfer_time_s: float = float("nan")  # protocol duration; NaN for a failed point
 
 
 def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
@@ -102,6 +103,7 @@ def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
     sampled and the trajectory is None.  The protocol builder and the
     compiler resolve every pair's coupling form from the same `mode`.
     omega_d is echoed in the report only; the couplings are the chain's own.
+    The report also carries the protocol's duration as `transfer_time_s`.
     """
     program = transport_protocol(chain, omega1, mode, refocus=refocus)
     windows = compile_program(program, chain, bath, mode)
@@ -112,7 +114,8 @@ def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
     else:
         traj, run = None, channel_pass(rho0, windows, meta=program.meta)
     rep = report(run, chain, omega1=omega1, omega_d=omega_d,
-                 tau_c=bath.tau_c, omega_se=bath.omega_se)
+                 tau_c=bath.tau_c, omega_se=bath.omega_se,
+                 transfer_time_s=program.total_duration)
     return program, traj, rep
 
 
@@ -144,12 +147,12 @@ def _point_record(args) -> SweepRecord:
         try:
             rep = evaluate_point(grid.chain, grid.bath, grid.mode, w1, wd,
                                  tc, grid.refocus)
-            fid, conc, eff, tp, choi, status = (
+            fid, conc, eff, tp, choi, duration, status = (
                 rep.fidelity, rep.concurrence_23, rep.efficiency,
-                rep.tp_defect, rep.choi_min, "ok",
+                rep.tp_defect, rep.choi_min, rep.transfer_time_s, "ok",
             )
         except Exception as exc:  # failure containment: mark, never abort
-            fid = conc = eff = tp = choi = float("nan")
+            fid = conc = eff = tp = choi = duration = float("nan")
             status = f"failed({type(exc).__name__})"
             error = str(exc)
     return SweepRecord(
@@ -169,6 +172,7 @@ def _point_record(args) -> SweepRecord:
             f"{w.category.__name__}: {w.message}" for w in caught)),
         tp_defect=tp,
         choi_min=choi,
+        transfer_time_s=duration,
     )
 
 

@@ -16,6 +16,7 @@ from spinswap.linalg import (
     ket2dm,
     max_norm,
     pauli_strings,
+    pauli_to_superop,
     spin_half_ops,
     unvec,
     vec,
@@ -140,7 +141,7 @@ def test_criterion_3_frqme_structural_suite():
         gen_windows = [w for w in windows if hasattr(w, "spec")]
         # first pulse window and first delay window are representative
         for w in (gen_windows[0], gen_windows[-1]):
-            gen = assemble(w.spec)
+            gen = pauli_to_superop(assemble(w.spec))
             scale = max(max_norm(gen), 1.0)
             worst_trace = max(worst_trace, max_norm(tr_vec @ gen) / scale)
             m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))

@@ -271,6 +271,10 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert 0.0 <= report["fidelity"] <= 1.0
         assert "config" in report
+        program = json.loads((out / "program.json").read_text())
+        duration = sum(seg.get("duration_s", 0.0) for seg in program["segments"])
+        assert report["transfer_time_s"] == pytest.approx(duration, rel=1e-14)
+        assert report["transfer_time_s"] > 0
         traj = (out / "trajectory.txt").read_text()
         assert traj.startswith("# config:")
         assert "fidelity" in traj.split("\n")[1]
@@ -367,7 +371,8 @@ class TestCli:
         report = json.loads((sim / "report.json").read_text())
         (record,) = json.loads((swp / "sweep_summary.json").read_text())["records"]
         assert record["status"] == "ok"
-        for key in ("fidelity", "concurrence_23", "efficiency", "tp_defect", "choi_min"):
+        for key in ("fidelity", "concurrence_23", "efficiency", "tp_defect", "choi_min",
+                    "transfer_time_s"):
             assert report[key] == record[key]
         assert (report["omega1_rad_s"], report["omegaD_rad_s"], report["tau_c_s"]) == (
             record["omega1"], record["omegaD"], record["tauc"])

@@ -28,12 +28,15 @@ from spinswap.linalg import (
     identity,
     ket2dm,
     max_norm,
+    pauli_to_superop,
     spin_half_ops,
     superop_to_pauli,
     unvec,
     vec,
 )
-from spinswap.master import GeneratorSpec, assemble
+import spinswap.master as master
+from spinswap.master import (GeneratorSpec, assemble, first_order_generator,
+                             second_order_dissipator)
 from spinswap.model import BathSpec, ChainSpec, HarmonicComponent, system_env_coupling
 from spinswap.sequences import (
     Delay,
@@ -132,7 +135,7 @@ class TestRabiEnvelope:
             system_env_coupling(CHAIN1, bath)
         )
         spec = GeneratorSpec(comps, bath, 1e9)
-        gen_analytic = assemble(spec)
+        gen_analytic = pauli_to_superop(assemble(spec))
         gen_brute = first_order_generator(spec) + brute_force_dissipator(
             comps, bath.tau_c, 1e9, 2
         )
@@ -231,7 +234,8 @@ def test_pass_matches_sampled_propagation(larmor_khz, omega1_khz, wse_tauc):
 
 def complex_reference_pass(rho0, windows):
     """The program channel and the final state walked in column-stacking
-    complex arithmetic, one scipy expm per generator window (reference)."""
+    complex arithmetic, one scipy expm per generator window of the
+    column-stacking first and second orders (reference)."""
     from scipy.linalg import expm as scipy_expm
 
     v = vec(rho0)
@@ -240,7 +244,8 @@ def complex_reference_pass(rho0, windows):
         if isinstance(w, UnitaryWindow):
             full = conjugation_superop(w.unitary)
         else:
-            full = scipy_expm(assemble(w.spec) * w.duration)
+            gen = first_order_generator(w.spec) + second_order_dissipator(w.spec)
+            full = scipy_expm(gen * w.duration)
         v = full @ v
         channel = full @ channel
     return channel, unvec(v)
@@ -317,21 +322,26 @@ def counting_calls(monkeypatch, targets):
 
 
 class TestDistinctGenerators:
-    @pytest.mark.parametrize("preset, assembles, expms, segments, validated",
-                             [("fig2", 9, 22, 7, 850), ("fig3", 3, 8, 1, 524)],
+    @pytest.mark.parametrize("preset, assembles, expms, segments, validated, monomials",
+                             [("fig2", 9, 22, 7, 850, 43), ("fig3", 3, 8, 1, 524, 13)],
                              ids=["fig2-9-22", "fig3-3-8"])
     def test_one_assemble_and_expm_pair_per_distinct_generator(
-            self, monkeypatch, preset, assembles, expms, segments, validated):
-        # simulate walks the windows once: one conversion to the Pauli
-        # basis per distinct generator, one full-window and one
-        # sampling-step expm per distinct (generator, duration), and each
-        # boundary state and sample validated once.  The walk builds no
-        # conjugation superoperator: each distinct segment's transfer
-        # matrix is built once per process and serves every later run.
+            self, monkeypatch, preset, assembles, expms, segments, validated, monomials):
+        # simulate walks the windows once: one assemble per distinct
+        # generator, one full-window and one sampling-step expm per
+        # distinct (generator, duration), and each boundary state and
+        # sample validated once.  The walk converts no generator to the
+        # Pauli basis and builds no conjugation superoperator: each
+        # distinct shape's monomial matrices and each distinct segment's
+        # transfer matrix are built once per process and serve every
+        # later run.  A pulse shape has 5 monomials (the drive's linear
+        # term; coupling-coupling, coupling-drive, environment-environment
+        # and drive-drive quadratic terms), the delay shape 3.
         sequences.segment_unitary.cache_clear()
         sequences.segment_transfer.cache_clear()
+        master._cached_polynomial.cache_clear()
         calls = counting_calls(monkeypatch, [(evolve, "assemble"), (evolve, "expm"),
-                                             (evolve, "superop_to_pauli"),
+                                             (master, "pauli_transfer"),
                                              (sequences, "conjugation_superop")])
         checked = []
         real = evolve._checked
@@ -339,25 +349,37 @@ class TestDistinctGenerators:
                             lambda rhos, *args: checked.append(len(rhos)) or real(rhos, *args))
         run_preset_point(preset, sampled=True)
         assert (calls["assemble"], calls["expm"]) == (assembles, expms)
-        assert calls["superop_to_pauli"] == assembles
+        assert master._cached_polynomial.cache_info().currsize == assembles
+        assert calls["pauli_transfer"] == monomials
         assert calls["conjugation_superop"] == segments
         assert sum(checked) == validated
         run_preset_point(preset, sampled=True)
-        assert calls["conjugation_superop"] == segments
+        assert (calls["conjugation_superop"], calls["pauli_transfer"]) == (segments, monomials)
+        assert master._cached_polynomial.cache_info().currsize == assembles
 
-    def test_warm_point_makes_two_kronecker_products_per_generator(self, monkeypatch):
-        # once the operator table and the segment transfer matrices exist,
-        # a fig2 sweep point builds no embedded operator and no
-        # conjugation superoperator: its only Kronecker products are the
-        # two of each of its 9 generator assemblies
+    def test_warm_point_builds_no_shape_and_no_kronecker_product(self, monkeypatch):
+        # once the operator table, the segment transfer matrices and the
+        # generator shapes exist, a fig2 sweep point at a new omega_1, J
+        # and tau_c builds no embedded operator, no conjugation
+        # superoperator and no shape: it makes no Kronecker product and no
+        # conversion to the Pauli basis
         run_preset_point("fig2")
+        cfg = load_preset("fig2")
+        before = master._cached_polynomial.cache_info()
         calls = []
         kron = np.kron
         monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
-        embeds = counting_calls(monkeypatch, [(linalg, "embed")])
-        run_preset_point("fig2")
-        assert len(calls) == 2 * 9
-        assert embeds["embed"] == 0
+        counts = counting_calls(monkeypatch, [(linalg, "embed"), (master, "pauli_transfer"),
+                                              (sequences, "superop_to_pauli")])
+        rep = evaluate_point(cfg.chain, cfg.bath, cfg.mode, 1.37 * cfg.omega1,
+                             2 * np.pi * 0.8 * cfg.chain.coupling_j((0, 2)),
+                             0.7 * cfg.bath.tau_c)
+        after = master._cached_polynomial.cache_info()
+        assert 0.0 <= rep.fidelity <= 1.0
+        assert len(calls) == 0
+        assert sum(counts.values()) == 0
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        assert after.hits == before.hits + 9
 
     @pytest.mark.parametrize("preset, assembles, expms",
                              [("fig2", 9, 11), ("fig3", 3, 4)])
@@ -389,6 +411,15 @@ class TestDistinctGenerators:
         np.testing.assert_array_equal(own.channel_pass.final_state,
                                       traj.channel_pass.final_state)
         assert (own.clip_count, own.min_eigenvalue) == (traj.clip_count, traj.min_eigenvalue)
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_presets_clip_no_state(preset):
+    # the pure states at the start of the program carry rounding-level
+    # negative eigenvalues only: nothing to clip
+    _, traj, _ = run_preset_point(preset, sampled=True)
+    assert traj.clip_count == 0
+    assert traj.min_eigenvalue >= -evolve.rounding_floor(8)
 
 
 def transpose_superop(d):
@@ -452,9 +483,9 @@ class TestChannelChecks:
         channel_pass(rho0, windows)  # the undoctored program passes
         first = next(w for w in windows if hasattr(w, "spec"))
         assert sum(w.spec is first.spec for w in windows if hasattr(w, "spec")) == 1
-        # the walk exponentiates the generator's Pauli transfer matrix, so
+        # the walk exponentiates the assembled Pauli transfer generator, so
         # the doctored window enters in that basis too
-        gen = superop_to_pauli(assemble(first.spec))
+        gen = assemble(first.spec)
         real = evolve.expm
         monkeypatch.setattr(evolve, "expm", lambda g, t: (
             superop_to_pauli(superop()) if np.array_equal(g, gen) else real(g, t)))
@@ -474,7 +505,8 @@ class TestChannelChecks:
 
 
 def per_sample_checked(rhos, times):
-    """The per-sample validation the batched check replaced (reference)."""
+    """The per-sample validation the batched check replaced (reference),
+    clipping only below the rounding floor."""
     stats = {"clips": 0, "min_eig": 0.0}
     out = []
     for rho, t in zip(rhos, times):
@@ -487,7 +519,7 @@ def per_sample_checked(rhos, times):
         stats["min_eig"] = min(stats["min_eig"], wmin)
         if wmin < EIG_FLOOR:
             raise PositivityError(t, wmin)
-        if wmin < 0.0:
+        if wmin < -evolve.rounding_floor(len(rho)):
             stats["clips"] += 1
             rho = clip_to_density(rho)
         out.append(rho)
@@ -516,6 +548,19 @@ class TestBatchedChecks:
         want, want_stats = per_sample_checked(rhos, self.TIMES)
         assert stats == want_stats
         assert stats["clips"] >= 3
+        np.testing.assert_array_equal(np.array(got), np.array(want))
+
+    def test_rounding_level_negatives_are_kept(self):
+        # eigenvalues within d * eps below zero are rounding, not states to
+        # repair: kept as they are, uncounted, but seen by min_eig
+        floor = evolve.rounding_floor(8)
+        rhos = state_stack([-0.5 * floor, -0.25 * floor, 0.0, -4 * floor])
+        stats = {"clips": 0, "min_eig": 0.0}
+        got = evolve._checked(rhos, self.TIMES[:4], stats)
+        want, want_stats = per_sample_checked(rhos, self.TIMES[:4])
+        assert stats == want_stats
+        assert stats["clips"] == 1 and stats["min_eig"] < -floor
+        np.testing.assert_array_equal(np.array(got[:3]), rhos[:3])
         np.testing.assert_array_equal(np.array(got), np.array(want))
 
     def test_first_failing_sample_raises(self):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spinswap.master as master
 from spinswap.config import load_preset
 from spinswap.linalg import (
     commutator_superop,
@@ -11,6 +14,7 @@ from spinswap.linalg import (
     left_mult,
     max_norm,
     partial_trace,
+    pauli_to_superop,
     right_mult,
     spin_half_ops,
     unvec,
@@ -28,7 +32,9 @@ from spinswap.model import (
     BathSpec,
     ChainSpec,
     HarmonicComponent,
+    Mechanism,
     system_env_coupling,
+    tagged,
 )
 from spinswap.sequences import compile_program, transport_protocol
 
@@ -128,6 +134,11 @@ class TestRegulator:
 
 def make_bath(omega_se=WSE, tau_c=TAU_C):
     return BathSpec(omega_se, tau_c=tau_c)
+
+
+def assembled(spec):
+    """The assembled generator in column stacking."""
+    return pauli_to_superop(assemble(spec))
 
 
 class TestFirstOrder:
@@ -261,13 +272,13 @@ class TestAssemble:
         return GeneratorSpec(comps, bath, 1e9)
 
     def test_trace_annihilation(self):
-        gen = assemble(self._paper_spec())
+        gen = assembled(self._paper_spec())
         scale = max(max_norm(gen), 1.0)
         tr_vec = vec(identity(2)).conj()
         assert max_norm(tr_vec @ gen) <= 1e-10 * scale
 
     def test_hermiticity_preservation(self):
-        gen = assemble(self._paper_spec())
+        gen = assembled(self._paper_spec())
         rng = np.random.default_rng(21)
         for _ in range(100):
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -277,7 +288,7 @@ class TestAssemble:
             assert max_norm(out - dagger(out)) <= 1e-10 * scale
 
     def test_gkls_valid_at_operating_point(self):
-        evals = np.linalg.eigvalsh(kossakowski_matrix(assemble(self._paper_spec())))
+        evals = np.linalg.eigvalsh(kossakowski_matrix(assembled(self._paper_spec())))
         assert evals.min() >= -1e-9 * max(evals.max(), 1.0)
 
     def test_dissipator_linear_in_tau_c(self):
@@ -304,7 +315,7 @@ class TestAssemble:
         assert norm < 1e-3 * W1
 
     def test_gen_annihilates_trace_of_identity(self):
-        gen = assemble(self._paper_spec())
+        gen = assembled(self._paper_spec())
         out = unvec(gen @ vec(identity(2) / 2))
         assert abs(np.trace(out)) < 1e-10
 
@@ -382,7 +393,7 @@ def reference_dissipator(spec):
 
 def assert_matches_reference(spec, rel=1e-12):
     want = reference_first_order(spec) + reference_dissipator(spec)
-    got = assemble(spec)
+    got = assembled(spec)
     scale = max(max_norm(want), 1e-300)
     assert max_norm(got - want) <= rel * scale
     want_diss = reference_dissipator(spec)
@@ -395,25 +406,45 @@ def random_matrix(rng, d, scale):
     return scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
 
 
-def random_components(rng, nsites, n_static, n_detuned, env_sites, coherent):
+def component(op, freq, env_site=None, env_op=None, coherent=True, mechanism=None,
+              scale=1.0):
+    """An untagged component, or with `mechanism` one of that mechanism at
+    `scale`, its label naming the unit operator and environment factor by
+    their bytes."""
+    if mechanism is None:
+        return HarmonicComponent(op, freq, env_site, env_op, coherent)
+    unit = op / scale
+    label = (unit.tobytes(), None if env_op is None else env_op.tobytes())
+    return tagged(mechanism, label, unit, scale, freq, env_site, env_op, coherent)
+
+
+def random_components(rng, nsites, n_static, n_detuned, env_sites, coherent,
+                      tag=False):
     """System-only Hermitian terms at zero frequency, detuned conjugate
-    pairs, and two environment-coupled components per listed site."""
+    pairs, and two environment-coupled components per listed site.  With
+    `tag` they are coupling, drive and environment components, each
+    mechanism at a random scale of its own."""
     d = 2**nsites
+    scales = rng.uniform(0.5, 2.0, size=3) * np.array([W1, W1, WSE])
+    mech = dict(zip(("static", "detuned", "env"),
+                    zip((Mechanism.COUPLING, Mechanism.DRIVE, Mechanism.ENVIRONMENT),
+                        scales)))
+    kind = (lambda k: dict(zip(("mechanism", "scale"), mech[k]))) if tag else (lambda k: {})
     comps = []
     for _ in range(n_static):
         m = random_matrix(rng, d, W1)
-        comps.append(HarmonicComponent(m + dagger(m), 0.0, coherent=coherent))
+        comps.append(component(m + dagger(m), 0.0, coherent=coherent, **kind("static")))
     for _ in range(n_detuned):
         up = random_matrix(rng, d, W1)
         f = rng.uniform(-5, 5) / TAU_C
-        comps.append(HarmonicComponent(up, -f, coherent=coherent))
-        comps.append(HarmonicComponent(dagger(up), f, coherent=coherent))
+        comps.append(component(up, -f, coherent=coherent, **kind("detuned")))
+        comps.append(component(dagger(up), f, coherent=coherent, **kind("detuned")))
     for k in env_sites:
         e = random_matrix(rng, 2, 1.0)
         f = rng.uniform(-1, 1) / TAU_C
         amp = WSE * rng.uniform(0.1, 1.0)
-        comps.append(HarmonicComponent(amp * embed(IP, k, nsites), f, k, e))
-        comps.append(HarmonicComponent(amp * embed(IM, k, nsites), -f, k, dagger(e)))
+        comps.append(component(amp * embed(IP, k, nsites), f, k, e, **kind("env")))
+        comps.append(component(amp * embed(IM, k, nsites), -f, k, dagger(e), **kind("env")))
     return comps
 
 
@@ -435,12 +466,17 @@ class TestVectorizedAssembly:
         env_sites=st.lists(st.integers(0, 1), max_size=3),
         coherent=st.booleans(),
         cut=st.floats(0.0, 1.0),
+        tag=st.booleans(),
     )
     def test_equals_per_pair_loop(self, seed, nsites, n_static, n_detuned,
-                                  env_sites, coherent, cut):
+                                  env_sites, coherent, cut, tag):
+        # the polynomial form, untagged (one group at scale 1, no cache) and
+        # tagged (three mechanisms at their own scales, cached shape),
+        # against the per-pair oracle: detuned pairs weigh in with a
+        # complex g, and the random cutoffs drop some pairs
         rng = np.random.default_rng(seed)
         sites = [k % nsites for k in env_sites]
-        comps = random_components(rng, nsites, n_static, n_detuned, sites, coherent)
+        comps = random_components(rng, nsites, n_static, n_detuned, sites, coherent, tag)
         if not comps:
             comps = [HarmonicComponent(np.zeros((2**nsites,) * 2), 0.0)]
         # a cutoff between two distinct combined frequencies |f_a + f_b|
@@ -449,7 +485,18 @@ class TestVectorizedAssembly:
         edges = np.concatenate([sums, [2 * sums[-1] + 1.0]])
         k = min(int(cut * len(sums)), len(sums) - 1)
         cutoff = 0.5 * (edges[k] + edges[k + 1])
-        assert_matches_reference(GeneratorSpec(tuple(comps), make_bath(), cutoff))
+        spec = GeneratorSpec(tuple(comps), make_bath(), cutoff)
+        assert (spec.shape().key is not None) == (tag and comps[0].label is not None)
+        assert_matches_reference(spec)
+        # a second tau_c reuses the cached shape; flipped coherent flags and
+        # another cutoff are other shapes
+        other = GeneratorSpec(tuple(comps), make_bath(tau_c=2.7 * TAU_C), cutoff)
+        assert_matches_reference(other)
+        flipped = tuple(replace(c, coherent=not c.coherent) for c in comps)
+        assert_matches_reference(GeneratorSpec(flipped, make_bath(), cutoff))
+        k2 = (k + 1) % len(sums)
+        assert_matches_reference(
+            GeneratorSpec(tuple(comps), make_bath(), 0.5 * (edges[k2] + edges[k2 + 1])))
 
     @pytest.mark.parametrize("preset, distinct", [("fig2", 9), ("fig3", 3)])
     def test_equals_per_pair_loop_on_presets(self, preset, distinct):
@@ -458,14 +505,39 @@ class TestVectorizedAssembly:
         for spec in specs:
             assert_matches_reference(spec)
 
-    def test_two_kronecker_products_per_generator(self, monkeypatch):
+    def test_warm_assemble_makes_no_kronecker_product(self, monkeypatch):
+        # a cached shape leaves only its linear combination to assemble
+        specs = preset_specs("fig2")
+        for spec in specs:
+            assemble(spec)
         calls = []
         kron = np.kron
         monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
-        for spec in preset_specs("fig2"):
-            calls.clear()
-            assemble(spec)
-            assert len(calls) == 2
+        monkeypatch.setattr(master, "pauli_transfer", lambda s: calls.append(1))
+        for spec in specs:
+            assert assemble(spec).dtype == np.float64
+        assert calls == []
+
+    def test_shapes_are_keyed_by_descriptors(self):
+        # a new amplitude, coupling and tau_c give new specs of the same
+        # shapes; new pulse phases give new pulse shapes
+        cfg = load_preset("fig2")
+        chain = replace(cfg.chain, couplings=tuple((a, b, 2.3 * j)
+                                                   for a, b, j in cfg.chain.couplings))
+        bath = BathSpec(cfg.bath.omega_se, tau_c=0.6 * cfg.bath.tau_c)
+        program = transport_protocol(chain, 1.7 * cfg.omega1, cfg.mode)
+        windows = compile_program(program, chain, bath, cfg.mode)
+        specs = list({id(w.spec): w.spec for w in windows if hasattr(w, "spec")}.values())
+        assert [s.shape() for s in specs] == [s.shape() for s in preset_specs("fig2")]
+        assert len({s.shape() for s in specs}) == 9
+        shifted = replace(program, segments=tuple(
+            replace(seg, phase=seg.phase + 0.25) if hasattr(seg, "phase") else seg
+            for seg in program.segments))
+        windows = compile_program(shifted, chain, bath, cfg.mode)
+        shapes = {w.spec.shape() for w in windows if hasattr(w, "spec")}
+        # only the delay windows' shape, which has no drive, is shared
+        assert len(shapes) == 9
+        assert len(shapes & {s.shape() for s in specs}) == 1
 
     def test_non_hermitian_coherent_hamiltonian_raises(self):
         # I+ alone is not closed under conjugation
@@ -474,3 +546,26 @@ class TestVectorizedAssembly:
             assemble(spec)
         with pytest.raises(ValueError, match="not Hermitian"):
             first_order_generator(spec)
+        # tagged: raised when the shape is built, at unit scale
+        drive = component(W1 * IP, 0.0, mechanism=Mechanism.DRIVE, scale=W1)
+        with pytest.raises(ValueError, match="Hamiltonian not Hermitian"):
+            assemble(GeneratorSpec((drive,), make_bath(), 1e9))
+
+    @pytest.mark.parametrize("tag", [False, True])
+    def test_non_hermiticity_preserving_dissipator_raises(self, tag):
+        # I+ alone, kept out of the first order: its self pair gives
+        # rho -> 2 g I+ rho I+, which does not preserve Hermiticity; its
+        # Pauli transfer matrix stays complex, and so does the combination
+        # with the complex g of a detuned frequency
+        kind = {"mechanism": Mechanism.DRIVE, "scale": W1} if tag else {}
+        for freq in (0.0, 0.3 / TAU_C):
+            comp = component(W1 * IP, freq, coherent=False, **kind)
+            spec = GeneratorSpec((comp,), make_bath(), 1e9)
+            with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+                assemble(spec)
+
+    def test_one_scale_per_mechanism(self):
+        a = component(W1 * IX, 0.0, mechanism=Mechanism.DRIVE, scale=W1)
+        b = component(W1 * IY, 0.0, mechanism=Mechanism.DRIVE, scale=2 * W1)
+        with pytest.raises(ValueError, match="different scales"):
+            GeneratorSpec((a, b), make_bath(), 1e9)

@@ -280,6 +280,34 @@ class TestCompile:
         ]
         assert len(coupling_comps) == 1  # coupling still feeds the dissipator
 
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_preset_components_carry_their_mechanism(self, preset):
+        # every component of a preset program is tagged where it is built:
+        # the coupling at 2 pi J, the drive at omega_1, the environment at
+        # omega_SE, each the scale times its labelled unit operator
+        from spinswap.config import load_preset
+        from spinswap.model import Mechanism
+
+        cfg = load_preset(preset)
+        program = transport_protocol(cfg.chain, cfg.omega1, cfg.mode,
+                                     refocus=cfg.refocusing)
+        windows = compile_program(program, cfg.chain, cfg.bath, cfg.mode)
+        scales = {Mechanism.COUPLING: 2 * np.pi * cfg.chain.coupling_j((0, 2)),
+                  Mechanism.DRIVE: cfg.omega1, Mechanism.ENVIRONMENT: cfg.bath.omega_se}
+        assert len(windows) == len(program.segments)
+        for seg, w in zip(program.segments, windows):
+            if not isinstance(w, GeneratorWindow):
+                continue
+            mechanisms = [c.mechanism for c in w.spec.components]
+            assert mechanisms.count(Mechanism.COUPLING) == 1
+            assert mechanisms.count(Mechanism.ENVIRONMENT) == 2 * cfg.chain.nsites
+            assert mechanisms.count(Mechanism.DRIVE) == isinstance(seg, SquarePulse)
+            for c in w.spec.components:
+                assert c.label is not None
+                assert c.scale == scales[c.mechanism]
+                assert c.has_env == (c.mechanism is Mechanism.ENVIRONMENT)
+                np.testing.assert_array_equal(c.op, c.scale * c.unit)
+
     def test_ideal_pi_window_is_exact_unitary(self):
         prog = PulseProgram((IdealPi("x", 1),))
         windows = compile_program(prog, CHAIN3, self.bath, MODE)

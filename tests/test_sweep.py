@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinswap.linalg as linalg
+import spinswap.master as master
+import spinswap.model as model
 import spinswap.sequences as sequences
 from spinswap.model import (
     BathSpec,
@@ -23,6 +25,7 @@ from spinswap.sweep import (
     run_sweep,
     summary_dict,
 )
+from spinswap.sequences import transport_protocol
 
 J = 1.5e5
 W1 = 2 * np.pi * 1.5e5
@@ -96,8 +99,8 @@ class TestRunSweep:
     def test_any_worker_count_gives_the_same_records(self, shape, omega1_scale,
                                                      wse_tauc, step):
         # with the caches emptied first, each pool worker builds its own
-        # Pauli basis, operator table and segment transfer matrices; the
-        # records must not notice
+        # Pauli basis, operator table, unit operators, segment transfer
+        # matrices and generator shapes; the records must not notice
         n_w1, n_tc = shape
         grid = small_grid(
             omega1_values=tuple(omega1_scale * W1 * step**k for k in range(n_w1)),
@@ -105,13 +108,29 @@ class TestRunSweep:
         )
         for cached in (linalg.site_operators, linalg.pauli_strings,
                        linalg._pauli_vec_basis, sequences.segment_unitary,
-                       sequences.segment_transfer):
+                       sequences.segment_transfer, model._dipolar_unit,
+                       model._coupling_unit, model._drive_units,
+                       model._env_components, master._cached_polynomial):
             cached.cache_clear()
         parallel = run_sweep(grid, workers=2)
         serial = run_sweep(grid, workers=1)
         # repr keeps NaN fields comparable and every float exact
         assert ([repr(replace(r, wall_time=0.0)) for r in serial]
                 == [repr(replace(r, wall_time=0.0)) for r in parallel])
+
+    def test_records_carry_the_transfer_time(self):
+        # the protocol's duration at each point's omega_1 and J, from any
+        # worker count
+        grid = small_grid()
+        chain = replace(CHAIN3, couplings=tuple(
+            (a, b, grid.omegaD_values[0] / (2 * np.pi)) for a, b, _ in CHAIN3.couplings))
+        want = [transport_protocol(chain, w1, MODE).total_duration
+                for w1 in grid.omega1_values]
+        assert want[0] != want[1]
+        for workers in (1, 2):
+            records = run_sweep(grid, workers=workers)
+            assert [r.transfer_time_s for r in records] == want
+        assert summary_dict(records)["records"][1]["transfer_time_s"] == want[1]
 
     def test_removing_a_point_removes_only_that_record(self):
         full = run_sweep(small_grid(), workers=1)
@@ -129,6 +148,7 @@ class TestRunSweep:
         assert all(r.status.startswith("failed(") for r in records)
         assert all("spins 1 and 3" in r.error for r in records)
         assert all(np.isnan(r.fidelity) for r in records)
+        assert all(np.isnan(r.transfer_time_s) for r in records)
 
     def test_scaled_columns(self):
         records = run_sweep(small_grid(omega1_values=(W1,)), workers=1)
