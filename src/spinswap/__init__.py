@@ -13,12 +13,11 @@ from .linalg import (
     unvec,
     vec,
 )
-from .master import GeneratorSpec, assemble, regulator_integral
+from .master import GeneratorSpec, assemble
 from .metrics import TransferReport, concurrence, report, state_fidelity, swap_efficiency
 from .model import (
     BathSpec,
     ChainSpec,
-    DriveSpec,
     HarmonicComponent,
     Mechanism,
     Regime,

@@ -337,34 +337,18 @@ def _pauli_vec_basis(dim2: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only(b), read_only(np.ascontiguousarray(b.conj().T))
 
 
-def pauli_transfer(superop: np.ndarray) -> np.ndarray:
-    """Complex Pauli transfer matrix B^dag S B of a column-stacking
+def superop_to_pauli(superop: np.ndarray) -> np.ndarray:
+    """Real Pauli transfer matrix B^dag S B of a column-stacking
     superoperator S, B the vectorized Pauli-string basis; entry (i, j) is
-    Tr(P_i S(P_j)).  It is real iff S preserves Hermiticity."""
-    b, b_dag = _pauli_vec_basis(superop.shape[0])
-    return b_dag @ superop @ b
-
-
-def is_real_transfer(r: np.ndarray) -> bool:
-    """Whether the imaginary residue of a Pauli transfer matrix lies within
-    PAULI_REAL_TOL relative to its largest entry."""
-    return max_norm(r.imag) <= PAULI_REAL_TOL * max_norm(r)
-
-
-def real_transfer(r: np.ndarray) -> np.ndarray:
-    """The real part of a Pauli transfer matrix, contiguous.  Raises
+    Tr(P_i S(P_j)).  It is real iff S preserves Hermiticity: raises
     ValueError if its imaginary residue exceeds PAULI_REAL_TOL relative to
-    its largest entry, which means the map does not preserve Hermiticity."""
-    if not is_real_transfer(r):
+    its largest entry."""
+    b, b_dag = _pauli_vec_basis(superop.shape[0])
+    r = b_dag @ superop @ b
+    if not max_norm(r.imag) <= PAULI_REAL_TOL * max_norm(r):  # NaN fails too
         raise ValueError(f"superoperator does not preserve Hermiticity: imaginary "
                          f"Pauli transfer residue {max_norm(r.imag):.3e}")
     return np.ascontiguousarray(r.real)
-
-
-def superop_to_pauli(superop: np.ndarray) -> np.ndarray:
-    """Real Pauli transfer matrix of a column-stacking superoperator that
-    preserves Hermiticity (`pauli_transfer`, checked by `real_transfer`)."""
-    return real_transfer(pauli_transfer(superop))
 
 
 def pauli_to_superop(transfer: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Physical model of the dipolar-coupled spin chain and its environment.
 
 Builds the rotating-frame Hamiltonians in the two secular regimes, the
-drive terms, and the per-spin couplings to local two-level environments,
-all decomposed into harmonic components (operator, oscillation frequency)
-for consumption by the master-equation engine.  Every component the
-builders here make is tagged with its mechanism (coupling, drive or
-system-environment) and is a scale times a unit operator named exactly by
-a label, so that the engine can build its generator structure once per
-label and combine it per parameter point (see `master`).
+resonant drive terms, and the per-spin couplings to local two-level
+environments, all decomposed into harmonic components for consumption by
+the master-equation engine.  In the frame rotating at each spin's own
+Larmor frequency every component is static (zero frequency).  Each is
+tagged with its mechanism (coupling, drive or system-environment) and is a
+scale times a unit operator named exactly by a label, so that the engine
+can build its generator structure once per label and combine it per
+parameter point (see `master`).
 
 Units: Larmor frequencies, drive amplitudes and the system-environment
 strength are angular frequencies in rad/s; dipolar couplings J are plain
@@ -27,8 +28,6 @@ from .linalg import read_only, site_operators, spin_half_ops
 
 # Environment raising/lowering operators for the local two-level baths.
 ENV_PLUS, ENV_MINUS = (read_only(e) for e in spin_half_ops()[3:])
-
-RESONANCE_TOL = 1e-6  # rad/s; carriers closer than this count as on-resonance
 
 TAU_C_KAPPA_REL_TOL = 1e-9
 
@@ -55,11 +54,13 @@ class Regime(enum.Enum):
 class SecularMode:
     """Secular-regime selection with its coarse-graining window.
 
-    `coarse_grain_dt` is the averaging time Delta-t that both drives the
-    auto regime rule (|delta omega_0| * dt < 1 selects the zero-quantum
-    coupling) and sets the secular cutoff 1/dt of the dissipator.  A
-    config that gives none gets `default_coarse_grain_dt` when it is read
-    (`config.parse_config`), so every run shares one resolved window.
+    `coarse_grain_dt` is the averaging time Delta-t of the auto regime
+    rule: |delta omega_0| * dt < 1 selects the zero-quantum coupling for a
+    pair.  It resolves the coupling regime only; every generator component
+    is static in the rotating frame, so no secular cutoff applies to the
+    dissipator.  A config that gives none gets `default_coarse_grain_dt`
+    when it is read (`config.parse_config`), so every run shares one
+    resolved window.
     """
 
     regime: Regime
@@ -168,69 +169,39 @@ class BathSpec:
 
 
 @dataclass(frozen=True)
-class DriveSpec:
-    """One square-drive term: amplitude omega_1, carrier, phase, targets."""
-
-    amplitude: float  # rad/s
-    carrier: float  # rad/s
-    phase: float = 0.0  # rad
-    targets: tuple[int, ...] = (0,)
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("drive amplitude must be >= 0")
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-
-
-@dataclass(frozen=True)
 class HarmonicComponent:
-    """One term A * exp(-i freq t) of the interaction-frame Hamiltonian.
+    """One static term of the rotating-frame interaction Hamiltonian, the
+    `scale` of its `mechanism` times a `unit` operator.
 
-    Component lists are kept closed under Hermitian conjugation, so the sum
-    of all components is Hermitian at every time.  Components that act on a
-    local environment carry the environment factor separately (`env_site`,
-    `env_op`); `op` is always a system-space operator.
+    `label` is hashable and names the unit operator and the environment
+    factor exactly, so equal labels mean bitwise-equal units.  Component
+    lists are kept closed under Hermitian conjugation, so the sum of all
+    components is Hermitian.  Components that act on a local environment
+    carry the environment factor separately (`env_site`, `env_op`); `unit`
+    is always a system-space operator.
 
     `coherent=False` keeps a component out of the first-order commutator
     while it still feeds the second-order dissipator; the compiler uses
     this for the always-on couplings during hard pulses, whose coherent
     action is applied exactly by the pulse algebra.
-
-    A tagged component (see `tagged`) also carries its `mechanism`, its
-    `unit` operator with op = scale * unit, and a hashable `label` that
-    names the unit operator and the environment factor exactly, so equal
-    labels mean bitwise-equal units.  An untagged component is its own
-    unit at scale 1.
     """
 
-    op: np.ndarray
-    freq: float  # rad/s
+    mechanism: Mechanism
+    label: tuple
+    unit: np.ndarray
+    scale: float
     env_site: int | None = None
     env_op: np.ndarray | None = None
     coherent: bool = True
-    mechanism: Mechanism | None = None
-    label: tuple | None = None
-    unit: np.ndarray | None = None
-    scale: float = 1.0
 
-    def __post_init__(self):
-        if self.label is not None and (self.unit is None or self.mechanism is None):
-            raise ValueError("a labelled component needs its mechanism and unit operator")
-        if self.unit is None and self.scale != 1.0:
-            raise ValueError("a scaled component needs its unit operator")
+    @property
+    def op(self) -> np.ndarray:
+        """The component's operator, scale * unit."""
+        return self.scale * self.unit
 
     @property
     def has_env(self) -> bool:
         return self.env_site is not None
-
-
-def tagged(mechanism: Mechanism, label: tuple, unit: np.ndarray, scale: float,
-           freq: float, env_site: int | None = None, env_op: np.ndarray | None = None,
-           coherent: bool = True) -> HarmonicComponent:
-    """Component scale * unit of `mechanism`; `label` must name `unit` (and
-    the environment factor) exactly."""
-    return HarmonicComponent(read_only(scale * unit), freq, env_site, env_op, coherent,
-                             mechanism, label, unit, float(scale))
 
 
 # Unit operators depend only on their labels, never on the parameter
@@ -260,14 +231,10 @@ def _coupling_unit(terms: tuple, nsites: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _drive_units(site: int, phase: float, nsites: int) -> tuple[np.ndarray, ...]:
-    """Ix cos phi + Iy sin phi, U = exp(-i phi) I+ / 2 and U^dag on one
-    site, read-only: the resonant drive axis and the two rotating halves of
-    an off-resonant one."""
+def _drive_axis(site: int, phase: float, nsites: int) -> np.ndarray:
+    """Ix cos phi + Iy sin phi on one site, read-only."""
     ops = site_operators(nsites)
-    axis = np.cos(phase) * ops.x[site] + np.sin(phase) * ops.y[site]
-    up = 0.5 * np.exp(-1j * phase) * ops.plus[site]
-    return read_only(axis), read_only(up), read_only(up.conj().T)
+    return read_only(np.cos(phase) * ops.x[site] + np.sin(phase) * ops.y[site])
 
 
 def dipolar_hamiltonian(pair, j_hz: float, regime: Regime, nsites: int) -> np.ndarray:
@@ -314,8 +281,8 @@ def coupling_component(chain: ChainSpec, mode: SecularMode) -> HarmonicComponent
         return None
     terms = tuple((a, b, resolve_secular_mode(mode, (a, b), chain).value, jp / j)
                   for a, b, jp in chain.couplings if jp > 0)
-    return tagged(Mechanism.COUPLING, terms, _coupling_unit(terms, chain.nsites),
-                  2.0 * np.pi * j, 0.0)
+    return HarmonicComponent(Mechanism.COUPLING, terms,
+                             _coupling_unit(terms, chain.nsites), 2.0 * np.pi * j)
 
 
 def default_coarse_grain_dt(bath: BathSpec, omega1: float) -> float:
@@ -333,32 +300,26 @@ def default_coarse_grain_dt(bath: BathSpec, omega1: float) -> float:
     return float(max(np.sqrt(bath.tau_c / fast), 0.1 / fast))
 
 
-def drive_hamiltonian(drive: DriveSpec, chain: ChainSpec) -> list[HarmonicComponent]:
-    """Harmonic components of the drive after the rotating-wave approximation.
+def drive_hamiltonian(amplitude: float, phase: float, targets,
+                      chain: ChainSpec) -> list[HarmonicComponent]:
+    """Harmonic components of a resonant square drive after the
+    rotating-wave approximation.
 
     Expressed in the frame rotating at each spin's own Larmor frequency
-    (the frame the propagation layer uses): a resonant target contributes
-    a static omega_1 (Ix cos phi + Iy sin phi), an off-resonant one a
-    conjugate pair oscillating at its residual frequency omega - omega_0^k.
-    Counter-rotating terms at 2*omega are dropped unconditionally.  Every
-    component has scale omega_1.
+    (the frame the propagation layer uses), where the drive is resonant
+    with every target: each target k contributes the static
+    omega_1 (Ix^k cos phi + Iy^k sin phi), with scale omega_1 = `amplitude`
+    (rad/s) and phase phi (rad).  Counter-rotating terms at 2*omega are
+    dropped; a zero amplitude gives no component.
     """
     n = chain.nsites
     comps: list[HarmonicComponent] = []
-    for k in drive.targets:
+    for k in targets:
         if not 0 <= k < n:
             raise ValueError(f"drive target {k} out of range")
-        det = chain.larmor[k] - drive.carrier
-        if drive.amplitude > 0:
-            axis, up, down = _drive_units(k, drive.phase, n)
-            if abs(det) <= RESONANCE_TOL:
-                comps.append(tagged(Mechanism.DRIVE, (k, drive.phase, "axis"), axis,
-                                    drive.amplitude, 0.0))
-            else:
-                comps.append(tagged(Mechanism.DRIVE, (k, drive.phase, "up"), up,
-                                    drive.amplitude, -det))
-                comps.append(tagged(Mechanism.DRIVE, (k, drive.phase, "down"), down,
-                                    drive.amplitude, det))
+        if amplitude > 0:
+            comps.append(HarmonicComponent(Mechanism.DRIVE, (k, phase),
+                                           _drive_axis(k, phase, n), amplitude))
     return comps
 
 
@@ -380,8 +341,8 @@ def _env_components(nsites: int, omega_se: float) -> tuple[HarmonicComponent, ..
     ops = site_operators(nsites)
     comps = []
     for k in range(nsites):
-        comps.append(tagged(Mechanism.ENVIRONMENT, (k, "plus"), read_only(0.5 * ops.plus[k]),
-                            omega_se, 0.0, k, ENV_MINUS))
-        comps.append(tagged(Mechanism.ENVIRONMENT, (k, "minus"), read_only(0.5 * ops.minus[k]),
-                            omega_se, 0.0, k, ENV_PLUS))
+        comps.append(HarmonicComponent(Mechanism.ENVIRONMENT, (k, "plus"),
+                                       read_only(0.5 * ops.plus[k]), omega_se, k, ENV_MINUS))
+        comps.append(HarmonicComponent(Mechanism.ENVIRONMENT, (k, "minus"),
+                                       read_only(0.5 * ops.minus[k]), omega_se, k, ENV_PLUS))
     return tuple(comps)

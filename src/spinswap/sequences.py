@@ -15,9 +15,9 @@ The identical-pair sequence drives only the first spin of the pair.
 
 Compilation turns a program into piecewise-constant evolution windows for
 the master-equation engine.  All windows are expressed in the frame
-rotating at each spin's own Larmor frequency, which makes every
-on-resonance window time-independent and needs no stitching corrections
-between windows; pulse carriers default to the target's Larmor frequency.
+rotating at each spin's own Larmor frequency, which makes every window
+time-independent and needs no stitching corrections between windows;
+every pulse is resonant with each of its targets.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .master import GeneratorSpec
 from .model import (
     BathSpec,
     ChainSpec,
-    DriveSpec,
-    HarmonicComponent,
     Regime,
     SecularMode,
     TimescaleSeparationWarning,
@@ -52,19 +50,20 @@ U_SWAP = np.array(
 
 @dataclass(frozen=True)
 class SquarePulse:
-    """Square drive pulse on `targets` about the axis at azimuth `phase`.
+    """Square drive pulse on `targets` about the axis at azimuth `phase`,
+    resonant with each target's Larmor frequency.
 
-    duration * amplitude is the flip angle; carrier None means resonant
-    with each target's Larmor frequency.
+    duration * amplitude is the flip angle.
     """
 
     amplitude: float  # rad/s
     phase: float  # rad
     targets: tuple[int, ...]
     duration: float  # s
-    carrier: float | None = None  # rad/s
 
     def __post_init__(self):
+        if self.amplitude < 0:
+            raise ValueError("drive amplitude must be >= 0")
         if self.duration < 0:
             raise ValueError("pulse duration must be >= 0")
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
@@ -347,15 +346,32 @@ def segment_transfer(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
     return r
 
 
+def _check_targets(program: PulseProgram, nsites: int) -> None:
+    """Raise ValueError naming the first segment whose target lies outside
+    an `nsites` register (negative indices included)."""
+    for seg in program.segments:
+        if isinstance(seg, SquarePulse):
+            targets = seg.targets
+        elif isinstance(seg, (VirtualZ, IdealPi)):
+            targets = (seg.target,)
+        else:
+            continue
+        if any(not 0 <= t < nsites for t in targets):
+            raise ValueError(f"segment {seg!r} targets a site outside the "
+                             f"register of nsites = {nsites}")
+
+
 def ideal_propagator(program: PulseProgram, chain: ChainSpec,
                      mode: SecularMode) -> np.ndarray:
     """Closed-evolution propagator with hard (instantaneous) pulses.
 
     Square pulses apply their full flip angle as an exact rotation with the
     coupling frozen; delays evolve under the secular couplings alone.  This
-    is the reference the gate checks compare against.
+    is the reference the gate checks compare against.  Raises ValueError
+    for a segment that targets a site outside the chain.
     """
     n = chain.nsites
+    _check_targets(program, n)
     coupling = coupling_component(chain, mode)
     u = np.eye(2**n, dtype=complex)
     for seg in program.segments:
@@ -409,15 +425,17 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
     they evolve the state at first order and feed the regulated dissipator
     at second order, alongside the drive, plus the system-environment
     components; square-pulse windows add the drive components of their
-    targets.  Virtual-z and ideal-pi segments become exact zero-duration
-    unitary windows, whose unitary and transfer matrix come from
-    per-segment caches (`segment_unitary`, `segment_transfer`).
+    targets, resonant with each.  Virtual-z and ideal-pi segments become
+    exact zero-duration unitary windows, whose unitary and transfer matrix
+    come from per-segment caches (`segment_unitary`, `segment_transfer`).
 
-    The secular cutoff is the inverse of the mode's coarse-graining
-    window.  The timescale check uses the largest pulse amplitude as
-    omega_1.
+    The mode's coarse-graining window only resolves the coupling regime of
+    each pair.  The timescale check uses the largest pulse amplitude as
+    omega_1.  Raises ValueError for a segment that targets a site outside
+    the chain.
     """
     n = chain.nsites
+    _check_targets(program, n)
     omega1 = max(
         (s.amplitude for s in program.segments if isinstance(s, SquarePulse)),
         default=0.0,
@@ -429,8 +447,6 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
             TimescaleSeparationWarning,
             stacklevel=2,
         )
-    cutoff = 1.0 / mode.coarse_grain_dt
-
     env_comps = tuple(system_env_coupling(chain, bath))
     coupling = coupling_component(chain, mode)
     # couplings evolve the state during delays; during hard pulses their
@@ -443,29 +459,21 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
         pulse_comps = (replace(coupling, coherent=False),) + env_comps
 
     def pulse_spec(seg: SquarePulse) -> GeneratorSpec:
-        comps: list[HarmonicComponent] = list(pulse_comps)
-        if seg.carrier is None:
-            # resonant with each target in the per-spin rotating frame
-            for t in seg.targets:
-                drive = DriveSpec(seg.amplitude, chain.larmor[t], seg.phase, (t,))
-                comps.extend(drive_hamiltonian(drive, chain))
-        else:
-            drive = DriveSpec(seg.amplitude, seg.carrier, seg.phase, seg.targets)
-            comps.extend(drive_hamiltonian(drive, chain))
-        return GeneratorSpec(tuple(comps), bath, cutoff)
+        drive = drive_hamiltonian(seg.amplitude, seg.phase, seg.targets, chain)
+        return GeneratorSpec(pulse_comps + tuple(drive), bath)
 
     # One spec object per distinct generator: all delays share one, and
-    # pulses share one per drive (amplitude, phase, targets, carrier), so
-    # a channel pass can assemble each generator once.
+    # pulses share one per drive (amplitude, phase, targets), so a channel
+    # pass can assemble each generator once.
     specs: dict = {}
     windows: list[Window] = []
     for seg in program.segments:
         if isinstance(seg, Delay):
             if "delay" not in specs:
-                specs["delay"] = GeneratorSpec(delay_comps, bath, cutoff)
+                specs["delay"] = GeneratorSpec(delay_comps, bath)
             windows.append(GeneratorWindow(specs["delay"], seg.duration))
         elif isinstance(seg, SquarePulse):
-            key = (seg.amplitude, seg.phase, seg.targets, seg.carrier)
+            key = (seg.amplitude, seg.phase, seg.targets)
             if key not in specs:
                 specs[key] = pulse_spec(seg)
             windows.append(GeneratorWindow(specs[key], seg.duration))
@@ -488,7 +496,8 @@ def _segment_record(seg: Segment) -> dict:
             "phase_rad": seg.phase,
             "targets": list(seg.targets),
             "duration_s": seg.duration,
-            "carrier_rad_per_s": seg.carrier,
+            # kept for the record format: every pulse is resonant
+            "carrier_rad_per_s": None,
         }
     if isinstance(seg, Delay):
         return {"kind": "delay", "duration_s": seg.duration}
@@ -502,12 +511,15 @@ def _segment_record(seg: Segment) -> dict:
 def _segment_from_record(rec: dict) -> Segment:
     kind = rec["kind"]
     if kind == "square_pulse":
+        carrier = rec.get("carrier_rad_per_s")
+        if carrier is not None:
+            raise ValueError(f"square pulse carrier_rad_per_s = {carrier!r} is not "
+                             "supported: pulses are resonant with each target")
         return SquarePulse(
             rec["amplitude_rad_per_s"],
             rec["phase_rad"],
             tuple(rec["targets"]),
             rec["duration_s"],
-            rec.get("carrier_rad_per_s"),
         )
     if kind == "delay":
         return Delay(rec["duration_s"])

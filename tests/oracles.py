@@ -1,0 +1,123 @@
+"""Independent reference forms of the master-equation generator.
+
+The production engine (`spinswap.master`) builds each generator as a
+polynomial over cached Pauli transfer matrices.  The forms here share none
+of its code: a per-pair Kronecker loop in column stacking, a brute-force
+trace over explicit local environments with a quadrature of the memory
+integral, and the Kossakowski matrix that certifies GKLS form.  Every
+component is static (zero frequency) in the rotating frame, so the
+regulated kernel weighs every pair with tau_c.
+"""
+
+import numpy as np
+
+from spinswap.linalg import (
+    commutator_superop,
+    dagger,
+    identity,
+    partial_trace,
+    pauli_strings,
+    vec,
+)
+
+
+def kossakowski_matrix(gen: np.ndarray) -> np.ndarray:
+    """Kossakowski matrix of a generator over normalized traceless Paulis.
+
+    Writing the generator as -i[H,.] + sum_ij a_ij (F_i . F_j - {F_j F_i, .}/2)
+    over the Hermitian orthonormal traceless basis {F_i}, the coefficient
+    matrix a is recovered by Hilbert-Schmidt projection; Hamiltonian and
+    anticommutator parts project out because the F_i are traceless.
+    Positive semidefiniteness of `a` certifies GKLS form.
+    """
+    d2 = gen.shape[0]
+    d = int(round(np.sqrt(d2)))
+    n = int(round(np.log2(d)))
+    if 2**n != d:
+        raise ValueError("Kossakowski extraction expects a qubit register")
+    fs = pauli_strings(n, traceless=True)
+    s4 = gen.reshape(d, d, d, d)
+    # a_ij = sum F_j[b,d] F_i[c,a] S4[b,a,d,c]
+    a = np.einsum("jbd,ica,badc->ij", fs, fs, s4, optimize=True)
+    return 0.5 * (a + a.conj().T)
+
+
+def brute_force_dissipator(comps, tau_c, sys_dim, upper=20.0, steps_per_tau=200):
+    """Second order from explicit local environments and a trapezoid
+    quadrature of the memory integral (step tau_c/steps_per_tau, upper
+    limit upper*tau_c), in column stacking."""
+    env_sites = sorted({c.env_site for c in comps if c.has_env})
+    n_env = len(env_sites)
+    env_dim = 2**n_env
+
+    def joint(c):
+        op = np.kron(c.op, identity(env_dim))
+        if c.has_env:
+            pos = env_sites.index(c.env_site)
+            factors = [identity(2)] * n_env
+            factors[pos] = c.env_op
+            env = factors[0]
+            for f in factors[1:]:
+                env = np.kron(env, f)
+            op = np.kron(c.op, env)
+        return op
+
+    rho_env = identity(env_dim) / env_dim
+    taus = np.arange(0, int(upper * steps_per_tau) + 1) * (tau_c / steps_per_tau)
+    g = np.trapezoid(np.exp(-taus / tau_c), taus)
+
+    diss = np.zeros((sys_dim**2, sys_dim**2), dtype=complex)
+    joints = [joint(c) for c in comps]
+    for aj in joints:
+        for bj in joints:
+            # map on system space, one basis matrix at a time
+            for i in range(sys_dim):
+                for j in range(sys_dim):
+                    e = np.zeros((sys_dim, sys_dim), dtype=complex)
+                    e[i, j] = 1.0
+                    full = np.kron(e, rho_env)
+                    inner = bj @ full - full @ bj
+                    outer = aj @ inner - inner @ aj
+                    reduced = partial_trace(outer, (0,), (sys_dim, env_dim))
+                    diss[:, j * sys_dim + i] -= g * vec(reduced)
+    return diss
+
+
+def reference_first_order(spec):
+    """The coherent generator -i[H, .], H the Hermitian part of the sum of
+    the coherent system-only components, in column stacking."""
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for c in spec.components:
+        if not c.has_env and c.coherent:
+            h = h + c.op
+    return commutator_superop(0.5 * (h + dagger(h)))
+
+
+def reference_env_trace_coeffs(a, b):
+    """Tr(E_a E_b rho_E) and Tr(E_b E_a rho_E) for one component pair."""
+    if not a.has_env and not b.has_env:
+        return 1.0, 1.0
+    if a.has_env != b.has_env:
+        return 0.0, 0.0
+    if a.env_site != b.env_site:
+        return 0.0, 0.0
+    c1 = 0.5 * np.trace(a.env_op @ b.env_op)
+    c2 = 0.5 * np.trace(b.env_op @ a.env_op)
+    return complex(c1), complex(c2)
+
+
+def reference_dissipator(spec):
+    """The second order as a per-pair Kronecker loop, in column stacking."""
+    d = spec.dim
+    diss = np.zeros((d * d, d * d), dtype=complex)
+    eye = identity(d)
+    for a in spec.components:
+        for b in spec.components:
+            c1, c2 = reference_env_trace_coeffs(a, b)
+            if c1 == 0.0 and c2 == 0.0:
+                continue
+            sa, sb = a.op, b.op
+            term = c1 * (np.kron(eye, sa @ sb) - np.kron(sa.T, sb))
+            term += c2 * (np.kron((sb @ sa).T, eye) - np.kron(sb.T, sa))
+            diss -= spec.bath.tau_c * term
+    return diss

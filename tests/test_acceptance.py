@@ -5,6 +5,7 @@ lines alongside the pytest verdicts.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,23 +18,17 @@ from spinswap.linalg import (
     max_norm,
     pauli_strings,
     pauli_to_superop,
-    spin_half_ops,
     unvec,
     vec,
 )
-from spinswap.master import (
-    GeneratorSpec,
-    assemble,
-    kossakowski_matrix,
-    second_order_dissipator,
-)
+from spinswap.master import GeneratorSpec, assemble
 from spinswap.metrics import concurrence, report, swap_efficiency
 from spinswap.model import (
     BathSpec,
     ChainSpec,
-    HarmonicComponent,
     Regime,
     SecularMode,
+    drive_hamiltonian,
     system_env_coupling,
 )
 from spinswap.sequences import (
@@ -46,9 +41,7 @@ from spinswap.sequences import (
 )
 from spinswap.sweep import GridSpec, format_table, run_sweep
 
-from test_master import brute_force_dissipator
-
-IX, IY, IZ, IP, IM = spin_half_ops()
+from oracles import brute_force_dissipator, kossakowski_matrix
 
 WSE = 2 * np.pi * 1.0e5
 TAU_C = 0.1 / WSE
@@ -171,13 +164,12 @@ def test_criterion_4_regulator_oracle_equivalence():
     t0 = time.perf_counter()
     chain = ChainSpec((2 * np.pi * 1e6,), ())
     bath = BathSpec(WSE, tau_c=TAU_C)
-    comps = (HarmonicComponent(W1_REF * IX, 0.0),) + tuple(
-        system_env_coupling(chain, bath)
-    )
-    spec = GeneratorSpec(comps, bath, 1e9)
-    engine = second_order_dissipator(spec)
-    brute = brute_force_dissipator(comps, bath.tau_c, 1e9, 2,
-                                   upper=20.0, steps_per_tau=200)
+    # the drive kept out of the first order: the engine gives the second
+    # order alone
+    drive = [replace(c, coherent=False) for c in drive_hamiltonian(W1_REF, 0.0, (0,), chain)]
+    comps = tuple(drive) + tuple(system_env_coupling(chain, bath))
+    engine = pauli_to_superop(assemble(GeneratorSpec(comps, bath)))
+    brute = brute_force_dissipator(comps, bath.tau_c, 2, upper=20.0, steps_per_tau=200)
     rel = max_norm(engine - brute) / max_norm(engine)
     elapsed = time.perf_counter() - t0
     stamp(

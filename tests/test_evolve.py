@@ -29,15 +29,13 @@ from spinswap.linalg import (
     ket2dm,
     max_norm,
     pauli_to_superop,
-    spin_half_ops,
     superop_to_pauli,
     unvec,
     vec,
 )
 import spinswap.master as master
-from spinswap.master import (GeneratorSpec, assemble, first_order_generator,
-                             second_order_dissipator)
-from spinswap.model import BathSpec, ChainSpec, HarmonicComponent, system_env_coupling
+from spinswap.master import GeneratorSpec, assemble
+from spinswap.model import BathSpec, ChainSpec, drive_hamiltonian, system_env_coupling
 from spinswap.sequences import (
     Delay,
     PulseProgram,
@@ -50,7 +48,7 @@ from spinswap.model import Regime, SecularMode, default_coarse_grain_dt
 import spinswap.sweep as sweep
 from spinswap.sweep import GridSpec, evaluate_point, run_sweep, run_transport
 
-IX, IY, IZ, IP, IM = spin_half_ops()
+from oracles import brute_force_dissipator, reference_dissipator, reference_first_order
 
 W1 = 2 * np.pi * 1.5e5
 WSE = 2 * np.pi * 1.0e5
@@ -127,17 +125,15 @@ class TestRabiEnvelope:
         # analytic-engine trajectory and of a trajectory propagated with the
         # brute-force (time-discretized memory integral) generator
         from scipy.linalg import expm as sexpm
-        from test_master import brute_force_dissipator
-        from spinswap.master import first_order_generator
 
         bath = BathSpec(WSE, tau_c=TAU_C)
-        comps = (HarmonicComponent(W1 * IX, 0.0),) + tuple(
+        comps = tuple(drive_hamiltonian(W1, 0.0, (0,), CHAIN1)) + tuple(
             system_env_coupling(CHAIN1, bath)
         )
-        spec = GeneratorSpec(comps, bath, 1e9)
+        spec = GeneratorSpec(comps, bath)
         gen_analytic = pauli_to_superop(assemble(spec))
-        gen_brute = first_order_generator(spec) + brute_force_dissipator(
-            comps, bath.tau_c, 1e9, 2
+        gen_brute = reference_first_order(spec) + brute_force_dissipator(
+            comps, bath.tau_c, 2
         )
 
         def envelope_rate(gen):
@@ -235,7 +231,7 @@ def test_pass_matches_sampled_propagation(larmor_khz, omega1_khz, wse_tauc):
 def complex_reference_pass(rho0, windows):
     """The program channel and the final state walked in column-stacking
     complex arithmetic, one scipy expm per generator window of the
-    column-stacking first and second orders (reference)."""
+    per-pair column-stacking first and second orders (reference)."""
     from scipy.linalg import expm as scipy_expm
 
     v = vec(rho0)
@@ -244,7 +240,7 @@ def complex_reference_pass(rho0, windows):
         if isinstance(w, UnitaryWindow):
             full = conjugation_superop(w.unitary)
         else:
-            gen = first_order_generator(w.spec) + second_order_dissipator(w.spec)
+            gen = reference_first_order(w.spec) + reference_dissipator(w.spec)
             full = scipy_expm(gen * w.duration)
         v = full @ v
         channel = full @ channel
@@ -341,7 +337,7 @@ class TestDistinctGenerators:
         sequences.segment_transfer.cache_clear()
         master._cached_polynomial.cache_clear()
         calls = counting_calls(monkeypatch, [(evolve, "assemble"), (evolve, "expm"),
-                                             (master, "pauli_transfer"),
+                                             (master, "superop_to_pauli"),
                                              (sequences, "conjugation_superop")])
         checked = []
         real = evolve._checked
@@ -350,11 +346,11 @@ class TestDistinctGenerators:
         run_preset_point(preset, sampled=True)
         assert (calls["assemble"], calls["expm"]) == (assembles, expms)
         assert master._cached_polynomial.cache_info().currsize == assembles
-        assert calls["pauli_transfer"] == monomials
+        assert calls["superop_to_pauli"] == monomials
         assert calls["conjugation_superop"] == segments
         assert sum(checked) == validated
         run_preset_point(preset, sampled=True)
-        assert (calls["conjugation_superop"], calls["pauli_transfer"]) == (segments, monomials)
+        assert (calls["conjugation_superop"], calls["superop_to_pauli"]) == (segments, monomials)
         assert master._cached_polynomial.cache_info().currsize == assembles
 
     def test_warm_point_builds_no_shape_and_no_kronecker_product(self, monkeypatch):
@@ -369,7 +365,7 @@ class TestDistinctGenerators:
         calls = []
         kron = np.kron
         monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
-        counts = counting_calls(monkeypatch, [(linalg, "embed"), (master, "pauli_transfer"),
+        counts = counting_calls(monkeypatch, [(linalg, "embed"), (master, "superop_to_pauli"),
                                               (sequences, "superop_to_pauli")])
         rep = evaluate_point(cfg.chain, cfg.bath, cfg.mode, 1.37 * cfg.omega1,
                              2 * np.pi * 0.8 * cfg.chain.coupling_j((0, 2)),

@@ -1,9 +1,11 @@
-"""The preset sweeps against rows recorded before sweeps read the channel.
+"""The preset outputs against recorded reference data.
 
 `data/preset_sweeps.json` holds `sweep.txt` and the full-precision records
 of `spinswap sweep --preset fig2|fig3 --workers 1` as written by the
-sampled-trajectory pipeline (commit 658e6b6).  It is reference data: never
-regenerate it from the code under test.
+sampled-trajectory pipeline (commit 658e6b6).  `data/preset_programs.json`
+holds the `program.json` text of `spinswap simulate --preset fig2|fig3`
+as written by commit 3391033, before the drive carrier was removed.  Both
+are reference data: never regenerate them from the code under test.
 """
 
 import json
@@ -12,8 +14,11 @@ from pathlib import Path
 import pytest
 
 from spinswap.cli import main
+from spinswap.config import load_preset
+from spinswap.sequences import program_to_json, transport_protocol
 
 DATA = json.loads((Path(__file__).parent / "data" / "preset_sweeps.json").read_text())
+PROGRAMS = json.loads((Path(__file__).parent / "data" / "preset_programs.json").read_text())
 METRIC_TOL = 1e-12
 
 
@@ -34,3 +39,10 @@ def test_preset_sweep_reproduces_recorded_rows(tmp_path, preset):
         # (unnormalized Choi matrix, trace 8)
         assert got["tp_defect"] <= 1e-13
         assert got["choi_min"] >= 0.05
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_preset_program_json_reproduces_recorded_bytes(preset):
+    cfg = load_preset(preset)
+    program = transport_protocol(cfg.chain, cfg.omega1, cfg.mode, refocus=cfg.refocusing)
+    assert program_to_json(program) == PROGRAMS["presets"][preset]

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +41,8 @@ CHAIN3 = ChainSpec(
     ((0, 2, J), (0, 1, J), (1, 2, J)),
 )
 MODE = SecularMode(Regime.AUTO, 4.1e-7)
+PRESET_PROGRAMS = json.loads(
+    (Path(__file__).parent / "data" / "preset_programs.json").read_text())
 
 
 def phase_of(u):
@@ -257,16 +262,16 @@ class TestCompile:
             Delay(1e-6), x90, Delay(2e-6), x90, VirtualZ(np.pi, 0),
             SquarePulse(W1, np.pi / 2, (0,), 1e-6),
             SquarePulse(W1, 0.0, (1,), 1e-6),
-            SquarePulse(W1, 0.0, (0,), 1e-6, carrier=2 * np.pi * 1e7 + 1e3),
+            SquarePulse(2 * W1, 0.0, (0,), 1e-6),
             SquarePulse(W1, 0.0, (0,), 2e-6),
             Delay(3e-6),
         ))
-        d1, p1, d2, p2, _, y90, other, detuned, long_x, d3 = compile_program(
+        d1, p1, d2, p2, _, y90, other, strong, long_x, d3 = compile_program(
             prog, NONIDEN, self.bath, MODE)
         assert d1.spec is d2.spec is d3.spec
         # the spec depends on the drive, not on the pulse duration
         assert p1.spec is p2.spec is long_x.spec
-        specs = [d1.spec, p1.spec, y90.spec, other.spec, detuned.spec]
+        specs = [d1.spec, p1.spec, y90.spec, other.spec, strong.spec]
         assert len({id(s) for s in specs}) == len(specs)
 
     def test_pulse_window_gains_drive_components(self):
@@ -307,6 +312,23 @@ class TestCompile:
                 assert c.scale == scales[c.mechanism]
                 assert c.has_env == (c.mechanism is Mechanism.ENVIRONMENT)
                 np.testing.assert_array_equal(c.op, c.scale * c.unit)
+
+    @pytest.mark.parametrize("site", [-1, 3], ids=["negative", "nsites"])
+    @pytest.mark.parametrize("segment", [
+        lambda t: VirtualZ(np.pi / 4, t),
+        lambda t: IdealPi("x", t),
+        lambda t: SquarePulse(W1, 0.0, (0, t), 1e-6),
+    ], ids=["virtual_z", "ideal_pi", "square_pulse"])
+    @pytest.mark.parametrize("build", [
+        lambda prog, bath: compile_program(prog, CHAIN3, bath, MODE),
+        lambda prog, bath: ideal_propagator(prog, CHAIN3, MODE),
+    ], ids=["compile_program", "ideal_propagator"])
+    def test_target_outside_register_rejected(self, build, segment, site):
+        # a negative index would wrap to the last spin and an index of
+        # nsites would fail inside numpy; also after a JSON round trip
+        prog = program_from_json(program_to_json(PulseProgram((segment(site),))))
+        with pytest.raises(ValueError, match=r"segment .* nsites = 3"):
+            build(prog, self.bath)
 
     def test_ideal_pi_window_is_exact_unitary(self):
         prog = PulseProgram((IdealPi("x", 1),))
@@ -383,6 +405,8 @@ class TestProgramStructure:
             Delay(-1.0)
         with pytest.raises(ValueError):
             SquarePulse(W1, 0.0, (0,), -1e-6)
+        with pytest.raises(ValueError, match="amplitude must be >= 0"):
+            SquarePulse(-W1, 0.0, (0,), 1e-6)
         with pytest.raises(ValueError):
             IdealPi("q", 0)
 
@@ -399,6 +423,21 @@ class TestSerialization:
             for a, b in zip(prog.segments, back.segments):
                 assert type(a) is type(b)
                 assert a == b
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_recorded_document_round_trips_byte_for_byte(self, preset):
+        text = PRESET_PROGRAMS["presets"][preset]
+        assert program_to_json(program_from_json(text)) == text
+
+    def test_carrier_record_rejected(self):
+        # every pulse is resonant with its targets; a record that names a
+        # carrier describes a drive this program cannot simulate
+        doc = json.loads(program_to_json(swap_identical((0, 1), J, W1)))
+        pulse = next(r for r in doc["segments"] if r["kind"] == "square_pulse")
+        assert pulse["carrier_rad_per_s"] is None
+        pulse["carrier_rad_per_s"] = 2 * np.pi * 1e7
+        with pytest.raises(ValueError, match="carrier_rad_per_s = 62831853"):
+            program_from_json(json.dumps(doc))
 
     def test_units_declared(self):
         doc = program_to_json(swap_identical((0, 1), J, W1))
