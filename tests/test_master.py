@@ -349,11 +349,16 @@ class TestVectorizedAssembly:
         with pytest.raises(ValueError, match="Hamiltonian not Hermitian"):
             assemble(GeneratorSpec((drive,), make_bath()))
 
-    def test_non_hermiticity_preserving_dissipator_raises(self):
-        # I+ alone, kept out of the first order: its self pair gives
+    @pytest.mark.parametrize("with_drive", [False, True])
+    def test_non_hermiticity_preserving_dissipator_raises(self, with_drive):
+        # I+, kept out of the first order: its self pair gives
         # rho -> 2 tau_c I+ rho I+, which does not preserve Hermiticity, so
-        # its Pauli transfer matrix is complex when the shape is built
-        spec = GeneratorSpec((component(W1 * IP, coherent=False, scale=W1),), make_bath())
+        # its Pauli transfer matrix is complex when the shape is built; a
+        # Hermitian coherent drive beside it does not mend the pairs
+        comps = (component(W1 * IP, coherent=False, scale=W1),)
+        if with_drive:
+            comps += (component(W1 * IX, scale=W1),)
+        spec = GeneratorSpec(comps, make_bath())
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
             assemble(spec)
 
