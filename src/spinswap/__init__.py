@@ -22,7 +22,6 @@ from .model import (
     Mechanism,
     Regime,
     SecularMode,
-    dipolar_hamiltonian,
     drive_hamiltonian,
     resolve_secular_mode,
     system_env_coupling,

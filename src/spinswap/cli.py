@@ -23,7 +23,6 @@ from .linalg import max_norm
 from .model import ChainSpec, Regime, resolve_secular_mode
 from .sequences import (
     U_SWAP,
-    Delay,
     ideal_propagator,
     program_to_json,
     swap_identical,
@@ -74,7 +73,7 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     j13 = cfg.chain.coupling_j((0, 2))
     program, traj, rep = run_transport(cfg.chain, cfg.bath, cfg.mode, cfg.omega1,
-                                       2 * np.pi * j13, cfg.refocusing, sampled=True)
+                                       cfg.refocusing, sampled=True)
 
     traj_path = out / "trajectory.txt"
     traj_path.write_text(_config_banner(cfg) + "\n" + export_trajectory(traj))
@@ -82,10 +81,10 @@ def cmd_simulate(args) -> int:
         "fidelity": rep.fidelity,
         "concurrence_23": rep.concurrence_23,
         "efficiency": rep.efficiency,
-        "omega1_rad_s": rep.omega1,
-        "omegaD_rad_s": rep.omega_d,
-        "tau_c_s": rep.tau_c,
-        "omega_se_rad_s": rep.omega_se,
+        "omega1_rad_s": cfg.omega1,
+        "omegaD_rad_s": 2 * np.pi * j13,
+        "tau_c_s": cfg.bath.tau_c,
+        "omega_se_rad_s": cfg.bath.omega_se,
         "transfer_time_s": rep.transfer_time_s,
         "clip_count": traj.clip_count,
         "min_eigenvalue": traj.min_eigenvalue,
@@ -117,12 +116,9 @@ def _gate_checks(cfg: RunConfig):
         (cfg.chain.larmor[pair[0]], cfg.chain.larmor[pair[1]]),
         ((0, 1, j),),
     )
-    if regime == Regime.ISING_ONLY:
-        prog2 = swap_nonidentical((0, 1), j, cfg.omega1)
-        expected_phase = -np.pi / 4
-    else:
-        prog2 = swap_identical((0, 1), j, cfg.omega1)
-        expected_phase = -3 * np.pi / 4
+    build = swap_nonidentical if regime == Regime.ISING_ONLY else swap_identical
+    prog2 = build((0, 1), j, cfg.omega1)
+    expected_phase = prog2.meta["global_phase"]
     u = ideal_propagator(prog2, pair_chain, cfg.mode)
     phase = float(np.angle(u[0, 0]))
     mismatch = max_norm(u - np.exp(1j * phase) * U_SWAP)
@@ -132,8 +128,7 @@ def _gate_checks(cfg: RunConfig):
     yield (f"global phase = {expected_phase / np.pi:+.2f} pi",
            phase_err < GATE_PHASE_TOL,
            f"reported phase {phase / np.pi:+.6f} pi")
-    budget = 3.5 / j
-    delays = sum(s.duration for s in prog2.segments if isinstance(s, Delay))
+    budget, delays = prog2.meta["delay_budget"], prog2.delay_total
     yield ("delay budget 7/(2J)", abs(delays - budget) <= GATE_DELAY_REL_TOL * budget,
            f"delays total {delays:.9e} s vs 7/(2J) = {budget:.9e} s")
 

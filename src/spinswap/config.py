@@ -7,6 +7,8 @@ is written out in the expression and the unit names the cycle scale, so
 "2*pi*100 kHz" parses to 2*pi*1e5 rad/s.  Plain dipolar couplings J are
 given in Hz without the 2*pi.  Bare numbers in quantity fields are
 rejected: missing units are the likeliest silent-bug vector here.
+Expressions are evaluated in floating point; overflow, division by zero
+or a non-real value is a ConfigError naming the field.
 """
 
 from __future__ import annotations
@@ -44,14 +46,23 @@ def _eval_expr(expr: str, where: str) -> float:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"{where}: cannot parse expression {expr!r}") from exc
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ConfigError(f"{where}: disallowed syntax in {expr!r}")
-        if isinstance(node, ast.Name) and node.id != "pi":
-            raise ConfigError(f"{where}: unknown name {node.id!r} in {expr!r}")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise ConfigError(f"{where}: non-numeric constant in {expr!r}")
-    return float(eval(compile(tree, "<config>", "eval"), {"__builtins__": {}}, {"pi": math.pi}))
+    try:
+        for node in ast.walk(tree):
+            if not isinstance(node, _ALLOWED_NODES):
+                raise ConfigError(f"{where}: disallowed syntax in {expr!r}")
+            if isinstance(node, ast.Name) and node.id != "pi":
+                raise ConfigError(f"{where}: unknown name {node.id!r} in {expr!r}")
+            if isinstance(node, ast.Constant):
+                if not isinstance(node.value, (int, float)):
+                    raise ConfigError(f"{where}: non-numeric constant in {expr!r}")
+                # float operands: ** overflows at once, never builds a huge integer
+                node.value = float(node.value)
+        value = eval(compile(tree, "<config>", "eval"), {"__builtins__": {}}, {"pi": math.pi})
+    except ArithmeticError as exc:
+        raise ConfigError(f"{where}: cannot evaluate {expr!r} ({type(exc).__name__})") from None
+    if isinstance(value, complex):
+        raise ConfigError(f"{where}: non-real value from {expr!r}")
+    return value
 
 
 def parse_quantity(text, kind: str, where: str) -> float:
@@ -154,8 +165,7 @@ def parse_config(doc: dict) -> RunConfig:
             a, b = (_integer(site, f"{where}.pair", 0) for site in pair)
             j = parse_quantity(c["j"], "frequency", f"{where}.j")
             couplings.append((a, b, j))
-        chain = ChainSpec(tuple(larmor), tuple(couplings),
-                          chain_doc.get("geometry", "z-chain"))
+        chain = ChainSpec(tuple(larmor), tuple(couplings))
     except KeyError as exc:
         raise ConfigError(f"chain: missing field {exc}") from exc
     except (ValueError, TypeError) as exc:

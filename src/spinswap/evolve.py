@@ -105,10 +105,6 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    @property
-    def channel(self) -> np.ndarray:
-        return self.channel_pass.channel
-
 
 def _checked(rhos: np.ndarray, times, stats: dict) -> list[np.ndarray]:
     """Validate a time-ordered stack of sampled states, shape (m, d, d).
@@ -157,17 +153,17 @@ def _walk(rho0: np.ndarray, windows, meta: dict | None,
     sampled trajectory alongside it.
 
     Windows that share a spec object share a generator (see
-    compile_program): each distinct generator is assembled once, as its
-    real Pauli transfer matrix, and each distinct (generator, duration)
+    compile_program): each distinct generator is assembled once, as its real
+    Pauli transfer matrix, and each distinct (generator, duration)
     exponentiated once over the full window and, with `sampled`, once over
-    the sampling step duration / SAMPLES_PER_WINDOW.  Both are keyed by spec id, which stays unique
-    because `windows` is a sequence that holds every spec for the whole
-    walk.  Unitary windows bring their cached transfer matrices.  The
-    sampled chain keeps its own state and clock, so its samples do not
-    depend on the full-window propagators.  The channel, the boundary
-    states and the samples are stepped as real Pauli coordinates and
-    converted back to column stacking after the walk; the initial state is
-    kept as given.  The checks then run: the channel first, then the
+    the sampling step duration / SAMPLES_PER_WINDOW.  Both are keyed by spec
+    id, which stays unique because `windows` is a sequence that holds every
+    spec for the whole walk.  Unitary windows bring their cached transfer
+    matrices.  The sampled chain keeps its own state and clock, so its
+    samples do not depend on the full-window propagators.  The channel, the
+    boundary states and the samples are stepped as real Pauli coordinates
+    and converted back to column stacking after the walk; the initial state
+    is kept as given.  The checks then run: the channel first, then the
     boundary states, then the samples, each in time order.  Every walk,
     whoever calls it, holds OpenBLAS at one thread
     (`linalg.single_blas_thread`): the 64x64 operands are too small to

@@ -213,14 +213,14 @@ def conjugation_superop(u: np.ndarray) -> np.ndarray:
     return np.kron(u.conj(), u)
 
 
-def commutator_superop(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def commutator_superop(h: np.ndarray) -> np.ndarray:
     """Superoperator of the coherent generator rho -> -i [h, rho].
 
-    `h` must be Hermitian to within `tol` in max-norm.
+    `h` must be Hermitian to within HERMITICITY_TOL in max-norm.
     """
     h = np.asarray(h, dtype=complex)
     defect = max_norm(h - dagger(h))
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(f"Hamiltonian not Hermitian: max-norm defect {defect:.3e}")
     return -1j * (left_mult(h) - right_mult(h))
 
@@ -301,14 +301,13 @@ def single_blas_thread():
 
 
 @cache
-def pauli_strings(nqubits: int, traceless: bool = True) -> np.ndarray:
+def pauli_strings(nqubits: int) -> np.ndarray:
     """Normalized Pauli-string basis for `nqubits` qubits.
 
-    Returns an array of shape (m, d, d) with d = 2**nqubits and
-    Tr(P_i P_j) = delta_ij.  With traceless=True the all-identity string is
-    omitted (m = 4**nqubits - 1), which is the basis used for Kossakowski
-    extraction; otherwise it comes first.  Built once per argument pair and
-    returned read-only.
+    Returns an array of shape (4**nqubits, d, d) with d = 2**nqubits and
+    Tr(P_i P_j) = delta_ij; the all-identity string comes first, so [1:]
+    is the traceless basis.  Built once per register size and returned
+    read-only.
     """
     sx = 2.0 * _IX
     sy = 2.0 * _IY
@@ -317,8 +316,6 @@ def pauli_strings(nqubits: int, traceless: bool = True) -> np.ndarray:
     norm = np.sqrt(2.0) ** nqubits
     strings = []
     for combo in product(range(4), repeat=nqubits):
-        if traceless and all(c == 0 for c in combo):
-            continue
         strings.append(kron_all([singles[c] for c in combo]) / norm)
     return read_only(np.array(strings))
 
@@ -331,7 +328,7 @@ def _pauli_vec_basis(dim2: int) -> tuple[np.ndarray, np.ndarray]:
     n = int(round(np.log2(dim2) / 2))
     if 4**n != dim2:
         raise ValueError(f"Liouville dimension {dim2} is not that of a qubit register")
-    strings = pauli_strings(n, traceless=False)
+    strings = pauli_strings(n)
     # vec(P) stacks the columns of P, i.e. the rows of P.T
     b = np.ascontiguousarray(strings.transpose(0, 2, 1).reshape(dim2, dim2).T)
     return read_only(b), read_only(np.ascontiguousarray(b.conj().T))

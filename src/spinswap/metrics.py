@@ -37,17 +37,14 @@ _SWAP_SUPEROP = conjugation_superop(U_SWAP)
 
 @dataclass(frozen=True)
 class TransferReport:
-    """One protocol run's observables with its parameters echoed."""
+    """One protocol run's observables, each snapped into [0, 1] when within
+    METRIC_SLACK of it (raises further out), its channel checks and duration."""
 
     fidelity: float
     concurrence_23: float
     efficiency: float
     tp_defect: float = float("nan")  # of the program channel
     choi_min: float = float("nan")
-    omega1: float = float("nan")
-    omega_d: float = float("nan")
-    tau_c: float = float("nan")
-    omega_se: float = float("nan")
     transfer_time_s: float = float("nan")  # the protocol's duration
 
     def __post_init__(self):
@@ -55,6 +52,7 @@ class TransferReport:
             v = getattr(self, name)
             if not -METRIC_SLACK <= v <= 1.0 + METRIC_SLACK:
                 raise ValueError(f"{name} = {v} outside [0, 1]")
+            object.__setattr__(self, name, float(min(max(v, 0.0), 1.0)))
 
 
 def state_fidelity(rho: np.ndarray, target: np.ndarray) -> float:
@@ -123,21 +121,15 @@ def pair_channel(total_superop: np.ndarray, pair, nsites: int) -> np.ndarray:
     return out.reshape(16, 16) / 2 ** (nsites - 2)
 
 
-def _clamp_metric(v: float) -> float:
-    """Snap tiny out-of-range numerical noise back into [0, 1]."""
-    if -METRIC_SLACK <= v <= 1.0 + METRIC_SLACK:
-        return float(min(max(v, 0.0), 1.0))
-    return v  # genuinely out of range: let TransferReport raise
-
-
-def report(run, chain: ChainSpec, **params) -> TransferReport:
+def report(run, chain: ChainSpec,
+           transfer_time_s: float = float("nan")) -> TransferReport:
     """Fidelity, concurrence between spins 2 and 3, and SWAP efficiency.
 
     `run` is an `evolve.ChannelPass`.  Fidelity and concurrence come from
     its final state (concurrence after reducing to spins 2 and 3,
     1-indexed); efficiency comes from its program channel reduced to the
     swapped pair (1,3).  The channel's TP defect and Choi minimum are
-    passed through.
+    passed through, as is the protocol's `transfer_time_s`.
     """
     target = run.meta.get("target_state")
     if target is None:
@@ -149,10 +141,10 @@ def report(run, chain: ChainSpec, **params) -> TransferReport:
     chan = pair_channel(run.channel, (0, 2), chain.nsites)
     eff = swap_efficiency(chan)
     return TransferReport(
-        fidelity=_clamp_metric(fid),
-        concurrence_23=_clamp_metric(conc),
-        efficiency=_clamp_metric(eff),
+        fidelity=fid,
+        concurrence_23=conc,
+        efficiency=eff,
         tp_defect=run.tp_defect,
         choi_min=run.choi_min,
-        **params,
+        transfer_time_s=transfer_time_s,
     )

@@ -77,12 +77,10 @@ class ChainSpec:
 
     larmor: per-spin Larmor frequencies omega_0^k in rad/s.
     couplings: (site_a, site_b, J) triples with J in Hz.
-    geometry: informational tag only.
     """
 
     larmor: tuple[float, ...]
     couplings: tuple[tuple[int, int, float], ...] = ()
-    geometry: str = "z-chain"
 
     def __post_init__(self):
         object.__setattr__(self, "larmor", tuple(float(w) for w in self.larmor))
@@ -237,23 +235,6 @@ def _drive_axis(site: int, phase: float, nsites: int) -> np.ndarray:
     return read_only(np.cos(phase) * ops.x[site] + np.sin(phase) * ops.y[site])
 
 
-def dipolar_hamiltonian(pair, j_hz: float, regime: Regime, nsites: int) -> np.ndarray:
-    """Secular dipolar coupling for one pair, embedded in the chain space.
-
-    ISING_ONLY keeps 2*pi*J Iz Iz; ZERO_QUANTUM additionally keeps the
-    flip-flop terms, 2*pi*J (Iz Iz - (I+ I- + I- I+)/4).  Double-quantum
-    terms are always dropped.
-    """
-    a, b = pair
-    if a == b or not (0 <= a < nsites and 0 <= b < nsites):
-        raise ValueError(f"invalid pair {pair} for {nsites} sites")
-    if j_hz < 0:
-        raise ValueError("J must be >= 0")
-    if regime == Regime.AUTO:
-        raise ValueError("regime must be resolved before building the coupling")
-    return 2.0 * np.pi * j_hz * _dipolar_unit((a, b), regime, nsites)
-
-
 def resolve_secular_mode(mode: SecularMode, pair, chain: ChainSpec) -> Regime:
     """Resolve AUTO to a concrete regime for one pair.
 
@@ -272,9 +253,11 @@ def coupling_component(chain: ChainSpec, mode: SecularMode) -> HarmonicComponent
     component, or None for a chain without a nonzero coupling.
 
     Its scale is 2 pi J with J the largest coupling, and its unit operator
-    sums each pair's unit coupling (`dipolar_hamiltonian` at 2 pi J = 1)
-    times J_pair / J; the label lists (a, b, resolved regime, J_pair / J),
-    so chains that differ only in a common J share it.
+    sums each pair's unit coupling times J_pair / J: Iz Iz in the Ising
+    regime, Iz Iz - (I+ I- + I- I+)/4 in the zero-quantum regime, with the
+    double-quantum terms always dropped (`_dipolar_unit`).  The label lists
+    (a, b, resolved regime, J_pair / J), so chains that differ only in a
+    common J share it.
     """
     j = max((jp for _, _, jp in chain.couplings), default=0.0)
     if j <= 0:

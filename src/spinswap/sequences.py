@@ -29,7 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import conjugation_superop, expm, site_operators, superop_to_pauli
+from .linalg import (conjugation_superop, expm, read_only, site_operators,
+                     superop_to_pauli)
 from .master import GeneratorSpec
 from .model import (
     BathSpec,
@@ -37,6 +38,7 @@ from .model import (
     Regime,
     SecularMode,
     TimescaleSeparationWarning,
+    _drive_axis,
     coupling_component,
     drive_hamiltonian,
     resolve_secular_mode,
@@ -311,11 +313,6 @@ def transport_protocol(chain: ChainSpec, drive_amp: float, mode: SecularMode,
 # ---------------------------------------------------------------------------
 
 
-def _axis_op(phase: float, site: int, n: int) -> np.ndarray:
-    ops = site_operators(n)
-    return np.cos(phase) * ops.x[site] + np.sin(phase) * ops.y[site]
-
-
 # Segments are frozen dataclasses that do not depend on the sweep point, so
 # each distinct (segment, register size) is built once per process; the
 # bound keeps programs with many distinct angles from growing the caches.
@@ -333,17 +330,14 @@ def segment_unitary(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
         u = np.diag(np.exp(-1j * seg.angle * np.diagonal(ops.z[seg.target])))
     else:
         u = -2j * getattr(ops, seg.axis)[seg.target]
-    u.setflags(write=False)
-    return u
+    return read_only(u)
 
 
 @lru_cache(maxsize=256)
 def segment_transfer(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
     """Real Pauli transfer matrix of rho -> U rho U^dag for the segment's
     unitary U (`segment_unitary`), read-only."""
-    r = superop_to_pauli(conjugation_superop(segment_unitary(seg, n)))
-    r.setflags(write=False)
-    return r
+    return read_only(superop_to_pauli(conjugation_superop(segment_unitary(seg, n))))
 
 
 def _check_targets(program: PulseProgram, nsites: int) -> None:
@@ -379,7 +373,7 @@ def ideal_propagator(program: PulseProgram, chain: ChainSpec,
             if coupling is not None:
                 u = expm(-1j * coupling.op, seg.duration) @ u
         elif isinstance(seg, SquarePulse):
-            gen = sum(_axis_op(seg.phase, t, n) for t in seg.targets)
+            gen = sum(_drive_axis(t, seg.phase, n) for t in seg.targets)
             u = expm(-1j * seg.flip_angle * gen) @ u
         elif isinstance(seg, (VirtualZ, IdealPi)):
             u = segment_unitary(seg, n) @ u
@@ -402,10 +396,6 @@ class UnitaryWindow:
     nsites: int
 
     duration = 0.0
-
-    @property
-    def unitary(self) -> np.ndarray:
-        return segment_unitary(self.segment, self.nsites)
 
     @property
     def transfer(self) -> np.ndarray:

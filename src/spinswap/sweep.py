@@ -92,8 +92,7 @@ class SweepRecord:
 
 
 def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
-                  omega1: float, omega_d: float, refocus: bool = True,
-                  sampled: bool = False,
+                  omega1: float, refocus: bool = True, sampled: bool = False,
                   ) -> tuple[PulseProgram, Trajectory | None, TransferReport]:
     """Run the transport pipeline once: protocol, compile, channel pass, report.
 
@@ -102,7 +101,6 @@ def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
     trajectory alongside that pass; without it (a sweep point) no state is
     sampled and the trajectory is None.  The protocol builder and the
     compiler resolve every pair's coupling form from the same `mode`.
-    omega_d is echoed in the report only; the couplings are the chain's own.
     The report also carries the protocol's duration as `transfer_time_s`.
     """
     program = transport_protocol(chain, omega1, mode, refocus=refocus)
@@ -113,9 +111,7 @@ def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
         run = traj.channel_pass
     else:
         traj, run = None, channel_pass(rho0, windows, meta=program.meta)
-    rep = report(run, chain, omega1=omega1, omega_d=omega_d,
-                 tau_c=bath.tau_c, omega_se=bath.omega_se,
-                 transfer_time_s=program.total_duration)
+    rep = report(run, chain, transfer_time_s=program.total_duration)
     return program, traj, rep
 
 
@@ -132,7 +128,7 @@ def evaluate_point(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
         chain, couplings=tuple((a, b, j) for a, b, _ in chain.couplings)
     )
     bath_pt = BathSpec(omega_se=bath.omega_se, tau_c=tauc)
-    return run_transport(chain_pt, bath_pt, mode, omega1, omegaD, refocus)[2]
+    return run_transport(chain_pt, bath_pt, mode, omega1, refocus)[2]
 
 
 def _point_record(args) -> SweepRecord:

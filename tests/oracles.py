@@ -35,7 +35,7 @@ def kossakowski_matrix(gen: np.ndarray) -> np.ndarray:
     n = int(round(np.log2(d)))
     if 2**n != d:
         raise ValueError("Kossakowski extraction expects a qubit register")
-    fs = pauli_strings(n, traceless=True)
+    fs = pauli_strings(n)[1:]
     s4 = gen.reshape(d, d, d, d)
     # a_ij = sum F_j[b,d] F_i[c,a] S4[b,a,d,c]
     a = np.einsum("jbd,ica,badc->ij", fs, fs, s4, optimize=True)

@@ -252,7 +252,7 @@ def test_criterion_7_metrics_oracles():
     eff_swap = swap_efficiency(conjugation_superop(U_SWAP))
     eff_id = swap_efficiency(np.eye(16, dtype=complex))
     # independent overlap-sum oracle for the identity channel
-    paulis = pauli_strings(2, traceless=False)
+    paulis = pauli_strings(2)
     s = sum(
         np.trace(U_SWAP @ p.conj().T @ U_SWAP.conj().T @ p).real for p in paulis
     )

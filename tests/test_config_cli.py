@@ -150,6 +150,16 @@ class TestCli:
         assert main(["validate", "--config", path]) == 1
         assert "protocol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr", ["10**400", "1/0", "(-8)**0.5", "9**9**9"])
+    def test_validate_rejects_failed_arithmetic(self, tmp_path, capsys, expr):
+        # overflow, division by zero and a non-real value are configuration
+        # errors; float operands keep 9**9**9 from building a huge integer
+        doc = json.loads(json.dumps(FIG2_DOC))
+        doc["drive"]["omega1"] = f"{expr} kHz"
+        path = self._write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        assert "drive.omega1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["refocusing", "grid.scale_to_omega_se"])
     def test_validate_rejects_string_booleans(self, tmp_path, capsys, field):
         # bool("false") is True: only JSON true/false may set a flag
@@ -376,6 +386,25 @@ class TestCli:
             assert report[key] == record[key]
         assert (report["omega1_rad_s"], report["omegaD_rad_s"], report["tau_c_s"]) == (
             record["omega1"], record["omegaD"], record["tauc"])
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_report_echoes_the_config(self, tmp_path, preset):
+        out = tmp_path / preset
+        assert main(["simulate", "--preset", preset, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert list(report) == [
+            "fidelity", "concurrence_23", "efficiency", "omega1_rad_s",
+            "omegaD_rad_s", "tau_c_s", "omega_se_rad_s", "transfer_time_s",
+            "clip_count", "min_eigenvalue", "tp_defect", "choi_min", "config",
+        ]
+        cfg = load_preset(preset)
+        assert report["omega1_rad_s"] == cfg.omega1
+        assert report["omegaD_rad_s"] == 2 * np.pi * cfg.chain.coupling_j((0, 2))
+        assert report["tau_c_s"] == cfg.bath.tau_c
+        assert report["omega_se_rad_s"] == cfg.bath.omega_se
+        # chain.geometry selects nothing but is echoed with the rest
+        assert report["config"] == cfg.physics_echo()
+        assert report["config"]["chain"]["geometry"] in ("z-chain", "x-chain")
 
     def test_sweep_requires_grid(self, tmp_path):
         path = self._write_config(tmp_path, FIG2_DOC)

@@ -42,6 +42,7 @@ from spinswap.sequences import (
     SquarePulse,
     UnitaryWindow,
     compile_program,
+    segment_unitary,
     transport_protocol,
 )
 from spinswap.model import Regime, SecularMode, default_coarse_grain_dt
@@ -158,7 +159,7 @@ class TestRabiEnvelope:
 class TestChannel:
     def test_no_windows_identity_channel(self):
         traj = propagate(ket2dm(basis_state([0])), [])
-        np.testing.assert_array_equal(traj.channel, np.eye(4))
+        np.testing.assert_array_equal(traj.channel_pass.channel, np.eye(4))
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=5, deadline=None)
@@ -183,9 +184,10 @@ class TestChannel:
         windows = compile_program(prog, chain, bath, mode)
         rho0 = ket2dm(prog.meta["initial_state"])
         traj = propagate(rho0, windows)
-        assert max_norm(unvec(traj.channel @ vec(rho0)) - traj.final_state) < 1e-12
+        channel = traj.channel_pass.channel
+        assert max_norm(unvec(channel @ vec(rho0)) - traj.final_state) < 1e-12
         tr_vec = vec(identity(8)).conj()
-        assert max_norm(tr_vec @ traj.channel - tr_vec) < 1e-12
+        assert max_norm(tr_vec @ channel - tr_vec) < 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -213,7 +215,7 @@ def test_pass_matches_sampled_propagation(larmor_khz, omega1_khz, wse_tauc):
     run = channel_pass(rho0, windows, meta=prog.meta)
     traj = propagate(rho0, windows, meta=prog.meta)
     assert max_norm(run.final_state - traj.final_state) < 1e-12
-    assert max_norm(run.channel - traj.channel) < 1e-12
+    assert max_norm(run.channel - traj.channel_pass.channel) < 1e-12
     assert run.meta == traj.meta
     tr_vec = vec(identity(8)).conj()
     assert run.tp_defect == np.abs(tr_vec @ run.channel - tr_vec).max() <= 1e-12
@@ -238,7 +240,7 @@ def complex_reference_pass(rho0, windows):
     channel = np.eye(v.size, dtype=complex)
     for w in windows:
         if isinstance(w, UnitaryWindow):
-            full = conjugation_superop(w.unitary)
+            full = conjugation_superop(segment_unitary(w.segment, w.nsites))
         else:
             gen = reference_first_order(w.spec) + reference_dissipator(w.spec)
             full = scipy_expm(gen * w.duration)
@@ -283,8 +285,7 @@ def test_pass_matches_complex_reference_walk(larmor_khz, identical, omega1_khz,
 
 def run_preset_point(name, sampled=False):
     cfg = load_preset(name)
-    return run_transport(cfg.chain, cfg.bath, cfg.mode, cfg.omega1,
-                         2 * np.pi * cfg.chain.coupling_j((0, 2)), cfg.refocusing,
+    return run_transport(cfg.chain, cfg.bath, cfg.mode, cfg.omega1, cfg.refocusing,
                          sampled=sampled)
 
 
@@ -293,7 +294,8 @@ def test_each_instantaneous_segment_adds_a_row_at_the_same_time():
     # sample's time and holds the state right after the unitary
     program, traj, _ = run_preset_point("fig2", sampled=True)
     cfg = load_preset("fig2")
-    unitaries = [w.unitary for w in compile_program(program, cfg.chain, cfg.bath, cfg.mode)
+    unitaries = [segment_unitary(w.segment, w.nsites)
+                 for w in compile_program(program, cfg.chain, cfg.bath, cfg.mode)
                  if isinstance(w, UnitaryWindow)]
     repeats = [k for k in range(1, len(traj.times)) if traj.times[k] == traj.times[k - 1]]
     assert len(repeats) == len(unitaries) == 16
@@ -403,7 +405,7 @@ class TestDistinctGenerators:
         own = propagate(ket2dm(program.meta["initial_state"]), windows)
         np.testing.assert_array_equal(own.times, traj.times)
         np.testing.assert_array_equal(np.array(own.states), np.array(traj.states))
-        np.testing.assert_array_equal(own.channel, traj.channel)
+        np.testing.assert_array_equal(own.channel_pass.channel, traj.channel_pass.channel)
         np.testing.assert_array_equal(own.channel_pass.final_state,
                                       traj.channel_pass.final_state)
         assert (own.clip_count, own.min_eigenvalue) == (traj.clip_count, traj.min_eigenvalue)

@@ -254,18 +254,18 @@ class TestCommutatorSuperop:
 class TestPauliStrings:
     def test_orthonormal_and_traceless(self):
         for n in (1, 2, 3):
-            fs = pauli_strings(n, traceless=True)
-            assert fs.shape[0] == 4**n - 1
+            full = pauli_strings(n)
+            assert full.shape[0] == 4**n
+            np.testing.assert_array_equal(full[0], np.eye(2**n) / np.sqrt(2.0) ** n)
+            fs = full[1:]
             for f in fs:
                 assert abs(np.trace(f)) < 1e-14
-            gram = np.einsum("iab,jba->ij", fs, fs)
-            np.testing.assert_allclose(gram, np.eye(4**n - 1), atol=1e-12)
+            gram = np.einsum("iab,jba->ij", full, full)
+            np.testing.assert_allclose(gram, np.eye(4**n), atol=1e-12)
 
-
-    @pytest.mark.parametrize("traceless", [True, False])
-    def test_built_once_and_read_only(self, traceless):
-        fs = pauli_strings(3, traceless)
-        assert pauli_strings(3, traceless) is fs
+    def test_built_once_and_read_only(self):
+        fs = pauli_strings(3)
+        assert pauli_strings(3) is fs
         assert not fs.flags.writeable
         with pytest.raises(ValueError):
             fs[0, 0, 0] = 1.0

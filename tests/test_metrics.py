@@ -106,7 +106,7 @@ class TestConcurrence:
 
 def pauli_overlap_oracle(channel_fn, ideal):
     """Closed-form average-gate-fidelity sum over the normalized Paulis."""
-    paulis = pauli_strings(2, traceless=False)
+    paulis = pauli_strings(2)
     s = sum(
         np.trace(ideal @ dagger(p) @ dagger(ideal) @ channel_fn(p)).real
         for p in paulis
@@ -248,3 +248,16 @@ class TestTransferReport:
         with pytest.raises(ValueError):
             TransferReport(fidelity=1.5, concurrence_23=0.0, efficiency=0.0)
         TransferReport(fidelity=1.0, concurrence_23=0.5, efficiency=0.25)
+
+    @pytest.mark.parametrize("name", ["fidelity", "concurrence_23", "efficiency"])
+    def test_rounding_noise_is_snapped_into_range(self, name):
+        # within METRIC_SLACK of [0, 1] a metric is stored clamped, as a
+        # float; further out it raises
+        values = {"fidelity": 0.5, "concurrence_23": 0.5, "efficiency": 0.5}
+        for noisy, stored in ((1 + 1e-12, 1.0), (np.float64(-1e-12), 0.0)):
+            rep = TransferReport(**{**values, name: noisy})
+            assert getattr(rep, name) == stored
+            assert type(getattr(rep, name)) is float
+        for far in (1 + 1e-6, -1e-6):
+            with pytest.raises(ValueError, match=f"{name} = "):
+                TransferReport(**{**values, name: far})

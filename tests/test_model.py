@@ -8,8 +8,8 @@ from spinswap.model import (
     Regime,
     SecularMode,
     TimescaleSeparationWarning,
+    coupling_component,
     default_coarse_grain_dt,
-    dipolar_hamiltonian,
     drive_hamiltonian,
     resolve_secular_mode,
     system_env_coupling,
@@ -20,10 +20,17 @@ IX, IY, IZ, IP, IM = spin_half_ops()
 FIG2_LARMOR = (2 * np.pi * 1e7, 2 * np.pi * 1e6, 2 * np.pi * 5e5)
 
 
+def coupling_op(pairs, regime, nsites):
+    """The coupling component's operator for (a, b, J) pairs, the secular
+    regime fixed to `regime`."""
+    chain = ChainSpec(FIG2_LARMOR[:nsites], pairs)
+    return coupling_component(chain, SecularMode(regime, 1e-6)).op
+
+
 class TestDipolar:
     def test_ising_eigenvalues(self):
         j = 150e3
-        h = dipolar_hamiltonian((0, 1), j, Regime.ISING_ONLY, 2)
+        h = coupling_op(((0, 1, j),), Regime.ISING_ONLY, 2)
         np.testing.assert_allclose(
             np.diag(h),
             [np.pi * j / 2, -np.pi * j / 2, -np.pi * j / 2, np.pi * j / 2],
@@ -32,30 +39,28 @@ class TestDipolar:
 
     def test_zero_quantum_singlet_eigenstate(self):
         j = 150e3
-        h = dipolar_hamiltonian((0, 1), j, Regime.ZERO_QUANTUM, 2)
+        h = coupling_op(((0, 1, j),), Regime.ZERO_QUANTUM, 2)
         psi_m = (basis_state([1, 0]) - basis_state([0, 1])) / np.sqrt(2)
         np.testing.assert_allclose(h @ psi_m, 0.0 * psi_m, atol=1e-9)
 
     def test_zero_coupling_is_zero_operator(self):
-        assert max_norm(dipolar_hamiltonian((0, 1), 0.0, Regime.ZERO_QUANTUM, 2)) == 0
+        # a zero J adds nothing to the sum, and a chain of zero J has no
+        # coupling component
+        with_zero = coupling_op(((0, 2, 7e4), (0, 1, 0.0)), Regime.ZERO_QUANTUM, 3)
+        without = coupling_op(((0, 2, 7e4),), Regime.ZERO_QUANTUM, 3)
+        np.testing.assert_array_equal(with_zero, without)
+        chain = ChainSpec(FIG2_LARMOR[:2], ((0, 1, 0.0),))
+        assert coupling_component(chain, SecularMode(Regime.ZERO_QUANTUM, 1e-6)) is None
 
     def test_zero_quantum_conserves_total_z(self):
-        h = dipolar_hamiltonian((0, 2), 7e4, Regime.ZERO_QUANTUM, 3)
+        h = coupling_op(((0, 2, 7e4),), Regime.ZERO_QUANTUM, 3)
         total_z = sum(embed(IZ, k, 3) for k in range(3))
         assert max_norm(h @ total_z - total_z @ h) < 1e-9
 
     def test_hermitian(self):
         for regime in (Regime.ISING_ONLY, Regime.ZERO_QUANTUM):
-            h = dipolar_hamiltonian((0, 1), 1.5e5, regime, 3)
+            h = coupling_op(((0, 1, 1.5e5), (1, 2, 7e4)), regime, 3)
             assert max_norm(h - h.conj().T) < 1e-12
-
-    def test_requires_resolved_regime(self):
-        with pytest.raises(ValueError):
-            dipolar_hamiltonian((0, 1), 1e3, Regime.AUTO, 2)
-
-    def test_invalid_pair(self):
-        with pytest.raises(ValueError):
-            dipolar_hamiltonian((0, 2), 1e3, Regime.ISING_ONLY, 2)
 
 
 class TestDrive:

@@ -150,7 +150,7 @@ class TestSwapIdentical:
 class TestTransport:
     def _fidelity(self, chain, refocus, j12=J, j23=J):
         chain = ChainSpec(
-            chain.larmor, ((0, 2, J), (0, 1, j12), (1, 2, j23)), chain.geometry
+            chain.larmor, ((0, 2, J), (0, 1, j12), (1, 2, j23))
         )
         prog = transport_protocol(chain, W1, MODE, refocus=refocus)
         u = ideal_propagator(prog, chain, MODE)
@@ -245,15 +245,15 @@ class TestCompile:
             PulseProgram((Delay(1e-5),)), NONIDEN, self.bath, MODE
         )
         rho0 = ket2dm(np.eye(4)[:, 1])
-        s_split = propagate(rho0, split).channel
-        s_merged = propagate(rho0, merged).channel
+        s_split = propagate(rho0, split).channel_pass.channel
+        s_merged = propagate(rho0, merged).channel_pass.channel
         assert max_norm(s_split - s_merged) < 1e-12
 
     def test_virtual_z_pair_cancels(self):
         prog = PulseProgram((VirtualZ(np.pi / 4, 0), VirtualZ(-np.pi / 4, 0)))
         windows = compile_program(prog, NONIDEN, self.bath, MODE)
         assert all(isinstance(w, UnitaryWindow) for w in windows)
-        total = propagate(ket2dm(np.eye(4)[:, 0]), windows).channel
+        total = propagate(ket2dm(np.eye(4)[:, 0]), windows).channel_pass.channel
         assert max_norm(total - np.eye(16)) < 1e-12
 
     def test_repeated_segments_share_one_spec(self):
@@ -335,10 +335,10 @@ class TestCompile:
         windows = compile_program(prog, CHAIN3, self.bath, MODE)
         assert isinstance(windows[0], UnitaryWindow)
         rho = ket2dm(np.eye(8)[:, 0])
-        out = unvec(propagate(rho, windows).channel @ vec(rho))
+        out = unvec(propagate(rho, windows).channel_pass.channel @ vec(rho))
         np.testing.assert_allclose(np.trace(out), 1.0, atol=1e-12)
         # the channel conjugates by the window's unitary: |000> -> |010>
-        u = windows[0].unitary
+        u = segment_unitary(windows[0].segment, windows[0].nsites)
         np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-12)
         np.testing.assert_allclose(out[2, 2], 1.0, atol=1e-12)
 
@@ -379,10 +379,11 @@ class TestSegmentClosedForms:
         monkeypatch.setattr(sequences, "expm",
                             lambda *args: calls.append(1) or real(*args))
         sequences.segment_unitary.cache_clear()
+        sequences.segment_transfer.cache_clear()
         prog = transport_protocol(CHAIN3, W1, MODE)
         windows = compile_program(prog, CHAIN3, BathSpec(0.0, tau_c=1e-18), MODE)
-        unitaries = [w.unitary for w in windows if isinstance(w, UnitaryWindow)]
-        assert unitaries and calls == []
+        transfers = [w.transfer for w in windows if isinstance(w, UnitaryWindow)]
+        assert transfers and calls == []
 
 
 class TestProgramStructure:
@@ -464,7 +465,7 @@ def test_compiled_closed_limit_identical_regime():
     prog = transport_protocol(chain, W1, MODE, refocus=True)
     assert prog.meta["regime"] == "zero_quantum"
     windows = compile_program(prog, chain, bath0, MODE)
-    total = propagate(ket2dm(prog.meta["initial_state"]), windows).channel
+    total = propagate(ket2dm(prog.meta["initial_state"]), windows).channel_pass.channel
     psi_i, psi_f = prog.meta["initial_state"], prog.meta["target_state"]
     rho = unvec(total @ vec(ket2dm(psi_i)))
     fid = np.real(np.conj(psi_f) @ rho @ psi_f)
