@@ -263,12 +263,16 @@ class TestPauliStrings:
             gram = np.einsum("iab,jba->ij", full, full)
             np.testing.assert_allclose(gram, np.eye(4**n), atol=1e-12)
 
-    def test_built_once_and_read_only(self):
+    @pytest.mark.parametrize("traceless", [True, False])
+    def test_built_once_and_read_only(self, traceless):
+        # callers take the traceless basis as the view [1:]; it must be
+        # read-only as well as the full basis it is cut from
         fs = pauli_strings(3)
         assert pauli_strings(3) is fs
-        assert not fs.flags.writeable
+        part = fs[1:] if traceless else fs
+        assert not part.flags.writeable
         with pytest.raises(ValueError):
-            fs[0, 0, 0] = 1.0
+            part[0, 0, 0] = 1.0
 
 
 def random_channel(seed, nqubits, nkraus):
