@@ -21,9 +21,7 @@ from .model import (
     HarmonicComponent,
     Mechanism,
     Regime,
-    SecularMode,
     drive_hamiltonian,
-    resolve_secular_mode,
     system_env_coupling,
 )
 from .evolve import ChannelPass, Trajectory, channel_pass, propagate

@@ -4,8 +4,8 @@ Commands: simulate (single run, trajectory + report), gate-check (closed
 system SWAP verification), sweep (parameter grid, heatmap-ready table),
 validate (configuration check only).
 
-Exit codes: 0 success, 1 validation error, 2 physics-check failure,
-3 runtime failure.
+Exit codes: 0 success, 1 validation or usage error, 2 physics-check
+failure, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config, load_preset
 from .evolve import export_trajectory
 from .linalg import max_norm
-from .model import ChainSpec, Regime, resolve_secular_mode
+from .model import ChainSpec, Regime
 from .sequences import (
     U_SWAP,
     ideal_propagator,
     program_to_json,
     swap_identical,
     swap_nonidentical,
+    transport_protocol,
 )
 from .sweep import argmax_report, format_table, run_sweep, run_transport, summary_dict
 
@@ -62,8 +63,7 @@ def _config_banner(cfg: RunConfig) -> str:
 
 def cmd_validate(args) -> int:
     cfg = _resolve_config(args)
-    n = cfg.chain.nsites
-    print(f"config ok: {n}-spin chain, protocol transport, "
+    print(f"config ok: {cfg.chain.nsites}-spin chain, protocol transport, "
           f"grid {'present' if cfg.grid else 'absent'}")
     return EXIT_OK
 
@@ -71,9 +71,9 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     out = _outdir(args)
-    j13 = cfg.chain.coupling_j((0, 2))
-    program, traj, rep = run_transport(cfg.chain, cfg.bath, cfg.mode, cfg.omega1,
+    program, traj, rep = run_transport(cfg.chain, cfg.bath, cfg.omega1,
                                        cfg.refocusing, sampled=True)
+    j = cfg.chain.coupling_j(program.meta["pair"])
 
     traj_path = out / "trajectory.txt"
     traj_path.write_text(_config_banner(cfg) + "\n" + export_trajectory(traj))
@@ -82,7 +82,7 @@ def cmd_simulate(args) -> int:
         "concurrence_23": rep.concurrence_23,
         "efficiency": rep.efficiency,
         "omega1_rad_s": cfg.omega1,
-        "omegaD_rad_s": 2 * np.pi * j13,
+        "omegaD_rad_s": 2 * np.pi * j,
         "tau_c_s": cfg.bath.tau_c,
         "omega_se_rad_s": cfg.bath.omega_se,
         "transfer_time_s": rep.transfer_time_s,
@@ -102,24 +102,21 @@ def cmd_simulate(args) -> int:
 
 
 def _gate_checks(cfg: RunConfig):
-    """Yield (name, passed, detail) for the configured SWAP pair.
+    """Yield (name, passed, detail) for the pair the transport program swaps.
 
     The gate is evaluated on the pair subspace alone (couplings to the
     bystander are the transport protocol's concern, not the gate's).  The
-    regime is resolved from the config's mode, as simulate resolves it, so
-    both use one sequence.
+    pair keeps the coupling form the chain records for it, so gate-check
+    and simulate use one sequence.
     """
-    pair = (0, 2) if cfg.chain.nsites == 3 else (0, 1)
-    j = cfg.chain.coupling_j(pair)
-    regime = resolve_secular_mode(cfg.mode, pair, cfg.chain)
-    pair_chain = ChainSpec(
-        (cfg.chain.larmor[pair[0]], cfg.chain.larmor[pair[1]]),
-        ((0, 1, j),),
-    )
+    pair = transport_protocol(cfg.chain, cfg.omega1, cfg.refocusing).meta["pair"]
+    _, _, j, regime = cfg.chain.coupling(pair)
+    pair_chain = ChainSpec((cfg.chain.larmor[pair[0]], cfg.chain.larmor[pair[1]]),
+                           ((0, 1, j, regime),))
     build = swap_nonidentical if regime == Regime.ISING_ONLY else swap_identical
     prog2 = build((0, 1), j, cfg.omega1)
     expected_phase = prog2.meta["global_phase"]
-    u = ideal_propagator(prog2, pair_chain, cfg.mode)
+    u = ideal_propagator(prog2, pair_chain)
     phase = float(np.angle(u[0, 0]))
     mismatch = max_norm(u - np.exp(1j * phase) * U_SWAP)
     yield ("unitary match up to global phase", mismatch < GATE_UNITARY_TOL,
@@ -166,8 +163,23 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_CONFIG on a usage error, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _worker_count(text: str) -> int:
+    """--workers: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinswap",
         description="SWAP-gate entanglement transport on dissipative dipolar chains",
     )
@@ -183,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", choices=["fig2", "fig3"],
                        help="bundled reference configuration")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--workers", type=int, default=0,
+        p.add_argument("--workers", type=_worker_count, default=0,
                        help="parallel workers for sweeps (0 = from config)")
         p.set_defaults(fn=fn)
     return parser

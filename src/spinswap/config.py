@@ -21,7 +21,8 @@ from importlib import resources
 
 import numpy as np
 
-from .model import BathSpec, ChainSpec, Regime, SecularMode, default_coarse_grain_dt
+from .model import BathSpec, ChainSpec, Regime, default_coarse_grain_dt, resolve_regime
+from .sequences import check_transport_chain
 from .sweep import GridSpec
 
 _UNIT_SCALES = {
@@ -53,7 +54,7 @@ def _eval_expr(expr: str, where: str) -> float:
             if isinstance(node, ast.Name) and node.id != "pi":
                 raise ConfigError(f"{where}: unknown name {node.id!r} in {expr!r}")
             if isinstance(node, ast.Constant):
-                if not isinstance(node.value, (int, float)):
+                if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                     raise ConfigError(f"{where}: non-numeric constant in {expr!r}")
                 # float operands: ** overflows at once, never builds a huge integer
                 node.value = float(node.value)
@@ -87,15 +88,14 @@ def parse_quantity(text, kind: str, where: str) -> float:
 class RunConfig:
     """Fully resolved run configuration.
 
-    `mode` carries the one coarse-graining window of the run; `grid.mode`
-    is the same object, so gate-check, simulate and every sweep point
-    resolve each pair's coupling alike.
+    Every coupling of `chain` carries its resolved coupling form, and
+    `grid.chain` is the same chain, so gate-check, simulate and every sweep
+    point couple each pair alike.
     """
 
     chain: ChainSpec
     bath: BathSpec
     omega1: float  # rad/s
-    mode: SecularMode
     refocusing: bool = True
     grid: GridSpec | None = None
     workers: int = 1
@@ -165,12 +165,9 @@ def parse_config(doc: dict) -> RunConfig:
             a, b = (_integer(site, f"{where}.pair", 0) for site in pair)
             j = parse_quantity(c["j"], "frequency", f"{where}.j")
             couplings.append((a, b, j))
-        chain = ChainSpec(tuple(larmor), tuple(couplings))
     except KeyError as exc:
         raise ConfigError(f"chain: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except TypeError as exc:
         raise ConfigError(f"chain: {exc}") from exc
 
     try:
@@ -211,14 +208,22 @@ def parse_config(doc: dict) -> RunConfig:
                             "regime.coarse_grain_dt")
     else:
         dt = default_coarse_grain_dt(bath, omega1)
+    # the one place each pair's form is resolved (a pair outside the chain
+    # keeps `regime`, and ChainSpec names it invalid)
     try:
-        mode = SecularMode(regime, dt)
+        couplings = [(a, b, j, resolve_regime(regime, larmor[a], larmor[b], dt)
+                      if max(a, b) < len(larmor) else regime) for a, b, j in couplings]
     except ValueError as exc:
         raise ConfigError(f"regime.coarse_grain_dt: {exc}") from None
 
     protocol = doc.get("protocol", "transport")
     if protocol != "transport":
         raise ConfigError(f"protocol: {protocol!r} is not supported (only transport)")
+    try:
+        chain = ChainSpec(tuple(larmor), tuple(couplings))
+        check_transport_chain(chain)
+    except ValueError as exc:
+        raise ConfigError(f"chain: {exc}") from exc
     refocusing = _flag(doc, "refocusing", "refocusing")
 
     grid = None
@@ -231,7 +236,6 @@ def parse_config(doc: dict) -> RunConfig:
                 tauc_values=_parse_axis(g["tau_c"], "time", "grid.tau_c"),
                 chain=chain,
                 bath=bath,
-                mode=mode,
                 refocus=refocusing,
                 scale_to_omega_se=_flag(g, "scale_to_omega_se", "grid.scale_to_omega_se"),
             )
@@ -248,7 +252,6 @@ def parse_config(doc: dict) -> RunConfig:
         chain=chain,
         bath=bath,
         omega1=omega1,
-        mode=mode,
         refocusing=refocusing,
         grid=grid,
         workers=workers,

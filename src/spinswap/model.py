@@ -45,30 +45,11 @@ class Mechanism(enum.Enum):
 
 
 class Regime(enum.Enum):
+    """Secular form of a pair's coupling; AUTO picks one (`resolve_regime`)."""
+
     AUTO = "auto"
     ISING_ONLY = "ising_only"
     ZERO_QUANTUM = "zero_quantum"
-
-
-@dataclass(frozen=True)
-class SecularMode:
-    """Secular-regime selection with its coarse-graining window.
-
-    `coarse_grain_dt` is the averaging time Delta-t of the auto regime
-    rule: |delta omega_0| * dt < 1 selects the zero-quantum coupling for a
-    pair.  It resolves the coupling regime only; every generator component
-    is static in the rotating frame, so no secular cutoff applies to the
-    dissipator.  A config that gives none gets `default_coarse_grain_dt`
-    when it is read (`config.parse_config`), so every run shares one
-    resolved window.
-    """
-
-    regime: Regime
-    coarse_grain_dt: float  # s
-
-    def __post_init__(self):
-        if self.coarse_grain_dt <= 0:
-            raise ValueError("coarse_grain_dt must be positive")
 
 
 @dataclass(frozen=True)
@@ -76,28 +57,33 @@ class ChainSpec:
     """Static chain parameters.
 
     larmor: per-spin Larmor frequencies omega_0^k in rad/s.
-    couplings: (site_a, site_b, J) triples with J in Hz.
+    couplings: (site_a, site_b, J, regime) entries with J in Hz and the
+    pair's secular coupling form, Regime.ISING_ONLY or Regime.ZERO_QUANTUM
+    (`config.parse_config` resolves it once, with `resolve_regime`).
     """
 
     larmor: tuple[float, ...]
-    couplings: tuple[tuple[int, int, float], ...] = ()
+    couplings: tuple[tuple[int, int, float, Regime], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "larmor", tuple(float(w) for w in self.larmor))
         object.__setattr__(
             self,
             "couplings",
-            tuple((int(a), int(b), float(j)) for a, b, j in self.couplings),
+            tuple((int(a), int(b), float(j), r) for a, b, j, r in self.couplings),
         )
         if not self.larmor:
             raise ValueError("chain needs at least one spin")
         n = self.nsites
         pairs = set()
-        for a, b, j in self.couplings:
+        for a, b, j, regime in self.couplings:
             if a == b or not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"coupling pair ({a},{b}) invalid for {n} sites")
             if j < 0:
                 raise ValueError("coupling J must be >= 0")
+            if regime not in (Regime.ISING_ONLY, Regime.ZERO_QUANTUM):
+                raise ValueError(f"coupling pair ({a},{b}) needs a resolved regime "
+                                 f"(ising_only or zero_quantum), got {regime!r}")
             # a pair listed twice would add its coupling twice to the
             # Hamiltonian while coupling_j reads only the first J
             if (min(a, b), max(a, b)) in pairs:
@@ -108,12 +94,17 @@ class ChainSpec:
     def nsites(self) -> int:
         return len(self.larmor)
 
+    def coupling(self, pair) -> tuple[int, int, float, Regime] | None:
+        """The coupling entry of `pair`, in either site order, or None."""
+        key = tuple(sorted(pair))
+        for c in self.couplings:
+            if tuple(sorted(c[:2])) == key:
+                return c
+        return None
+
     def coupling_j(self, pair) -> float:
-        a, b = sorted(pair)
-        for x, y, j in self.couplings:
-            if tuple(sorted((x, y))) == (a, b):
-                return j
-        return 0.0
+        c = self.coupling(pair)
+        return 0.0 if c is None else c[2]
 
 
 def _check_positive_finite(name: str, value: float, origin: str = "") -> None:
@@ -224,7 +215,7 @@ def _coupling_unit(terms: tuple, nsites: int) -> np.ndarray:
     terms, read-only."""
     h = np.zeros((2**nsites, 2**nsites), dtype=complex)
     for a, b, regime, ratio in terms:
-        h += ratio * _dipolar_unit((a, b), Regime(regime), nsites)
+        h += ratio * _dipolar_unit((a, b), regime, nsites)
     return read_only(h)
 
 
@@ -235,20 +226,23 @@ def _drive_axis(site: int, phase: float, nsites: int) -> np.ndarray:
     return read_only(np.cos(phase) * ops.x[site] + np.sin(phase) * ops.y[site])
 
 
-def resolve_secular_mode(mode: SecularMode, pair, chain: ChainSpec) -> Regime:
-    """Resolve AUTO to a concrete regime for one pair.
-
-    ZERO_QUANTUM when |omega_0^a - omega_0^b| * dt < 1 (strict); the
-    boundary product of exactly 1 goes to ISING_ONLY.
+def resolve_regime(regime: Regime, larmor_a: float, larmor_b: float,
+                   coarse_grain_dt: float) -> Regime:
+    """The coupling form of a pair with Larmor frequencies larmor_a and
+    larmor_b (rad/s): `regime` unless it is AUTO, which gives ZERO_QUANTUM
+    when |omega_0^a - omega_0^b| * dt < 1 (strict) over the coarse-graining
+    window dt (s), and ISING_ONLY otherwise, a product of exactly 1
+    included.  Raises ValueError for a window that is not positive.
     """
-    if mode.regime != Regime.AUTO:
-        return mode.regime
-    a, b = pair
-    dw = abs(chain.larmor[a] - chain.larmor[b])
-    return Regime.ZERO_QUANTUM if dw * mode.coarse_grain_dt < 1.0 else Regime.ISING_ONLY
+    if not coarse_grain_dt > 0:
+        raise ValueError("coarse_grain_dt must be positive")
+    if regime != Regime.AUTO:
+        return regime
+    dw = abs(larmor_a - larmor_b)
+    return Regime.ZERO_QUANTUM if dw * coarse_grain_dt < 1.0 else Regime.ISING_ONLY
 
 
-def coupling_component(chain: ChainSpec, mode: SecularMode) -> HarmonicComponent | None:
+def coupling_component(chain: ChainSpec) -> HarmonicComponent | None:
     """The always-on secular couplings of every pair as one zero-frequency
     component, or None for a chain without a nonzero coupling.
 
@@ -256,14 +250,13 @@ def coupling_component(chain: ChainSpec, mode: SecularMode) -> HarmonicComponent
     sums each pair's unit coupling times J_pair / J: Iz Iz in the Ising
     regime, Iz Iz - (I+ I- + I- I+)/4 in the zero-quantum regime, with the
     double-quantum terms always dropped (`_dipolar_unit`).  The label lists
-    (a, b, resolved regime, J_pair / J), so chains that differ only in a
-    common J share it.
+    (a, b, regime, J_pair / J), so chains that differ only in a common J
+    share it.
     """
-    j = max((jp for _, _, jp in chain.couplings), default=0.0)
+    j = max((jp for _, _, jp, _ in chain.couplings), default=0.0)
     if j <= 0:
         return None
-    terms = tuple((a, b, resolve_secular_mode(mode, (a, b), chain).value, jp / j)
-                  for a, b, jp in chain.couplings if jp > 0)
+    terms = tuple((a, b, regime, jp / j) for a, b, jp, regime in chain.couplings if jp > 0)
     return HarmonicComponent(Mechanism.COUPLING, terms,
                              _coupling_unit(terms, chain.nsites), 2.0 * np.pi * j)
 

@@ -36,12 +36,10 @@ from .model import (
     BathSpec,
     ChainSpec,
     Regime,
-    SecularMode,
     TimescaleSeparationWarning,
     _drive_axis,
     coupling_component,
     drive_hamiltonian,
-    resolve_secular_mode,
     system_env_coupling,
 )
 
@@ -237,9 +235,18 @@ def _echo_split(delays_before: float, tau: float, midpoint: float,
     return [Delay(0.5 * tau), flip, Delay(0.5 * tau), flip]
 
 
-def transport_protocol(chain: ChainSpec, drive_amp: float, mode: SecularMode,
+def check_transport_chain(chain: ChainSpec) -> None:
+    """Raise ValueError unless the transport protocol can run on `chain`."""
+    if chain.nsites != 3:
+        raise ValueError("transport protocol needs a 3-spin chain")
+    if chain.coupling_j((0, 2)) <= 0:
+        raise ValueError("chain must couple spins 1 and 3 (sites 0 and 2)")
+
+
+def transport_protocol(chain: ChainSpec, drive_amp: float,
                        refocus: bool = True) -> PulseProgram:
-    """Singlet transport on a 3-spin chain via SWAP between spins 1 and 3.
+    """Singlet transport on a 3-spin chain via SWAP between spins 1 and 3,
+    the sequence chosen by the pair's coupling form on the chain.
 
     The initial state (|10> - |01>)/sqrt(2) (x) |0> and the target
     |0> (x) (|01> - |10>)/sqrt(2) are attached as metadata.  With
@@ -247,27 +254,20 @@ def transport_protocol(chain: ChainSpec, drive_amp: float, mode: SecularMode,
     into spin-echo pairs of ideal pi pulses on the middle spin, one of
     which falls exactly at the midpoint of the total delay content; this
     cancels the nearest-neighbour couplings exactly under ideal pulses.
+    Raises ValueError for a chain `check_transport_chain` rejects.
     """
-    if chain.nsites != 3:
-        raise ValueError("transport protocol needs a 3-spin chain")
+    check_transport_chain(chain)
     pair = (0, 2)
     bystander = 1
-    j13 = chain.coupling_j(pair)
-    if j13 <= 0:
-        raise ValueError("chain must couple spins 1 and 3 (sites 0 and 2)")
-    regime = resolve_secular_mode(mode, pair, chain)
-    if regime == Regime.ISING_ONLY:
-        base = swap_nonidentical(pair, j13, drive_amp)
-    else:
-        base = swap_identical(pair, j13, drive_amp)
+    _, _, j13, regime = chain.coupling(pair)
+    build = swap_nonidentical if regime == Regime.ISING_ONLY else swap_identical
+    base = build(pair, j13, drive_amp)
 
     if refocus:
         for nn in ((0, 1), (1, 2)):
-            if chain.coupling_j(nn) <= 0:
-                continue
-            nn_regime = resolve_secular_mode(mode, nn, chain)
-            dw = abs(chain.larmor[nn[0]] - chain.larmor[nn[1]])
-            if nn_regime == Regime.ZERO_QUANTUM and dw > 0:
+            c = chain.coupling(nn)
+            if (c is not None and c[2] > 0 and c[3] == Regime.ZERO_QUANTUM
+                    and chain.larmor[nn[0]] != chain.larmor[nn[1]]):
                 warnings.warn(
                     f"neighbour pair {nn} resolved to the zero-quantum coupling "
                     "with distinct Larmor frequencies; echo refocusing cannot "
@@ -355,8 +355,7 @@ def _check_targets(program: PulseProgram, nsites: int) -> None:
                              f"register of nsites = {nsites}")
 
 
-def ideal_propagator(program: PulseProgram, chain: ChainSpec,
-                     mode: SecularMode) -> np.ndarray:
+def ideal_propagator(program: PulseProgram, chain: ChainSpec) -> np.ndarray:
     """Closed-evolution propagator with hard (instantaneous) pulses.
 
     Square pulses apply their full flip angle as an exact rotation with the
@@ -366,7 +365,7 @@ def ideal_propagator(program: PulseProgram, chain: ChainSpec,
     """
     n = chain.nsites
     _check_targets(program, n)
-    coupling = coupling_component(chain, mode)
+    coupling = coupling_component(chain)
     u = np.eye(2**n, dtype=complex)
     for seg in program.segments:
         if isinstance(seg, Delay):
@@ -406,8 +405,8 @@ class UnitaryWindow:
 Window = GeneratorWindow | UnitaryWindow
 
 
-def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
-                    mode: SecularMode) -> list[Window]:
+def compile_program(program: PulseProgram, chain: ChainSpec,
+                    bath: BathSpec) -> list[Window]:
     """Compile a program to piecewise-constant evolution windows.
 
     Every finite-duration window carries the always-on secular couplings as
@@ -419,10 +418,9 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
     exact zero-duration unitary windows, whose unitary and transfer matrix
     come from per-segment caches (`segment_unitary`, `segment_transfer`).
 
-    The mode's coarse-graining window only resolves the coupling regime of
-    each pair.  The timescale check uses the largest pulse amplitude as
-    omega_1.  Raises ValueError for a segment that targets a site outside
-    the chain.
+    Each pair couples in the form the chain records for it.  The timescale
+    check uses the largest pulse amplitude as omega_1.  Raises ValueError
+    for a segment that targets a site outside the chain.
     """
     n = chain.nsites
     _check_targets(program, n)
@@ -438,7 +436,7 @@ def compile_program(program: PulseProgram, chain: ChainSpec, bath: BathSpec,
             stacklevel=2,
         )
     env_comps = tuple(system_env_coupling(chain, bath))
-    coupling = coupling_component(chain, mode)
+    coupling = coupling_component(chain)
     # couplings evolve the state during delays; during hard pulses their
     # coherent action is negligible over the narrow pulse (the ideal pulse
     # algebra assumes it away) but they still feed the dissipator

@@ -20,7 +20,7 @@ import numpy as np
 from .evolve import Trajectory, channel_pass, propagate
 from .linalg import ket2dm
 from .metrics import TransferReport, report
-from .model import BathSpec, ChainSpec, SecularMode
+from .model import BathSpec, ChainSpec
 from .sequences import PulseProgram, compile_program, transport_protocol
 
 TABLE_HEADER = (
@@ -36,11 +36,10 @@ class GridSpec:
 
     Axis lists must be nonempty, strictly increasing and positive.  The
     chain's couplings are rescaled so every pair carries J = omega_D/2pi at
-    each grid point; omega_SE is fixed by `bath` and tau_c is overridden
-    per point.  `mode` (with its coarse-graining window) is the same at
-    every point: a sweep corresponds to one figure, whose pulse sequence,
-    hence the resolved regime of every pair, is fixed while omega_1,
-    omega_D and tau_c vary.
+    each grid point, each in the coupling form the chain records for it: a
+    sweep corresponds to one figure, whose pulse sequence is fixed while
+    omega_1, omega_D and tau_c vary.  omega_SE is fixed by `bath` and tau_c
+    is overridden per point.
     """
 
     omega1_values: tuple[float, ...]  # rad/s
@@ -48,7 +47,6 @@ class GridSpec:
     tauc_values: tuple[float, ...]  # s
     chain: ChainSpec
     bath: BathSpec
-    mode: SecularMode
     refocus: bool = True
     scale_to_omega_se: bool = True
 
@@ -91,8 +89,8 @@ class SweepRecord:
     transfer_time_s: float = float("nan")  # protocol duration; NaN for a failed point
 
 
-def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
-                  omega1: float, refocus: bool = True, sampled: bool = False,
+def run_transport(chain: ChainSpec, bath: BathSpec, omega1: float,
+                  refocus: bool = True, sampled: bool = False,
                   ) -> tuple[PulseProgram, Trajectory | None, TransferReport]:
     """Run the transport pipeline once: protocol, compile, channel pass, report.
 
@@ -100,11 +98,10 @@ def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
     With `sampled` (simulate), `propagate` also records the sampled
     trajectory alongside that pass; without it (a sweep point) no state is
     sampled and the trajectory is None.  The protocol builder and the
-    compiler resolve every pair's coupling form from the same `mode`.
-    The report also carries the protocol's duration as `transfer_time_s`.
+    compiler read every pair's coupling form from the chain.  The report also carries the protocol's duration as `transfer_time_s`.
     """
-    program = transport_protocol(chain, omega1, mode, refocus=refocus)
-    windows = compile_program(program, chain, bath, mode)
+    program = transport_protocol(chain, omega1, refocus=refocus)
+    windows = compile_program(program, chain, bath)
     rho0 = ket2dm(program.meta["initial_state"])
     if sampled:
         traj = propagate(rho0, windows, meta=program.meta)
@@ -115,20 +112,18 @@ def run_transport(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
     return program, traj, rep
 
 
-def evaluate_point(chain: ChainSpec, bath: BathSpec, mode: SecularMode,
-                   omega1: float, omegaD: float, tauc: float,
-                   refocus: bool = True) -> TransferReport:
+def evaluate_point(chain: ChainSpec, bath: BathSpec, omega1: float,
+                   omegaD: float, tauc: float, refocus: bool = True) -> TransferReport:
     """Run the transport pipeline at one parameter point.
 
-    Every coupling of the chain is rescaled to J = omega_D/2pi and the
-    bath's tau_c is replaced by `tauc`.
+    Every coupling of the chain is rescaled to J = omega_D/2pi, keeping its
+    regime, and the bath's tau_c is replaced by `tauc`.
     """
     j = omegaD / (2.0 * np.pi)
-    chain_pt = replace(
-        chain, couplings=tuple((a, b, j) for a, b, _ in chain.couplings)
-    )
+    chain_pt = replace(chain, couplings=tuple((a, b, j, r)
+                                              for a, b, _, r in chain.couplings))
     bath_pt = BathSpec(omega_se=bath.omega_se, tau_c=tauc)
-    return run_transport(chain_pt, bath_pt, mode, omega1, refocus)[2]
+    return run_transport(chain_pt, bath_pt, omega1, refocus)[2]
 
 
 def _point_record(args) -> SweepRecord:
@@ -141,8 +136,7 @@ def _point_record(args) -> SweepRecord:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            rep = evaluate_point(grid.chain, grid.bath, grid.mode, w1, wd,
-                                 tc, grid.refocus)
+            rep = evaluate_point(grid.chain, grid.bath, w1, wd, tc, grid.refocus)
             fid, conc, eff, tp, choi, duration, status = (
                 rep.fidelity, rep.concurrence_23, rep.efficiency,
                 rep.tp_defect, rep.choi_min, rep.transfer_time_s, "ok",
@@ -182,7 +176,8 @@ def run_sweep(grid: GridSpec, workers: int = 1) -> list[SweepRecord]:
 
 
 def argmax_report(records) -> SweepRecord:
-    """Record with maximal fidelity; ties go to smaller omega_1, then tau_c."""
+    """Record with maximal fidelity; ties go to smaller omega_1, then
+    tau_c, then omega_D."""
     ok = [r for r in records if r.status == "ok" and np.isfinite(r.fidelity)]
     if not ok:
         raise ValueError("all sweep points failed")

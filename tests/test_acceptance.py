@@ -26,8 +26,6 @@ from spinswap.metrics import concurrence, report, swap_efficiency
 from spinswap.model import (
     BathSpec,
     ChainSpec,
-    Regime,
-    SecularMode,
     drive_hamiltonian,
     system_env_coupling,
 )
@@ -41,6 +39,7 @@ from spinswap.sequences import (
 )
 from spinswap.sweep import GridSpec, format_table, run_sweep
 
+from chains import resolved_chain
 from oracles import brute_force_dissipator, kossakowski_matrix
 
 WSE = 2 * np.pi * 1.0e5
@@ -60,15 +59,17 @@ def test_criterion_1_gate_correctness():
     results = []
     cases = (
         ("non-identical", swap_nonidentical,
-         ChainSpec((2 * np.pi * 1e7, 2 * np.pi * 5e5), ((0, 1, J_REF),)),
+         resolved_chain((2 * np.pi * 1e7, 2 * np.pi * 5e5), ((0, 1, J_REF),),
+                        coarse_grain_dt=4.11e-7),
          -np.pi / 4),
         ("identical", swap_identical,
-         ChainSpec((2 * np.pi * 1e7, 2 * np.pi * 1e7), ((0, 1, J_REF),)),
+         resolved_chain((2 * np.pi * 1e7, 2 * np.pi * 1e7), ((0, 1, J_REF),),
+                        coarse_grain_dt=4.11e-7),
          -3 * np.pi / 4),
     )
     for label, builder, chain, expected_phase in cases:
         prog = builder((0, 1), J_REF, W1_REF)
-        u = ideal_propagator(prog, chain, SecularMode(Regime.AUTO, 4.11e-7))
+        u = ideal_propagator(prog, chain)
         phase = np.angle(u[0, 0])
         mismatch = max_norm(u - np.exp(1j * phase) * U_SWAP)
         phase_err = abs(np.exp(1j * phase) - np.exp(1j * expected_phase))
@@ -88,16 +89,15 @@ def test_criterion_1_gate_correctness():
 def test_criterion_2_transport_correctness():
     t0 = time.perf_counter()
     cfg = load_preset("fig2")
-    bath_off = BathSpec(0.0, tau_c=1e-18)
-    mode = cfg.mode  # preset pins the coarse-graining window
+    bath_off = BathSpec(0.0, tau_c=1e-18)  # the chain keeps the preset's regimes
 
-    prog = transport_protocol(cfg.chain, cfg.omega1, mode, refocus=True)
-    windows = compile_program(prog, cfg.chain, bath_off, mode)
+    prog = transport_protocol(cfg.chain, cfg.omega1, refocus=True)
+    windows = compile_program(prog, cfg.chain, bath_off)
     run = channel_pass(ket2dm(prog.meta["initial_state"]), windows, meta=prog.meta)
     rep = report(run, cfg.chain)
 
-    prog_off = transport_protocol(cfg.chain, cfg.omega1, mode, refocus=False)
-    u_off = ideal_propagator(prog_off, cfg.chain, mode)
+    prog_off = transport_protocol(cfg.chain, cfg.omega1, refocus=False)
+    u_off = ideal_propagator(prog_off, cfg.chain)
     psi_i, psi_f = prog_off.meta["initial_state"], prog_off.meta["target_state"]
     fid_off = abs(np.vdot(psi_f, u_off @ psi_i)) ** 2
 
@@ -123,14 +123,14 @@ def test_criterion_3_frqme_structural_suite():
         tauc = rng.uniform(0.01, 0.29) / wse
         w1 = rng.uniform(0.01, 0.29) / tauc
         j = 10 ** rng.uniform(4.7, 5.5)
-        chain = ChainSpec(
+        chain = resolved_chain(
             (2 * np.pi * 1e7, 2 * np.pi * 1e6, 2 * np.pi * 5e5),
             ((0, 2, j), (0, 1, j), (1, 2, j)),
+            coarse_grain_dt=4.11e-7,
         )
         bath = BathSpec(wse, tau_c=tauc)
-        mode = SecularMode(Regime.AUTO, 4.11e-7)
-        prog = transport_protocol(chain, w1, mode, refocus=True)
-        windows = compile_program(prog, chain, bath, mode)
+        prog = transport_protocol(chain, w1, refocus=True)
+        windows = compile_program(prog, chain, bath)
         gen_windows = [w for w in windows if hasattr(w, "spec")]
         # first pulse window and first delay window are representative
         for w in (gen_windows[0], gen_windows[-1]):
@@ -221,7 +221,6 @@ def test_criterion_6_coupling_strength_optimum():
         tauc_values=(TAU_C,),
         chain=cfg.chain,
         bath=cfg.bath,
-        mode=cfg.mode,
     )
     records = run_sweep(grid, workers=1)
     fids = _fidelity_column(records)

@@ -3,14 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from spinswap.cli import main
+from spinswap.cli import build_parser, main
 from spinswap.config import (
     ConfigError,
     load_preset,
     parse_config,
     parse_quantity,
 )
-from spinswap.model import Regime, SecularMode, default_coarse_grain_dt
+import spinswap.config as config
+import spinswap.model as model
+from spinswap.model import Regime, default_coarse_grain_dt, resolve_regime
+from spinswap.sweep import run_sweep, run_transport
 
 FIG2_DOC = {
     "chain": {
@@ -54,6 +57,9 @@ class TestQuantities:
             parse_quantity("__import__('os') s", "time", "x")
         with pytest.raises(ConfigError):
             parse_quantity("tau*2 s", "time", "x")
+        # a boolean is not a number, although bool subclasses int
+        with pytest.raises(ConfigError, match="drive.omega1"):
+            parse_quantity("True*2 kHz", "angular_frequency", "drive.omega1")
 
 
 class TestParseConfig:
@@ -78,22 +84,31 @@ class TestParseConfig:
         np.testing.assert_allclose(cfg.grid.omega1_values[-1], 2 * np.pi * 1e6)
 
     def test_window_resolved_once_at_load(self):
-        # no coarse_grain_dt: the default window comes from the bath and the
-        # drive's omega_1, and the grid shares the run's mode
-        doc = dict(FIG2_DOC)
+        # end spins 1.5e6 rad/s apart: the default window (from the bath and
+        # the drive's omega_1) makes that pair zero-quantum, a pinned window
+        # of 1 us makes it Ising; the chain records each pair's form and the
+        # grid sweeps that same chain
+        doc = json.loads(json.dumps(FIG2_DOC))
+        doc["chain"]["larmor"][2] = "2*pi*10000 + 1500 kHz"
         doc["grid"] = {
             "omega1": ["2*pi*10 kHz", "2*pi*10000 kHz"],
             "omegaD": ["2*pi*150 kHz"],
             "tau_c": ["0.1/(2*pi*1e5) s"],
         }
-        cfg = parse_config(doc)
-        assert cfg.mode == SecularMode(
-            Regime.AUTO, default_coarse_grain_dt(cfg.bath, cfg.omega1))
-        assert cfg.grid.mode == cfg.mode
-        doc["regime"] = {"mode": "ising_only", "coarse_grain_dt": "4.11e-7 s"}
-        cfg = parse_config(doc)
-        assert cfg.mode == SecularMode(Regime.ISING_ONLY, 4.11e-7)
-        assert cfg.grid.mode == cfg.mode
+        ising, zq = Regime.ISING_ONLY, Regime.ZERO_QUANTUM
+        for regime, want in [
+            ({}, [zq, ising, ising]),
+            ({"mode": "auto", "coarse_grain_dt": "1 us"}, [ising, ising, ising]),
+            ({"mode": "zero_quantum", "coarse_grain_dt": "4.11e-7 s"}, [zq, zq, zq]),
+        ]:
+            doc["regime"] = regime
+            cfg = parse_config(doc)
+            assert [c[3] for c in cfg.chain.couplings] == want
+            assert cfg.grid.chain is cfg.chain
+        dt = default_coarse_grain_dt(cfg.bath, cfg.omega1)
+        larmor = cfg.chain.larmor
+        assert [resolve_regime(Regime.AUTO, larmor[a], larmor[b], dt)
+                for a, b, _, _ in cfg.chain.couplings] == [zq, ising, ising]
 
     def test_missing_fields_diagnosed(self):
         with pytest.raises(ConfigError, match="chain"):
@@ -214,6 +229,16 @@ class TestCli:
         assert main(["validate", "--config", path]) == 1
         assert f"chain: coupling pair ({pair[0]},{pair[1]}) listed twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["auto", "ising_only"])
+    def test_validate_rejects_pair_outside_chain(self, tmp_path, capsys, mode):
+        # the pair is named by ChainSpec, never resolved against a missing spin
+        doc = json.loads(json.dumps(FIG2_DOC))
+        doc["chain"]["couplings"].append({"pair": [1, 3], "j": "150 kHz"})
+        doc["regime"] = {"mode": mode}
+        path = self._write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        assert "chain: coupling pair (1,3) invalid for 3 sites" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("field, value", [("tau_c", "0 s"), ("kappa", "0 1/sqrt(s)"),
                                               ("tau_c", "-1.6e-7 s"),
@@ -260,7 +285,7 @@ class TestCli:
 
     def test_gate_check_resolves_regime_as_simulate(self, tmp_path, capsys):
         # no pinned coarse_grain_dt: the default window (from tau_c and
-        # omega_1) puts end spins 1.5 MHz apart in the zero-quantum regime
+        # omega_1) puts end spins 1.5e6 rad/s apart in the zero-quantum regime
         doc = json.loads(json.dumps(FIG2_DOC))
         doc["chain"]["larmor"][2] = "2*pi*10000 + 1500 kHz"
         path = self._write_config(tmp_path, doc)
@@ -324,10 +349,10 @@ class TestCli:
 
         original = sweep.evaluate_point
 
-        def flaky(chain, bath, mode, omega1, *args):
+        def flaky(chain, bath, omega1, *args):
             if omega1 < 2 * np.pi * 1.2e5:
                 raise ValueError("boom, x")
-            return original(chain, bath, mode, omega1, *args)
+            return original(chain, bath, omega1, *args)
 
         monkeypatch.setattr(sweep, "evaluate_point", flaky)
         doc = json.loads(json.dumps(FIG2_DOC))
@@ -416,6 +441,48 @@ class TestCli:
     def test_requires_some_config(self):
         assert main(["validate"]) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "simulate", "gate-check"])
+    @pytest.mark.parametrize("case, message", [
+        ("four-spins", "chain: transport protocol needs a 3-spin chain"),
+        ("uncoupled-ends", "chain: chain must couple spins 1 and 3 (sites 0 and 2)"),
+    ])
+    def test_chain_the_transport_cannot_run_rejected(self, tmp_path, capsys, command,
+                                                     case, message):
+        # a fourth spin, or no coupling between the end spins, is a
+        # configuration error for every command, not a runtime failure of
+        # simulate or a gate check of another pair
+        doc = json.loads(json.dumps(FIG2_DOC))
+        if case == "four-spins":
+            doc["chain"]["larmor"].append("2*pi*250 kHz")
+        else:
+            doc["chain"]["couplings"] = [c for c in doc["chain"]["couplings"]
+                                         if c["pair"] != [0, 2]]
+        path = self._write_config(tmp_path, doc)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "[PASS]" not in captured.out
+
+    @pytest.mark.parametrize("argv, field", [
+        (["validate", "--preset", "fig9"], "--preset"),
+        (["sweep", "--preset", "fig2", "--workers", "-4"], "--workers"),
+        (["sweep", "--preset", "fig2", "--workers", "two"], "--workers"),
+        (["frobnicate"], "command"),
+    ], ids=["unknown-preset", "negative-workers", "non-integer-workers", "unknown-command"])
+    def test_usage_error_exits_with_the_config_code(self, capsys, argv, field):
+        # exit code 2 is a failed physics check; a usage error is 1
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"argument {field}" in capsys.readouterr().err
+
+    def test_help_exits_0_and_zero_workers_reads_the_config(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--workers" in capsys.readouterr().out
+        assert build_parser().parse_args(["sweep", "--workers", "0"]).workers == 0
+
 
 def test_repeated_runs_are_byte_identical(tmp_path):
     path = tmp_path / "run.json"
@@ -445,3 +512,31 @@ def test_bath_via_kappa():
     doc["bath"]["kappa"] = "3544.9 1/sqrt(s)"
     cfg = parse_config(doc)
     np.testing.assert_allclose(cfg.bath.tau_c, 2.0 / 3544.9**2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_regime_resolved_only_at_load(tmp_path, monkeypatch, preset):
+    # loading a config resolves each coupling once; a simulate run and the
+    # points of a serial sweep read the resolved chain and resolve nothing
+    calls = []
+    real = model.resolve_regime
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model, "resolve_regime", counting)
+    monkeypatch.setattr(config, "resolve_regime", counting)
+    cfg = load_preset(preset)
+    ncouplings = len(cfg.chain.couplings)
+    assert ncouplings == 3 and len(calls) == ncouplings
+    run_transport(cfg.chain, cfg.bath, cfg.omega1, cfg.refocusing, sampled=True)
+    records = run_sweep(cfg.grid, workers=1)
+    assert all(r.status == "ok" for r in records)
+    assert len(calls) == ncouplings
+    # each command loads the config once, and resolves nothing after it
+    assert main(["simulate", "--preset", preset, "--out", str(tmp_path / "sim")]) == 0
+    assert len(calls) == 2 * ncouplings
+    assert main(["sweep", "--preset", preset, "--workers", "1",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert len(calls) == 3 * ncouplings

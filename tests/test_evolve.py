@@ -45,22 +45,22 @@ from spinswap.sequences import (
     segment_unitary,
     transport_protocol,
 )
-from spinswap.model import Regime, SecularMode, default_coarse_grain_dt
+from spinswap.model import default_coarse_grain_dt
 import spinswap.sweep as sweep
 from spinswap.sweep import GridSpec, evaluate_point, run_sweep, run_transport
 
+from chains import resolved_chain
 from oracles import brute_force_dissipator, reference_dissipator, reference_first_order
 
 W1 = 2 * np.pi * 1.5e5
 WSE = 2 * np.pi * 1.0e5
 TAU_C = 0.1 / WSE
 CHAIN1 = ChainSpec((2 * np.pi * 1e6,), ())
-MODE = SecularMode(Regime.AUTO, 4.1e-7)
 
 
 def drive_window(amplitude, duration, bath, phase=0.0):
     prog = PulseProgram((SquarePulse(amplitude, phase, (0,), duration),))
-    return compile_program(prog, CHAIN1, bath, MODE)
+    return compile_program(prog, CHAIN1, bath)
 
 
 class TestPropagate:
@@ -106,7 +106,7 @@ class TestPropagate:
         # point is non-increasing
         bath = BathSpec(WSE, tau_c=TAU_C)
         prog = PulseProgram((Delay(5e-5),))
-        windows = compile_program(prog, CHAIN1, bath, MODE)
+        windows = compile_program(prog, CHAIN1, bath)
         rho0 = ket2dm(basis_state([0]))
         traj = propagate(rho0, windows)
         fixed = identity(2) / 2
@@ -173,15 +173,15 @@ class TestChannel:
         # pass maps the initial state onto the sampled final state and
         # preserves the trace
         j = 1.5e5
-        chain = ChainSpec(
-            tuple(2 * np.pi * 1e3 * w for w in larmor_khz),
-            ((0, 2, j), (0, 1, j), (1, 2, j)),
-        )
         omega1 = 2 * np.pi * 1e3 * omega1_khz
         bath = BathSpec(WSE, tau_c=wse_tauc / WSE)
-        mode = SecularMode(Regime.AUTO, default_coarse_grain_dt(bath, omega1))
-        prog = transport_protocol(chain, omega1, mode)
-        windows = compile_program(prog, chain, bath, mode)
+        chain = resolved_chain(
+            tuple(2 * np.pi * 1e3 * w for w in larmor_khz),
+            ((0, 2, j), (0, 1, j), (1, 2, j)),
+            coarse_grain_dt=default_coarse_grain_dt(bath, omega1),
+        )
+        prog = transport_protocol(chain, omega1)
+        windows = compile_program(prog, chain, bath)
         rho0 = ket2dm(prog.meta["initial_state"])
         traj = propagate(rho0, windows)
         channel = traj.channel_pass.channel
@@ -202,15 +202,15 @@ def test_pass_matches_sampled_propagation(larmor_khz, omega1_khz, wse_tauc):
     # state and the channel, which is trace preserving and completely
     # positive by an explicitly built Choi matrix
     j = 1.5e5
-    chain = ChainSpec(
-        tuple(2 * np.pi * 1e3 * w for w in larmor_khz),
-        ((0, 2, j), (0, 1, j), (1, 2, j)),
-    )
     omega1 = 2 * np.pi * 1e3 * omega1_khz
     bath = BathSpec(WSE, tau_c=wse_tauc / WSE)
-    mode = SecularMode(Regime.AUTO, default_coarse_grain_dt(bath, omega1))
-    prog = transport_protocol(chain, omega1, mode)
-    windows = compile_program(prog, chain, bath, mode)
+    chain = resolved_chain(
+        tuple(2 * np.pi * 1e3 * w for w in larmor_khz),
+        ((0, 2, j), (0, 1, j), (1, 2, j)),
+        coarse_grain_dt=default_coarse_grain_dt(bath, omega1),
+    )
+    prog = transport_protocol(chain, omega1)
+    windows = compile_program(prog, chain, bath)
     rho0 = ket2dm(prog.meta["initial_state"])
     run = channel_pass(rho0, windows, meta=prog.meta)
     traj = propagate(rho0, windows, meta=prog.meta)
@@ -266,16 +266,16 @@ def test_pass_matches_complex_reference_walk(larmor_khz, identical, omega1_khz,
     if identical:
         larmor_khz = [larmor_khz[0], larmor_khz[1], larmor_khz[0]]
     j = 1.5e5
-    chain = ChainSpec(
-        tuple(2 * np.pi * 1e3 * w for w in larmor_khz),
-        ((0, 2, j), (0, 1, j), (1, 2, j)),
-    )
     omega1 = 2 * np.pi * 1e3 * omega1_khz
     wse = 2 * np.pi * 1e3 * wse_khz
     bath = BathSpec(wse, tau_c=wse_tauc / wse)
-    mode = SecularMode(Regime.AUTO, default_coarse_grain_dt(bath, omega1))
-    prog = transport_protocol(chain, omega1, mode)
-    windows = compile_program(prog, chain, bath, mode)
+    chain = resolved_chain(
+        tuple(2 * np.pi * 1e3 * w for w in larmor_khz),
+        ((0, 2, j), (0, 1, j), (1, 2, j)),
+        coarse_grain_dt=default_coarse_grain_dt(bath, omega1),
+    )
+    prog = transport_protocol(chain, omega1)
+    windows = compile_program(prog, chain, bath)
     rho0 = ket2dm(prog.meta["initial_state"])
     run = channel_pass(rho0, windows)
     channel, final = complex_reference_pass(rho0, windows)
@@ -285,7 +285,7 @@ def test_pass_matches_complex_reference_walk(larmor_khz, identical, omega1_khz,
 
 def run_preset_point(name, sampled=False):
     cfg = load_preset(name)
-    return run_transport(cfg.chain, cfg.bath, cfg.mode, cfg.omega1, cfg.refocusing,
+    return run_transport(cfg.chain, cfg.bath, cfg.omega1, cfg.refocusing,
                          sampled=sampled)
 
 
@@ -295,7 +295,7 @@ def test_each_instantaneous_segment_adds_a_row_at_the_same_time():
     program, traj, _ = run_preset_point("fig2", sampled=True)
     cfg = load_preset("fig2")
     unitaries = [segment_unitary(w.segment, w.nsites)
-                 for w in compile_program(program, cfg.chain, cfg.bath, cfg.mode)
+                 for w in compile_program(program, cfg.chain, cfg.bath)
                  if isinstance(w, UnitaryWindow)]
     repeats = [k for k in range(1, len(traj.times)) if traj.times[k] == traj.times[k - 1]]
     assert len(repeats) == len(unitaries) == 16
@@ -369,7 +369,7 @@ class TestDistinctGenerators:
         monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
         counts = counting_calls(monkeypatch, [(linalg, "embed"), (master, "superop_to_pauli"),
                                               (sequences, "superop_to_pauli")])
-        rep = evaluate_point(cfg.chain, cfg.bath, cfg.mode, 1.37 * cfg.omega1,
+        rep = evaluate_point(cfg.chain, cfg.bath, 1.37 * cfg.omega1,
                              2 * np.pi * 0.8 * cfg.chain.coupling_j((0, 2)),
                              0.7 * cfg.bath.tau_c)
         after = master._cached_polynomial.cache_info()
@@ -388,7 +388,7 @@ class TestDistinctGenerators:
         run_preset_point(preset)
         assert (calls["assemble"], calls["expm"]) == (assembles, expms)
         cfg = load_preset(preset)
-        evaluate_point(cfg.chain, cfg.bath, cfg.mode, cfg.omega1,
+        evaluate_point(cfg.chain, cfg.bath, cfg.omega1,
                        2 * np.pi * cfg.chain.coupling_j((0, 2)), cfg.bath.tau_c)
         assert (calls["assemble"], calls["expm"]) == (2 * assembles, 2 * expms)
         assert calls["propagate"] == 0
@@ -400,7 +400,7 @@ class TestDistinctGenerators:
         cfg = load_preset("fig2")
         windows = [
             replace(w, spec=replace(w.spec)) if hasattr(w, "spec") else w
-            for w in compile_program(program, cfg.chain, cfg.bath, cfg.mode)
+            for w in compile_program(program, cfg.chain, cfg.bath)
         ]
         own = propagate(ket2dm(program.meta["initial_state"]), windows)
         np.testing.assert_array_equal(own.times, traj.times)
@@ -445,9 +445,8 @@ def test_direct_calls_run_expm_on_one_blas_thread(monkeypatch):
             monkeypatch.setattr(module, "expm", lambda g, t=1.0, real=real, key=key: (
                 seen[key].append(counts()) or real(g, t)))
         cfg = load_preset("fig3")
-        program = transport_protocol(cfg.chain, cfg.omega1, cfg.mode,
-                                     refocus=cfg.refocusing)
-        windows = compile_program(program, cfg.chain, cfg.bath, cfg.mode)
+        program = transport_protocol(cfg.chain, cfg.omega1, refocus=cfg.refocusing)
+        windows = compile_program(program, cfg.chain, cfg.bath)
         assert counts() == [2] * len(handles)
         channel_pass(ket2dm(program.meta["initial_state"]), windows)
         assert (len(seen["compile"]), len(seen["walk"])) == (0, 4)
@@ -475,8 +474,8 @@ class TestChannelChecks:
         # transposed window's program CP.
         cfg = load_preset("fig2")
         bath = BathSpec(0.0, tau_c=1e-18)
-        program = transport_protocol(cfg.chain, cfg.omega1, cfg.mode)
-        windows = compile_program(program, cfg.chain, bath, cfg.mode)
+        program = transport_protocol(cfg.chain, cfg.omega1)
+        windows = compile_program(program, cfg.chain, bath)
         rho0 = ket2dm(program.meta["initial_state"])
         channel_pass(rho0, windows)  # the undoctored program passes
         first = next(w for w in windows if hasattr(w, "spec"))
@@ -490,7 +489,7 @@ class TestChannelChecks:
         with pytest.raises(ChannelError, match=message):
             channel_pass(rho0, windows)
         grid = GridSpec((cfg.omega1,), (2 * np.pi * cfg.chain.coupling_j((0, 2)),),
-                        (bath.tau_c,), cfg.chain, bath, cfg.mode)
+                        (bath.tau_c,), cfg.chain, bath)
         (record,) = run_sweep(grid, workers=1)
         assert record.status == "failed(ChannelError)"
         assert record.error.startswith(message)

@@ -269,8 +269,8 @@ def random_components(rng, nsites, n_static, env_sites, coherent):
 def preset_specs(name):
     """The distinct generator specs of one preset transport point."""
     cfg = load_preset(name)
-    program = transport_protocol(cfg.chain, cfg.omega1, cfg.mode, refocus=cfg.refocusing)
-    windows = compile_program(program, cfg.chain, cfg.bath, cfg.mode)
+    program = transport_protocol(cfg.chain, cfg.omega1, refocus=cfg.refocusing)
+    windows = compile_program(program, cfg.chain, cfg.bath)
     return list({id(w.spec): w.spec for w in windows if hasattr(w, "spec")}.values())
 
 
@@ -325,18 +325,18 @@ class TestVectorizedAssembly:
         # a new amplitude, coupling and tau_c give new specs of the same
         # shapes; new pulse phases give new pulse shapes
         cfg = load_preset("fig2")
-        chain = replace(cfg.chain, couplings=tuple((a, b, 2.3 * j)
-                                                   for a, b, j in cfg.chain.couplings))
+        chain = replace(cfg.chain, couplings=tuple((a, b, 2.3 * j, r)
+                                                   for a, b, j, r in cfg.chain.couplings))
         bath = BathSpec(cfg.bath.omega_se, tau_c=0.6 * cfg.bath.tau_c)
-        program = transport_protocol(chain, 1.7 * cfg.omega1, cfg.mode)
-        windows = compile_program(program, chain, bath, cfg.mode)
+        program = transport_protocol(chain, 1.7 * cfg.omega1)
+        windows = compile_program(program, chain, bath)
         specs = list({id(w.spec): w.spec for w in windows if hasattr(w, "spec")}.values())
         assert [s.shape() for s in specs] == [s.shape() for s in preset_specs("fig2")]
         assert len({s.shape() for s in specs}) == 9
         shifted = replace(program, segments=tuple(
             replace(seg, phase=seg.phase + 0.25) if hasattr(seg, "phase") else seg
             for seg in program.segments))
-        windows = compile_program(shifted, chain, bath, cfg.mode)
+        windows = compile_program(shifted, chain, bath)
         shapes = {w.spec.shape() for w in windows if hasattr(w, "spec")}
         # only the delay windows' shape, which has no drive, is shared
         assert len(shapes) == 9

@@ -26,18 +26,19 @@ from spinswap.metrics import (
     state_fidelity,
     swap_efficiency,
 )
-from spinswap.model import BathSpec, ChainSpec, Regime, SecularMode
+from spinswap.model import BathSpec
 from spinswap.sequences import U_SWAP, compile_program, transport_protocol
+
+from chains import resolved_chain
 
 IX, IY, IZ, IP, IM = spin_half_ops()
 
 J = 1.5e5
 W1 = 2 * np.pi * 1.5e5
-CHAIN3 = ChainSpec(
+CHAIN3 = resolved_chain(
     (2 * np.pi * 1e7, 2 * np.pi * 1e6, 2 * np.pi * 5e5),
     ((0, 2, J), (0, 1, J), (1, 2, J)),
 )
-MODE = SecularMode(Regime.AUTO, 4.1e-7)
 
 PSI_M = (basis_state([1, 0]) - basis_state([0, 1])) / np.sqrt(2)
 PSI_I = np.kron(PSI_M, basis_state([0]))
@@ -207,8 +208,8 @@ def test_closed_forms_match_pauli_sum_on_random_channels(seed, rank):
 
 class TestReport:
     def _run(self, bath, refocus=True):
-        prog = transport_protocol(CHAIN3, W1, MODE, refocus=refocus)
-        windows = compile_program(prog, CHAIN3, bath, MODE)
+        prog = transport_protocol(CHAIN3, W1, refocus=refocus)
+        windows = compile_program(prog, CHAIN3, bath)
         return channel_pass(ket2dm(prog.meta["initial_state"]), windows,
                             meta=prog.meta)
 

@@ -6,25 +6,25 @@ from spinswap.model import (
     BathSpec,
     ChainSpec,
     Regime,
-    SecularMode,
     TimescaleSeparationWarning,
     coupling_component,
     default_coarse_grain_dt,
     drive_hamiltonian,
-    resolve_secular_mode,
+    resolve_regime,
     system_env_coupling,
 )
 
 IX, IY, IZ, IP, IM = spin_half_ops()
 
 FIG2_LARMOR = (2 * np.pi * 1e7, 2 * np.pi * 1e6, 2 * np.pi * 5e5)
+ISING, ZQ = Regime.ISING_ONLY, Regime.ZERO_QUANTUM
 
 
 def coupling_op(pairs, regime, nsites):
-    """The coupling component's operator for (a, b, J) pairs, the secular
-    regime fixed to `regime`."""
-    chain = ChainSpec(FIG2_LARMOR[:nsites], pairs)
-    return coupling_component(chain, SecularMode(regime, 1e-6)).op
+    """The coupling component's operator for (a, b, J) pairs, every pair
+    in the coupling form `regime`."""
+    chain = ChainSpec(FIG2_LARMOR[:nsites], tuple(p + (regime,) for p in pairs))
+    return coupling_component(chain).op
 
 
 class TestDipolar:
@@ -49,8 +49,8 @@ class TestDipolar:
         with_zero = coupling_op(((0, 2, 7e4), (0, 1, 0.0)), Regime.ZERO_QUANTUM, 3)
         without = coupling_op(((0, 2, 7e4),), Regime.ZERO_QUANTUM, 3)
         np.testing.assert_array_equal(with_zero, without)
-        chain = ChainSpec(FIG2_LARMOR[:2], ((0, 1, 0.0),))
-        assert coupling_component(chain, SecularMode(Regime.ZERO_QUANTUM, 1e-6)) is None
+        chain = ChainSpec(FIG2_LARMOR[:2], ((0, 1, 0.0, ZQ),))
+        assert coupling_component(chain) is None
 
     def test_zero_quantum_conserves_total_z(self):
         h = coupling_op(((0, 2, 7e4),), Regime.ZERO_QUANTUM, 3)
@@ -111,27 +111,24 @@ class TestSystemEnv:
 
 class TestRegimeSelection:
     def test_equal_frequencies_always_zero_quantum(self):
-        chain = ChainSpec((2 * np.pi * 1e7, 2 * np.pi * 1e7))
-        mode = SecularMode(Regime.AUTO, 1e-12)
-        assert resolve_secular_mode(mode, (0, 1), chain) == Regime.ZERO_QUANTUM
+        w = 2 * np.pi * 1e7
+        assert resolve_regime(Regime.AUTO, w, w, 1e-12) == ZQ
 
     def test_reference_parameters_select_ising(self):
-        chain = ChainSpec(FIG2_LARMOR)
-        mode = SecularMode(Regime.AUTO, 1e-5)
         # spins 1,2: delta omega = 2pi x 9e6 rad/s -> product ~ 565
-        assert resolve_secular_mode(mode, (0, 1), chain) == Regime.ISING_ONLY
+        assert resolve_regime(Regime.AUTO, FIG2_LARMOR[0], FIG2_LARMOR[1], 1e-5) == ISING
 
     def test_boundary_goes_to_ising(self):
+        # the rule is strict: a product of exactly 1 is Ising, just below
+        # it zero-quantum
         dt = 1e-6
-        chain = ChainSpec((0.0, 1.0 / dt))
-        mode = SecularMode(Regime.AUTO, dt)
-        assert resolve_secular_mode(mode, (0, 1), chain) == Regime.ISING_ONLY
+        assert resolve_regime(Regime.AUTO, 0.0, 1.0 / dt, dt) == ISING
+        assert resolve_regime(Regime.AUTO, 0.0, np.nextafter(1.0 / dt, 0.0), dt) == ZQ
 
     def test_explicit_modes_pass_through(self):
-        chain = ChainSpec(FIG2_LARMOR)
-        for regime in (Regime.ISING_ONLY, Regime.ZERO_QUANTUM):
-            mode = SecularMode(regime, 1e-5)
-            assert resolve_secular_mode(mode, (0, 1), chain) == regime
+        for regime in (ISING, ZQ):
+            for a, b in ((0, 1), (0, 0)):
+                assert resolve_regime(regime, FIG2_LARMOR[a], FIG2_LARMOR[b], 1e-5) == regime
 
     def test_default_window_is_geometric_mean(self):
         bath = BathSpec(2 * np.pi * 1e5, tau_c=1.6e-7)
@@ -142,10 +139,11 @@ class TestRegimeSelection:
 
     def test_mode_requires_a_positive_window(self):
         with pytest.raises(TypeError):
-            SecularMode(Regime.AUTO)
-        for dt in (0.0, -1e-7):
-            with pytest.raises(ValueError, match="coarse_grain_dt"):
-                SecularMode(Regime.AUTO, dt)
+            resolve_regime(Regime.AUTO, 0.0, 1.0)
+        for regime in (Regime.AUTO, ISING):
+            for dt in (0.0, -1e-7):
+                with pytest.raises(ValueError, match="coarse_grain_dt"):
+                    resolve_regime(regime, 0.0, 1.0, dt)
 
 
 class TestBathSpec:
@@ -199,23 +197,34 @@ class TestBathSpec:
 
 class TestChainSpec:
     def test_coupling_lookup_is_order_insensitive(self):
-        chain = ChainSpec(FIG2_LARMOR, ((0, 2, 1.5e5),))
+        chain = ChainSpec(FIG2_LARMOR, ((0, 2, 1.5e5, ZQ),))
         assert chain.coupling_j((2, 0)) == 1.5e5
+        assert chain.coupling((2, 0)) == (0, 2, 1.5e5, ZQ)
         assert chain.coupling_j((0, 1)) == 0.0
+        assert chain.coupling((0, 1)) is None
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ValueError):
-            ChainSpec((1.0, 2.0), ((0, 0, 1e3),))
+            ChainSpec((1.0, 2.0), ((0, 0, 1e3, ISING),))
         with pytest.raises(ValueError):
-            ChainSpec((1.0, 2.0), ((0, 5, 1e3),))
+            ChainSpec((1.0, 2.0), ((0, 5, 1e3, ISING),))
         with pytest.raises(ValueError):
-            ChainSpec((1.0, 2.0), ((0, 1, -1e3),))
+            ChainSpec((1.0, 2.0), ((0, 1, -1e3, ISING),))
         with pytest.raises(ValueError):
             ChainSpec(())
+
+    @pytest.mark.parametrize("regime", [Regime.AUTO, "ising_only", None],
+                             ids=["auto", "string", "none"])
+    def test_unresolved_regime_rejected(self, regime):
+        # every coupling carries its resolved form; nothing falls back to
+        # the Ising coupling
+        with pytest.raises(ValueError, match=r"coupling pair \(1,2\) needs a resolved regime"):
+            ChainSpec(FIG2_LARMOR, ((0, 2, 1.5e5, ISING), (1, 2, 1.5e5, regime)))
 
     @pytest.mark.parametrize("second", [(0, 2), (2, 0)], ids=["same-order", "reversed"])
     def test_pair_listed_twice_rejected(self, second):
         # a repeated pair would put 2J into the Hamiltonian while
         # coupling_j times the SWAP for J
         with pytest.raises(ValueError, match=r"coupling pair \(\d,\d\) listed twice"):
-            ChainSpec(FIG2_LARMOR, ((0, 2, 1.5e5), (0, 1, 1.5e5), second + (1.5e5,)))
+            ChainSpec(FIG2_LARMOR, ((0, 2, 1.5e5, ISING), (0, 1, 1.5e5, ISING),
+                                    second + (1.5e5, ISING)))

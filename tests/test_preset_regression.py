@@ -44,5 +44,5 @@ def test_preset_sweep_reproduces_recorded_rows(tmp_path, preset):
 @pytest.mark.parametrize("preset", ["fig2", "fig3"])
 def test_preset_program_json_reproduces_recorded_bytes(preset):
     cfg = load_preset(preset)
-    program = transport_protocol(cfg.chain, cfg.omega1, cfg.mode, refocus=cfg.refocusing)
+    program = transport_protocol(cfg.chain, cfg.omega1, refocus=cfg.refocusing)
     assert program_to_json(program) == PROGRAMS["presets"][preset]

@@ -11,7 +11,7 @@ from spinswap.cli import GATE_UNITARY_TOL
 from spinswap.evolve import propagate
 from spinswap.linalg import (conjugation_superop, embed, ket2dm, max_norm,
                              spin_half_ops, superop_to_pauli, unvec, vec)
-from spinswap.model import BathSpec, ChainSpec, Regime, SecularMode
+from spinswap.model import BathSpec, ChainSpec, Regime
 from spinswap.sequences import (
     Delay,
     GeneratorWindow,
@@ -32,15 +32,16 @@ from spinswap.sequences import (
     transport_protocol,
 )
 
+from chains import resolved_chain
+
 J = 1.5e5  # Hz
 W1 = 2 * np.pi * 1.5e5
-NONIDEN = ChainSpec((2 * np.pi * 1e7, 2 * np.pi * 5e5), ((0, 1, J),))
-IDEN = ChainSpec((2 * np.pi * 1e7, 2 * np.pi * 1e7), ((0, 1, J),))
-CHAIN3 = ChainSpec(
+NONIDEN = resolved_chain((2 * np.pi * 1e7, 2 * np.pi * 5e5), ((0, 1, J),))
+IDEN = resolved_chain((2 * np.pi * 1e7, 2 * np.pi * 1e7), ((0, 1, J),))
+CHAIN3 = resolved_chain(
     (2 * np.pi * 1e7, 2 * np.pi * 1e6, 2 * np.pi * 5e5),
     ((0, 2, J), (0, 1, J), (1, 2, J)),
 )
-MODE = SecularMode(Regime.AUTO, 4.1e-7)
 PRESET_PROGRAMS = json.loads(
     (Path(__file__).parent / "data" / "preset_programs.json").read_text())
 
@@ -60,16 +61,16 @@ def swap_mismatch(sequence, larmor_khz, j_khz, omega1_khz, regime, phase):
     """Max-norm distance of the sequence's ideal propagator from
     exp(i phase) U_swap."""
     j = 1e3 * j_khz
-    chain = ChainSpec(tuple(2 * np.pi * 1e3 * w for w in larmor_khz), ((0, 1, j),))
-    u = ideal_propagator(sequence((0, 1), j, 2 * np.pi * 1e3 * omega1_khz), chain,
-                         SecularMode(regime, 4.1e-7))
+    chain = resolved_chain(tuple(2 * np.pi * 1e3 * w for w in larmor_khz), ((0, 1, j),),
+                           regime=regime)
+    u = ideal_propagator(sequence((0, 1), j, 2 * np.pi * 1e3 * omega1_khz), chain)
     return max_norm(u - np.exp(1j * phase) * U_SWAP)
 
 
 class TestSwapNonidentical:
     def setup_method(self):
         self.prog = swap_nonidentical((0, 1), J, W1)
-        self.u = ideal_propagator(self.prog, NONIDEN, MODE)
+        self.u = ideal_propagator(self.prog, NONIDEN)
 
     @settings(max_examples=25, deadline=None)
     @given(larmor_khz=st.lists(LARMOR_KHZ, min_size=2, max_size=2), j_khz=J_KHZ,
@@ -103,7 +104,7 @@ class TestSwapNonidentical:
                 segs[i] = Delay(s.duration / 2)
                 break
         bad = PulseProgram(tuple(segs), dict(self.prog.meta))
-        u = ideal_propagator(bad, NONIDEN, MODE)
+        u = ideal_propagator(bad, NONIDEN)
         phase = phase_of(u)
         assert max_norm(u - np.exp(1j * phase) * U_SWAP) > 1e-3
 
@@ -117,7 +118,7 @@ class TestSwapNonidentical:
 class TestSwapIdentical:
     def setup_method(self):
         self.prog = swap_identical((0, 1), J, W1)
-        self.u = ideal_propagator(self.prog, IDEN, MODE)
+        self.u = ideal_propagator(self.prog, IDEN)
 
     @settings(max_examples=25, deadline=None)
     @given(larmor_khz=LARMOR_KHZ, j_khz=J_KHZ, omega1_khz=OMEGA1_KHZ)
@@ -149,11 +150,11 @@ class TestSwapIdentical:
 
 class TestTransport:
     def _fidelity(self, chain, refocus, j12=J, j23=J):
-        chain = ChainSpec(
+        chain = resolved_chain(
             chain.larmor, ((0, 2, J), (0, 1, j12), (1, 2, j23))
         )
-        prog = transport_protocol(chain, W1, MODE, refocus=refocus)
-        u = ideal_propagator(prog, chain, MODE)
+        prog = transport_protocol(chain, W1, refocus=refocus)
+        u = ideal_propagator(prog, chain)
         psi_i, psi_f = prog.meta["initial_state"], prog.meta["target_state"]
         return abs(np.vdot(psi_f, u @ psi_i)) ** 2
 
@@ -161,7 +162,7 @@ class TestTransport:
         assert self._fidelity(CHAIN3, refocus=True) > 1 - 1e-9
 
     def test_ideal_closed_transport_identical(self):
-        chain = ChainSpec(
+        chain = resolved_chain(
             (2 * np.pi * 1e7, 2 * np.pi * 1e6, 2 * np.pi * 1e7),
             ((0, 2, J), (0, 1, J), (1, 2, J)),
         )
@@ -176,7 +177,7 @@ class TestTransport:
             assert self._fidelity(CHAIN3, True, j12, j23) > 1 - 1e-9
 
     def test_refocusing_identical_regime_joint_variation(self):
-        chain = ChainSpec(
+        chain = resolved_chain(
             (2 * np.pi * 1e7, 2 * np.pi * 1e6, 2 * np.pi * 1e7),
             ((0, 2, J), (0, 1, J), (1, 2, J)),
         )
@@ -184,7 +185,7 @@ class TestTransport:
             assert self._fidelity(chain, True, jnn, jnn) > 1 - 1e-9
 
     def test_midpoint_pi_placement(self):
-        prog = transport_protocol(CHAIN3, W1, MODE, refocus=True)
+        prog = transport_protocol(CHAIN3, W1, refocus=True)
         elapsed = 0.0
         hits = []
         for seg in prog.segments:
@@ -195,13 +196,13 @@ class TestTransport:
         assert any(abs(t - half) < 1e-15 * prog.delay_total for t in hits)
 
     def test_refocusing_pulses_target_middle_spin(self):
-        prog = transport_protocol(CHAIN3, W1, MODE, refocus=True)
+        prog = transport_protocol(CHAIN3, W1, refocus=True)
         pis = [s for s in prog.segments if isinstance(s, IdealPi)]
         assert pis and all(p.target == 1 for p in pis)
         assert len(pis) % 2 == 0  # the middle spin ends unflipped
 
     def test_metadata_states(self):
-        prog = transport_protocol(CHAIN3, W1, MODE)
+        prog = transport_protocol(CHAIN3, W1)
         psi_i, psi_f = prog.meta["initial_state"], prog.meta["target_state"]
         sq2 = np.sqrt(2)
         np.testing.assert_allclose(psi_i[0b100], 1 / sq2)
@@ -211,7 +212,7 @@ class TestTransport:
 
     def test_wrong_chain_size(self):
         with pytest.raises(ValueError):
-            transport_protocol(NONIDEN, W1, MODE)
+            transport_protocol(NONIDEN, W1)
 
 
 class TestCompile:
@@ -219,15 +220,14 @@ class TestCompile:
         self.bath = BathSpec(2 * np.pi * 1e5, tau_c=1.6e-7)
 
     def test_unresolved_mode_rejected(self):
-        # a mode without a coarse-graining window cannot be built, so none
+        # a chain with an unresolved coupling form cannot be built, so none
         # reaches the compiler
-        with pytest.raises(TypeError):
-            compile_program(PulseProgram((Delay(1e-5),)), NONIDEN, self.bath,
-                            SecularMode(Regime.AUTO))
+        with pytest.raises(ValueError, match=r"coupling pair \(0,1\) needs a resolved regime"):
+            ChainSpec(NONIDEN.larmor, ((0, 1, J, Regime.AUTO),))
 
     def test_single_delay_window_contents(self):
         prog = PulseProgram((Delay(1e-5),))
-        windows = compile_program(prog, NONIDEN, self.bath, MODE)
+        windows = compile_program(prog, NONIDEN, self.bath)
         assert len(windows) == 1
         w = windows[0]
         assert isinstance(w, GeneratorWindow)
@@ -239,10 +239,10 @@ class TestCompile:
 
     def test_adjacent_delays_merge_equivalent(self):
         split = compile_program(
-            PulseProgram((Delay(4e-6), Delay(6e-6))), NONIDEN, self.bath, MODE
+            PulseProgram((Delay(4e-6), Delay(6e-6))), NONIDEN, self.bath
         )
         merged = compile_program(
-            PulseProgram((Delay(1e-5),)), NONIDEN, self.bath, MODE
+            PulseProgram((Delay(1e-5),)), NONIDEN, self.bath
         )
         rho0 = ket2dm(np.eye(4)[:, 1])
         s_split = propagate(rho0, split).channel_pass.channel
@@ -251,7 +251,7 @@ class TestCompile:
 
     def test_virtual_z_pair_cancels(self):
         prog = PulseProgram((VirtualZ(np.pi / 4, 0), VirtualZ(-np.pi / 4, 0)))
-        windows = compile_program(prog, NONIDEN, self.bath, MODE)
+        windows = compile_program(prog, NONIDEN, self.bath)
         assert all(isinstance(w, UnitaryWindow) for w in windows)
         total = propagate(ket2dm(np.eye(4)[:, 0]), windows).channel_pass.channel
         assert max_norm(total - np.eye(16)) < 1e-12
@@ -267,7 +267,7 @@ class TestCompile:
             Delay(3e-6),
         ))
         d1, p1, d2, p2, _, y90, other, strong, long_x, d3 = compile_program(
-            prog, NONIDEN, self.bath, MODE)
+            prog, NONIDEN, self.bath)
         assert d1.spec is d2.spec is d3.spec
         # the spec depends on the drive, not on the pulse duration
         assert p1.spec is p2.spec is long_x.spec
@@ -276,7 +276,7 @@ class TestCompile:
 
     def test_pulse_window_gains_drive_components(self):
         prog = PulseProgram((SquarePulse(W1, 0.0, (0,), 1e-6),))
-        windows = compile_program(prog, NONIDEN, self.bath, MODE)
+        windows = compile_program(prog, NONIDEN, self.bath)
         w = windows[0]
         drive_comps = [c for c in w.spec.components if not c.has_env and c.coherent]
         assert len(drive_comps) == 1
@@ -294,9 +294,8 @@ class TestCompile:
         from spinswap.model import Mechanism
 
         cfg = load_preset(preset)
-        program = transport_protocol(cfg.chain, cfg.omega1, cfg.mode,
-                                     refocus=cfg.refocusing)
-        windows = compile_program(program, cfg.chain, cfg.bath, cfg.mode)
+        program = transport_protocol(cfg.chain, cfg.omega1, refocus=cfg.refocusing)
+        windows = compile_program(program, cfg.chain, cfg.bath)
         scales = {Mechanism.COUPLING: 2 * np.pi * cfg.chain.coupling_j((0, 2)),
                   Mechanism.DRIVE: cfg.omega1, Mechanism.ENVIRONMENT: cfg.bath.omega_se}
         assert len(windows) == len(program.segments)
@@ -320,8 +319,8 @@ class TestCompile:
         lambda t: SquarePulse(W1, 0.0, (0, t), 1e-6),
     ], ids=["virtual_z", "ideal_pi", "square_pulse"])
     @pytest.mark.parametrize("build", [
-        lambda prog, bath: compile_program(prog, CHAIN3, bath, MODE),
-        lambda prog, bath: ideal_propagator(prog, CHAIN3, MODE),
+        lambda prog, bath: compile_program(prog, CHAIN3, bath),
+        lambda prog, bath: ideal_propagator(prog, CHAIN3),
     ], ids=["compile_program", "ideal_propagator"])
     def test_target_outside_register_rejected(self, build, segment, site):
         # a negative index would wrap to the last spin and an index of
@@ -332,7 +331,7 @@ class TestCompile:
 
     def test_ideal_pi_window_is_exact_unitary(self):
         prog = PulseProgram((IdealPi("x", 1),))
-        windows = compile_program(prog, CHAIN3, self.bath, MODE)
+        windows = compile_program(prog, CHAIN3, self.bath)
         assert isinstance(windows[0], UnitaryWindow)
         rho = ket2dm(np.eye(8)[:, 0])
         out = unvec(propagate(rho, windows).channel_pass.channel @ vec(rho))
@@ -380,8 +379,8 @@ class TestSegmentClosedForms:
                             lambda *args: calls.append(1) or real(*args))
         sequences.segment_unitary.cache_clear()
         sequences.segment_transfer.cache_clear()
-        prog = transport_protocol(CHAIN3, W1, MODE)
-        windows = compile_program(prog, CHAIN3, BathSpec(0.0, tau_c=1e-18), MODE)
+        prog = transport_protocol(CHAIN3, W1)
+        windows = compile_program(prog, CHAIN3, BathSpec(0.0, tau_c=1e-18))
         transfers = [w.transfer for w in windows if isinstance(w, UnitaryWindow)]
         assert transfers and calls == []
 
@@ -417,7 +416,7 @@ class TestSerialization:
         for prog in (
             swap_nonidentical((0, 1), J, W1),
             swap_identical((0, 1), J, W1),
-            transport_protocol(CHAIN3, W1, MODE),
+            transport_protocol(CHAIN3, W1),
         ):
             back = program_from_json(program_to_json(prog))
             assert len(back.segments) == len(prog.segments)
@@ -451,20 +450,20 @@ def test_compile_warns_on_timescale_violation():
     bath = BathSpec(0.0, tau_c=1e-5)
     prog = PulseProgram((SquarePulse(W1, 0.0, (0,), 1e-6),))
     with pytest.warns(TimescaleSeparationWarning):
-        compile_program(prog, NONIDEN, bath, MODE)
+        compile_program(prog, NONIDEN, bath)
 
 
 def test_compiled_closed_limit_identical_regime():
     # fig3-style chain: compiled pipeline with the bath off reproduces the
     # ideal transport through the zero-quantum gate
-    chain = ChainSpec(
+    chain = resolved_chain(
         (2 * np.pi * 1e7, 2 * np.pi * 1e6, 2 * np.pi * 1e7),
         ((0, 2, J), (0, 1, J), (1, 2, J)),
     )
     bath0 = BathSpec(0.0, tau_c=1e-18)
-    prog = transport_protocol(chain, W1, MODE, refocus=True)
+    prog = transport_protocol(chain, W1, refocus=True)
     assert prog.meta["regime"] == "zero_quantum"
-    windows = compile_program(prog, chain, bath0, MODE)
+    windows = compile_program(prog, chain, bath0)
     total = propagate(ket2dm(prog.meta["initial_state"]), windows).channel_pass.channel
     psi_i, psi_f = prog.meta["initial_state"], prog.meta["target_state"]
     rho = unvec(total @ vec(ket2dm(psi_i)))

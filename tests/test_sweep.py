@@ -8,13 +8,7 @@ import spinswap.linalg as linalg
 import spinswap.master as master
 import spinswap.model as model
 import spinswap.sequences as sequences
-from spinswap.model import (
-    BathSpec,
-    ChainSpec,
-    Regime,
-    SecularMode,
-    default_coarse_grain_dt,
-)
+from spinswap.model import BathSpec, default_coarse_grain_dt
 from spinswap.sweep import (
     GridSpec,
     SweepRecord,
@@ -27,16 +21,18 @@ from spinswap.sweep import (
 )
 from spinswap.sequences import transport_protocol
 
+from chains import resolved_chain
+
 J = 1.5e5
 W1 = 2 * np.pi * 1.5e5
 WSE = 2 * np.pi * 1.0e5
 TAU_C = 0.1 / WSE
-CHAIN3 = ChainSpec(
+BATH = BathSpec(WSE, tau_c=TAU_C)
+CHAIN3 = resolved_chain(
     (2 * np.pi * 1e7, 2 * np.pi * 1e6, 2 * np.pi * 5e5),
     ((0, 2, J), (0, 1, J), (1, 2, J)),
+    coarse_grain_dt=default_coarse_grain_dt(BATH, W1),
 )
-BATH = BathSpec(WSE, tau_c=TAU_C)
-MODE = SecularMode(Regime.AUTO, default_coarse_grain_dt(BATH, W1))
 
 
 def small_grid(**kw):
@@ -46,7 +42,6 @@ def small_grid(**kw):
         tauc_values=(TAU_C,),
         chain=CHAIN3,
         bath=BATH,
-        mode=MODE,
     )
     defaults.update(kw)
     return GridSpec(**defaults)
@@ -77,7 +72,7 @@ class TestRunSweep:
         grid = small_grid(omega1_values=(W1,))
         records = run_sweep(grid, workers=1)
         assert len(records) == 1
-        rep = evaluate_point(CHAIN3, BATH, MODE, W1, 2 * np.pi * J, TAU_C)
+        rep = evaluate_point(CHAIN3, BATH, W1, 2 * np.pi * J, TAU_C)
         assert records[0].fidelity == rep.fidelity
         assert records[0].concurrence_23 == rep.concurrence_23
         assert records[0].efficiency == rep.efficiency
@@ -123,8 +118,8 @@ class TestRunSweep:
         # worker count
         grid = small_grid()
         chain = replace(CHAIN3, couplings=tuple(
-            (a, b, grid.omegaD_values[0] / (2 * np.pi)) for a, b, _ in CHAIN3.couplings))
-        want = [transport_protocol(chain, w1, MODE).total_duration
+            (a, b, grid.omegaD_values[0] / (2 * np.pi), r) for a, b, _, r in CHAIN3.couplings))
+        want = [transport_protocol(chain, w1).total_duration
                 for w1 in grid.omega1_values]
         assert want[0] != want[1]
         for workers in (1, 2):
@@ -141,7 +136,7 @@ class TestRunSweep:
     def test_failure_containment(self):
         # a chain without the 1-3 coupling makes the protocol builder raise;
         # the sweep must mark the point rather than die
-        chain = ChainSpec(CHAIN3.larmor, ((0, 1, J),))
+        chain = resolved_chain(CHAIN3.larmor, ((0, 1, J),))
         grid = small_grid(chain=chain)
         records = run_sweep(grid, workers=1)
         assert len(records) == 2
