@@ -20,13 +20,12 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config, load_preset
 from .evolve import export_trajectory
 from .linalg import max_norm
-from .model import ChainSpec, Regime
+from .model import ChainSpec
 from .sequences import (
+    SWAP_BUILDERS,
     U_SWAP,
     ideal_propagator,
     program_to_json,
-    swap_identical,
-    swap_nonidentical,
     transport_protocol,
 )
 from .sweep import argmax_report, format_table, run_sweep, run_transport, summary_dict
@@ -76,7 +75,8 @@ def cmd_simulate(args) -> int:
     j = cfg.chain.coupling_j(program.meta["pair"])
 
     traj_path = out / "trajectory.txt"
-    traj_path.write_text(_config_banner(cfg) + "\n" + export_trajectory(traj))
+    traj_path.write_text(_config_banner(cfg) + "\n"
+                         + export_trajectory(traj, program.meta["target_state"]))
     rep_doc = {
         "fidelity": rep.fidelity,
         "concurrence_23": rep.concurrence_23,
@@ -113,8 +113,7 @@ def _gate_checks(cfg: RunConfig):
     _, _, j, regime = cfg.chain.coupling(pair)
     pair_chain = ChainSpec((cfg.chain.larmor[pair[0]], cfg.chain.larmor[pair[1]]),
                            ((0, 1, j, regime),))
-    build = swap_nonidentical if regime == Regime.ISING_ONLY else swap_identical
-    prog2 = build((0, 1), j, cfg.omega1)
+    prog2 = SWAP_BUILDERS[regime]((0, 1), j, cfg.omega1)
     expected_phase = prog2.meta["global_phase"]
     u = ideal_propagator(prog2, pair_chain)
     phase = float(np.angle(u[0, 0]))

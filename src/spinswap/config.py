@@ -120,14 +120,6 @@ def _integer(value, where: str, minimum: int) -> int:
     return value
 
 
-def _flag(doc: dict, key: str, where: str) -> bool:
-    """A JSON boolean field, True when absent."""
-    value = doc.get(key, True)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
-    return value
-
-
 def _parse_axis(doc, kind: str, where: str) -> tuple[float, ...]:
     """Grid axis: either a list of quantities or a log-spaced range spec."""
     if isinstance(doc, dict):
@@ -224,11 +216,17 @@ def parse_config(doc: dict) -> RunConfig:
         check_transport_chain(chain)
     except ValueError as exc:
         raise ConfigError(f"chain: {exc}") from exc
-    refocusing = _flag(doc, "refocusing", "refocusing")
+    refocusing = doc.get("refocusing", True)
+    if not isinstance(refocusing, bool):
+        raise ConfigError(f"refocusing: expected true or false, got {refocusing!r}")
 
     grid = None
     if "grid" in doc:
         g = _section(doc["grid"], "grid")
+        # the ratio columns are always scaled to omega_SE; true is kept valid
+        if g.get("scale_to_omega_se", True) is not True:
+            raise ConfigError(f"grid.scale_to_omega_se: {json.dumps(g['scale_to_omega_se'])} "
+                              "is not supported (only true)")
         try:
             grid = GridSpec(
                 omega1_values=_parse_axis(g["omega1"], "angular_frequency", "grid.omega1"),
@@ -237,7 +235,6 @@ def parse_config(doc: dict) -> RunConfig:
                 chain=chain,
                 bath=bath,
                 refocus=refocusing,
-                scale_to_omega_se=_flag(g, "scale_to_omega_se", "grid.scale_to_omega_se"),
             )
         except KeyError as exc:
             raise ConfigError(f"grid: missing field {exc}") from exc

@@ -19,7 +19,7 @@ converted values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class ChannelPass:
         of the window propagators in program order (identity for no windows).
     final_state: the initial state stepped through every window boundary
         (validated and clipped like a sampled state).
-    meta: program metadata (initial/target labels and kets).
     tp_defect: trace-preservation defect max |vec(I)^dag S - vec(I)^dag|.
     choi_min: smallest eigenvalue of the unnormalized Choi matrix
         sum_ij |i><j| (x) S(|i><j|), whose trace is the dimension d (8 for
@@ -76,7 +75,6 @@ class ChannelPass:
 
     channel: np.ndarray
     final_state: np.ndarray
-    meta: dict
     tp_defect: float
     choi_min: float
 
@@ -87,7 +85,6 @@ class Trajectory:
 
     times: sample times in seconds (starting at 0).
     states: density matrices at those times (validated and clipped).
-    meta: program metadata (initial/target labels and kets).
     clip_count: number of samples whose small negative eigenvalues (below
         minus `rounding_floor`) were floored at zero; min_eigenvalue is the
         worst value seen pre-clip, rounding-level ones included.
@@ -96,14 +93,9 @@ class Trajectory:
 
     times: np.ndarray
     states: list[np.ndarray]
-    meta: dict = field(default_factory=dict)
     clip_count: int = 0
     min_eigenvalue: float = 0.0
     channel_pass: ChannelPass | None = None
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def _checked(rhos: np.ndarray, times, stats: dict) -> list[np.ndarray]:
@@ -147,7 +139,7 @@ def _unvec_rows(vs: np.ndarray, d: int) -> np.ndarray:
 
 
 @single_blas_thread()
-def _walk(rho0: np.ndarray, windows, meta: dict | None,
+def _walk(rho0: np.ndarray, windows,
           sampled: bool) -> tuple[ChannelPass, Trajectory | None]:
     """One walk over the windows: the channel pass, and with `sampled` the
     sampled trajectory alongside it.
@@ -229,7 +221,7 @@ def _walk(rho0: np.ndarray, windows, meta: dict | None,
     vs = pauli_to_vecs(np.array(rs))
     vs[0] = v0
     states = _checked(_unvec_rows(vs, d), times, {"clips": 0, "min_eig": 0.0})
-    result = ChannelPass(channel, states[-1], dict(meta or {}), tp_defect, choi_min)
+    result = ChannelPass(channel, states[-1], tp_defect, choi_min)
     if not sampled:
         return result, None
     stats = {"clips": 0, "min_eig": 0.0}
@@ -238,12 +230,11 @@ def _walk(rho0: np.ndarray, windows, meta: dict | None,
     for us, ts in blocks:
         states += _checked(_unvec_rows(pauli_to_vecs(us), d), ts, stats)
         sample_times += ts
-    return result, Trajectory(np.array(sample_times), states, dict(meta or {}),
-                              clip_count=stats["clips"], min_eigenvalue=stats["min_eig"],
-                              channel_pass=result)
+    return result, Trajectory(np.array(sample_times), states, clip_count=stats["clips"],
+                              min_eigenvalue=stats["min_eig"], channel_pass=result)
 
 
-def channel_pass(rho0: np.ndarray, windows, meta: dict | None = None) -> ChannelPass:
+def channel_pass(rho0: np.ndarray, windows) -> ChannelPass:
     """The program channel and the final state, with no sampled states.
 
     The initial state is stepped through the window boundaries.  Raises
@@ -252,10 +243,10 @@ def channel_pass(rho0: np.ndarray, windows, meta: dict | None = None) -> Channel
     the state checks (trace, Hermiticity, PositivityError) if a boundary
     state fails them.
     """
-    return _walk(rho0, windows, meta, sampled=False)[0]
+    return _walk(rho0, windows, sampled=False)[0]
 
 
-def propagate(rho0: np.ndarray, windows, meta: dict | None = None) -> Trajectory:
+def propagate(rho0: np.ndarray, windows) -> Trajectory:
     """The channel pass plus SAMPLES_PER_WINDOW sampled states per generator
     window and one per unitary window.
 
@@ -263,24 +254,20 @@ def propagate(rho0: np.ndarray, windows, meta: dict | None = None) -> Trajectory
     state has an eigenvalue below EIG_FLOOR; smaller negatives beyond the
     rounding floor are clipped and counted.
     """
-    return _walk(rho0, windows, meta, sampled=True)[1]
+    return _walk(rho0, windows, sampled=True)[1]
 
 
-def export_trajectory(traj: Trajectory) -> str:
+def export_trajectory(traj: Trajectory, target: np.ndarray) -> str:
     """Columnar text export: time, Re/Im of every entry (row-major), and the
-    instantaneous fidelity when the metadata carry a target ket."""
-    target = traj.meta.get("target_state")
+    instantaneous fidelity against the `target` ket."""
     states = np.asarray(traj.states, dtype=complex)
     m, d = states.shape[:2]
     cols = ["time_s"] + [f"{part}_rho_{i}{j}" for i in range(d) for j in range(d)
-                         for part in ("re", "im")]
+                         for part in ("re", "im")] + ["fidelity"]
+    fid = [float(np.real(np.conj(target) @ rho @ target)) for rho in traj.states]
     # one float table: time, Re/Im interleaved per entry, fidelity
     table = [np.asarray(traj.times, dtype=float)[:, None],
-             states.reshape(m, -1).view(float)]
-    if target is not None:
-        cols.append("fidelity")
-        fid = [float(np.real(np.conj(target) @ rho @ target)) for rho in traj.states]
-        table.append(np.array(fid)[:, None])
+             states.reshape(m, -1).view(float), np.array(fid)[:, None]]
     row = ", ".join(["%.12g"] * len(cols))
     # rows become Python floats one at a time, and the trailing "" gives the
     # final newline without a second copy of the text

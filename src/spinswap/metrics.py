@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import conjugation_superop, dagger, partial_trace, trace_defect
 from .model import ChainSpec
-from .sequences import U_SWAP
+from .sequences import U_SWAP, PulseProgram
 
 _SY2 = np.kron(
     np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])
@@ -121,24 +121,24 @@ def pair_channel(total_superop: np.ndarray, pair, nsites: int) -> np.ndarray:
     return out.reshape(16, 16) / 2 ** (nsites - 2)
 
 
-def report(run, chain: ChainSpec,
-           transfer_time_s: float = float("nan")) -> TransferReport:
+def report(run, program: PulseProgram, chain: ChainSpec) -> TransferReport:
     """Fidelity, concurrence between spins 2 and 3, and SWAP efficiency.
 
-    `run` is an `evolve.ChannelPass`.  Fidelity and concurrence come from
-    its final state (concurrence after reducing to spins 2 and 3,
-    1-indexed); efficiency comes from its program channel reduced to the
-    swapped pair (1,3).  The channel's TP defect and Choi minimum are
-    passed through, as is the protocol's `transfer_time_s`.
+    `run` is the `evolve.ChannelPass` of the transport `program` on
+    `chain`.  Fidelity against the program's target ket and concurrence
+    come from the run's final state (concurrence after reducing to spins 2
+    and 3, 1-indexed); efficiency comes from its program channel reduced to
+    the pair the program swaps.  The channel's TP defect and Choi minimum
+    are passed through, and the program's duration is the transfer time.
     """
-    target = run.meta.get("target_state")
+    target = program.meta.get("target_state")
     if target is None:
-        raise ValueError("run has no target-state metadata")
+        raise ValueError("program has no target-state metadata")
     rho = run.final_state
     fid = state_fidelity(rho, target)
     rho23 = partial_trace(rho, (1, 2), [2] * chain.nsites)
     conc = concurrence(rho23)
-    chan = pair_channel(run.channel, (0, 2), chain.nsites)
+    chan = pair_channel(run.channel, program.meta["pair"], chain.nsites)
     eff = swap_efficiency(chan)
     return TransferReport(
         fidelity=fid,
@@ -146,5 +146,5 @@ def report(run, chain: ChainSpec,
         efficiency=eff,
         tp_defect=run.tp_defect,
         choi_min=run.choi_min,
-        transfer_time_s=transfer_time_s,
+        transfer_time_s=program.total_duration,
     )

@@ -74,13 +74,17 @@ class ChainSpec:
         )
         if not self.larmor:
             raise ValueError("chain needs at least one spin")
+        for k, w in enumerate(self.larmor):
+            if not np.isfinite(w):
+                raise ValueError(f"larmor[{k}] must be finite, got {w!r}")
         n = self.nsites
         pairs = set()
         for a, b, j, regime in self.couplings:
             if a == b or not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"coupling pair ({a},{b}) invalid for {n} sites")
-            if j < 0:
-                raise ValueError("coupling J must be >= 0")
+            if not 0 <= j < np.inf:
+                raise ValueError(f"coupling J of pair ({a},{b}) must be finite and >= 0, "
+                                 f"got {j!r}")
             if regime not in (Regime.ISING_ONLY, Regime.ZERO_QUANTUM):
                 raise ValueError(f"coupling pair ({a},{b}) needs a resolved regime "
                                  f"(ising_only or zero_quantum), got {regime!r}")
@@ -127,8 +131,8 @@ class BathSpec:
     kappa: float | None = None  # s**-1/2
 
     def __post_init__(self):
-        if self.omega_se < 0:
-            raise ValueError("omega_se must be >= 0")
+        if not 0 <= self.omega_se < np.inf:
+            raise ValueError(f"omega_se must be finite and >= 0, got {float(self.omega_se)!r}")
         tau_c, kappa = self.tau_c, self.kappa
         if tau_c is None and kappa is None:
             raise ValueError("supply tau_c or kappa")

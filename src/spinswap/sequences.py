@@ -37,6 +37,7 @@ from .model import (
     ChainSpec,
     Regime,
     TimescaleSeparationWarning,
+    _check_positive_finite,
     _drive_axis,
     coupling_component,
     drive_hamiltonian,
@@ -113,8 +114,10 @@ Segment = SquarePulse | Delay | VirtualZ | IdealPi
 class PulseProgram:
     """Ordered segments plus protocol metadata.
 
-    meta may carry 'initial_state' / 'target_state' kets, a label, and the
-    closed-form delay budget where one exists.
+    meta may carry 'initial_state' / 'target_state' kets, the swapped 'pair'
+    and its 'regime', a label, and the closed-form delay budget where one
+    exists.  A transport program is the one record of the task: the report
+    reads its target, pair and duration, and propagation reads none of it.
     """
 
     segments: tuple[Segment, ...]
@@ -147,10 +150,8 @@ def swap_nonidentical(pair, j_hz: float, drive_amp: float) -> PulseProgram:
     5/(2J), 1/(2J) and 1/(2J), bracketed by the two virtual pi/4 z
     rotations; the ideal propagator equals exp(-i pi/4) U_swap.
     """
-    if j_hz <= 0:
-        raise ValueError("J must be positive")
-    if drive_amp <= 0:
-        raise ValueError("drive amplitude must be positive")
+    _check_positive_finite("J", j_hz)
+    _check_positive_finite("drive amplitude", drive_amp)
     s1, s2 = pair
     w1 = drive_amp
     half = 0.5 / j_hz  # 1/(2J)
@@ -193,10 +194,8 @@ def swap_identical(pair, j_hz: float, drive_amp: float) -> PulseProgram:
     and 9/(8J) separated by composite z-pi rotations (a y-pi pulse followed
     by an x-pi pulse); the ideal propagator equals exp(-i 3pi/4) U_swap.
     """
-    if j_hz <= 0:
-        raise ValueError("J must be positive")
-    if drive_amp <= 0:
-        raise ValueError("drive amplitude must be positive")
+    _check_positive_finite("J", j_hz)
+    _check_positive_finite("drive amplitude", drive_amp)
     s1 = pair[0]
     w1 = drive_amp
     unit = 1.0 / j_hz
@@ -216,6 +215,10 @@ def swap_identical(pair, j_hz: float, drive_amp: float) -> PulseProgram:
         "delay_budget": 3.5 / j_hz,
     }
     return PulseProgram(tuple(segs), meta)
+
+
+# the SWAP sequence for each coupling form of the swapped pair
+SWAP_BUILDERS = {Regime.ISING_ONLY: swap_nonidentical, Regime.ZERO_QUANTUM: swap_identical}
 
 
 def _echo_split(delays_before: float, tau: float, midpoint: float,
@@ -260,8 +263,7 @@ def transport_protocol(chain: ChainSpec, drive_amp: float,
     pair = (0, 2)
     bystander = 1
     _, _, j13, regime = chain.coupling(pair)
-    build = swap_nonidentical if regime == Regime.ISING_ONLY else swap_identical
-    base = build(pair, j13, drive_amp)
+    base = SWAP_BUILDERS[regime](pair, j13, drive_amp)
 
     if refocus:
         for nn in ((0, 1), (1, 2)):

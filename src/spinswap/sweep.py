@@ -13,14 +13,14 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .evolve import Trajectory, channel_pass, propagate
 from .linalg import ket2dm
 from .metrics import TransferReport, report
-from .model import BathSpec, ChainSpec
+from .model import BathSpec, ChainSpec, _check_positive_finite
 from .sequences import PulseProgram, compile_program, transport_protocol
 
 TABLE_HEADER = (
@@ -34,9 +34,9 @@ TABLE_HEADER = (
 class GridSpec:
     """Sweep axes (raw values) and the fixed protocol parameters.
 
-    Axis lists must be nonempty, strictly increasing and positive.  The
-    chain's couplings are rescaled so every pair carries J = omega_D/2pi at
-    each grid point, each in the coupling form the chain records for it: a
+    Axis lists must be nonempty, strictly increasing, positive and finite.
+    The chain's couplings are rescaled so every pair carries J = omega_D/2pi
+    at each grid point, each in the coupling form the chain records for it: a
     sweep corresponds to one figure, whose pulse sequence is fixed while
     omega_1, omega_D and tau_c vary.  omega_SE is fixed by `bath` and tau_c
     is overridden per point.
@@ -48,7 +48,6 @@ class GridSpec:
     chain: ChainSpec
     bath: BathSpec
     refocus: bool = True
-    scale_to_omega_se: bool = True
 
     def __post_init__(self):
         for name in ("omega1_values", "omegaD_values", "tauc_values"):
@@ -56,8 +55,8 @@ class GridSpec:
             object.__setattr__(self, name, vals)
             if not vals:
                 raise ValueError(f"{name} must be nonempty")
-            if any(v <= 0 for v in vals):
-                raise ValueError(f"{name} must be positive")
+            for v in vals:
+                _check_positive_finite(name, v)
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
 
@@ -98,17 +97,17 @@ def run_transport(chain: ChainSpec, bath: BathSpec, omega1: float,
     With `sampled` (simulate), `propagate` also records the sampled
     trajectory alongside that pass; without it (a sweep point) no state is
     sampled and the trajectory is None.  The protocol builder and the
-    compiler read every pair's coupling form from the chain.  The report also carries the protocol's duration as `transfer_time_s`.
+    compiler read every pair's coupling form from the chain.
     """
     program = transport_protocol(chain, omega1, refocus=refocus)
     windows = compile_program(program, chain, bath)
     rho0 = ket2dm(program.meta["initial_state"])
     if sampled:
-        traj = propagate(rho0, windows, meta=program.meta)
+        traj = propagate(rho0, windows)
         run = traj.channel_pass
     else:
-        traj, run = None, channel_pass(rho0, windows, meta=program.meta)
-    rep = report(run, chain, transfer_time_s=program.total_duration)
+        traj, run = None, channel_pass(rho0, windows)
+    rep = report(run, program, chain)
     return program, traj, rep
 
 
@@ -127,22 +126,20 @@ def evaluate_point(chain: ChainSpec, bath: BathSpec, omega1: float,
 
 
 def _point_record(args) -> SweepRecord:
+    """The point's record: the report's fields (NaN for a failed point) and
+    the axis values over omega_SE (NaN ratios at omega_SE = 0)."""
     grid, w1, wd, tc = args
     wse = grid.bath.omega_se
-    scale_w = 1.0 / wse if (grid.scale_to_omega_se and wse > 0) else 1.0
-    scale_t = wse if grid.scale_to_omega_se else 1.0
+    scale_w = 1.0 / wse if wse > 0 else float("nan")
     t0 = time.perf_counter()
     error = ""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             rep = evaluate_point(grid.chain, grid.bath, w1, wd, tc, grid.refocus)
-            fid, conc, eff, tp, choi, duration, status = (
-                rep.fidelity, rep.concurrence_23, rep.efficiency,
-                rep.tp_defect, rep.choi_min, rep.transfer_time_s, "ok",
-            )
+            observed, status = asdict(rep), "ok"
         except Exception as exc:  # failure containment: mark, never abort
-            fid = conc = eff = tp = choi = duration = float("nan")
+            observed = {f.name: float("nan") for f in fields(TransferReport)}
             status = f"failed({type(exc).__name__})"
             error = str(exc)
     return SweepRecord(
@@ -151,18 +148,13 @@ def _point_record(args) -> SweepRecord:
         tauc=tc,
         omega1_scaled=w1 * scale_w,
         omegaD_scaled=wd * scale_w,
-        tauc_scaled=tc * scale_t,
-        fidelity=fid,
-        concurrence_23=conc,
-        efficiency=eff,
+        tauc_scaled=tc * wse,
         status=status,
         wall_time=time.perf_counter() - t0,
         error=error,
         warnings=tuple(dict.fromkeys(
             f"{w.category.__name__}: {w.message}" for w in caught)),
-        tp_defect=tp,
-        choi_min=choi,
-        transfer_time_s=duration,
+        **observed,
     )
 
 

@@ -93,8 +93,8 @@ def test_criterion_2_transport_correctness():
 
     prog = transport_protocol(cfg.chain, cfg.omega1, refocus=True)
     windows = compile_program(prog, cfg.chain, bath_off)
-    run = channel_pass(ket2dm(prog.meta["initial_state"]), windows, meta=prog.meta)
-    rep = report(run, cfg.chain)
+    run = channel_pass(ket2dm(prog.meta["initial_state"]), windows)
+    rep = report(run, prog, cfg.chain)
 
     prog_off = transport_protocol(cfg.chain, cfg.omega1, refocus=False)
     u_off = ideal_propagator(prog_off, cfg.chain)
@@ -146,7 +146,7 @@ def test_criterion_3_frqme_structural_suite():
             )
             evals = np.linalg.eigvalsh(kossakowski_matrix(gen))
             worst_koss = max(worst_koss, -evals.min() / max(evals.max(), 1.0))
-        traj = propagate(ket2dm(prog.meta["initial_state"]), windows, meta=prog.meta)
+        traj = propagate(ket2dm(prog.meta["initial_state"]), windows)
         worst_eig = min(worst_eig, traj.min_eigenvalue)
     ok = (worst_trace <= 1e-10 and worst_herm <= 1e-10
           and worst_koss <= 1e-9 and worst_eig >= -1e-8)

@@ -10,8 +10,10 @@ from spinswap.config import (
     parse_config,
     parse_quantity,
 )
+import spinswap.cli as cli
 import spinswap.config as config
 import spinswap.model as model
+import spinswap.sequences as sequences
 from spinswap.model import Regime, default_coarse_grain_dt, resolve_regime
 from spinswap.sweep import run_sweep, run_transport
 
@@ -175,14 +177,17 @@ class TestCli:
         assert main(["validate", "--config", path]) == 1
         assert "drive.omega1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["refocusing", "grid.scale_to_omega_se"])
-    def test_validate_rejects_string_booleans(self, tmp_path, capsys, field):
-        # bool("false") is True: only JSON true/false may set a flag
+    @pytest.mark.parametrize("field, value", [("refocusing", "false"),
+                                              ("grid.scale_to_omega_se", "false"),
+                                              ("grid.scale_to_omega_se", False)])
+    def test_validate_rejects_string_booleans(self, tmp_path, capsys, field, value):
+        # bool("false") is True: only JSON true/false may set a flag, and
+        # the sweep's ratio columns are always scaled (only true is accepted)
         doc = json.loads(json.dumps(FIG2_DOC))
         doc["grid"] = {"omega1": ["2*pi*150 kHz"], "omegaD": ["2*pi*150 kHz"],
                        "tau_c": ["0.1/(2*pi*1e5) s"]}
         section, _, key = field.rpartition(".")
-        (doc[section] if section else doc)[key] = "false"
+        (doc[section] if section else doc)[key] = value
         path = self._write_config(tmp_path, doc)
         assert main(["validate", "--config", path]) == 1
         assert field in capsys.readouterr().err
@@ -540,3 +545,27 @@ def test_regime_resolved_only_at_load(tmp_path, monkeypatch, preset):
     assert main(["sweep", "--preset", preset, "--workers", "1",
                  "--out", str(tmp_path / "sweep")]) == 0
     assert len(calls) == 3 * ncouplings
+
+
+@pytest.mark.parametrize("preset, regime, builder", [
+    ("fig2", Regime.ISING_ONLY, "swap_nonidentical"),
+    ("fig3", Regime.ZERO_QUANTUM, "swap_identical"),
+])
+def test_one_swap_builder_per_regime(monkeypatch, preset, regime, builder):
+    # the mapping's builder for the chain's (0, 2) form records that form,
+    # and transport_protocol and gate-check both build through it
+    cfg = load_preset(preset)
+    assert cfg.chain.coupling((0, 2))[3] == regime
+    build = sequences.SWAP_BUILDERS[regime]
+    assert build.__name__ == builder
+    assert build((0, 2), 1.5e5, cfg.omega1).meta["regime"] == regime.value
+    seen = []
+    for r, b in list(sequences.SWAP_BUILDERS.items()):
+        monkeypatch.setitem(sequences.SWAP_BUILDERS, r,
+                            lambda *args, b=b: seen.append(b) or b(*args))
+    program = sequences.transport_protocol(cfg.chain, cfg.omega1, cfg.refocusing)
+    assert program.meta["regime"] == regime.value and seen == [build]
+    seen.clear()
+    assert all(passed for _, passed, _ in cli._gate_checks(cfg))
+    # the transport program that names the pair, then the pair's own SWAP
+    assert seen == [build, build]

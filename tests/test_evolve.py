@@ -15,7 +15,6 @@ from spinswap.evolve import (
     TRACE_TOL,
     ChannelError,
     PositivityError,
-    Trajectory,
     channel_pass,
     export_trajectory,
     propagate,
@@ -68,23 +67,23 @@ class TestPropagate:
         rho0 = ket2dm(basis_state([0]))
         traj = propagate(rho0, [])
         assert len(traj.states) == 1
-        np.testing.assert_allclose(traj.final_state, rho0)
+        np.testing.assert_allclose(traj.states[-1], rho0)
 
     def test_pi_pulse_population_inversion(self):
         bath = BathSpec(0.0, tau_c=1e-18)
         windows = drive_window(W1, np.pi / W1, bath)
         traj = propagate(ket2dm(basis_state([0])), windows)
         target = ket2dm(basis_state([1]))
-        assert abs(traj.final_state[1, 1].real - 1.0) < 1e-9
-        assert max_norm(traj.final_state - target) < 1e-6
+        assert abs(traj.states[-1][1, 1].real - 1.0) < 1e-9
+        assert max_norm(traj.states[-1] - target) < 1e-6
 
     def test_composition_of_windows(self):
         bath = BathSpec(WSE, tau_c=TAU_C)
         w_a = drive_window(W1, 2e-6, bath)
         w_b = drive_window(W1, 3e-6, bath, phase=np.pi / 2)
         rho0 = ket2dm(basis_state([0]))
-        step = propagate(propagate(rho0, w_a).final_state, w_b).final_state
-        joint = propagate(rho0, w_a + w_b).final_state
+        step = propagate(propagate(rho0, w_a).states[-1], w_b).states[-1]
+        joint = propagate(rho0, w_a + w_b).states[-1]
         assert max_norm(step - joint) < 1e-12
 
     def test_trace_conserved_along_trajectory(self):
@@ -185,7 +184,7 @@ class TestChannel:
         rho0 = ket2dm(prog.meta["initial_state"])
         traj = propagate(rho0, windows)
         channel = traj.channel_pass.channel
-        assert max_norm(unvec(channel @ vec(rho0)) - traj.final_state) < 1e-12
+        assert max_norm(unvec(channel @ vec(rho0)) - traj.states[-1]) < 1e-12
         tr_vec = vec(identity(8)).conj()
         assert max_norm(tr_vec @ channel - tr_vec) < 1e-12
 
@@ -212,11 +211,10 @@ def test_pass_matches_sampled_propagation(larmor_khz, omega1_khz, wse_tauc):
     prog = transport_protocol(chain, omega1)
     windows = compile_program(prog, chain, bath)
     rho0 = ket2dm(prog.meta["initial_state"])
-    run = channel_pass(rho0, windows, meta=prog.meta)
-    traj = propagate(rho0, windows, meta=prog.meta)
-    assert max_norm(run.final_state - traj.final_state) < 1e-12
+    run = channel_pass(rho0, windows)
+    traj = propagate(rho0, windows)
+    assert max_norm(run.final_state - traj.states[-1]) < 1e-12
     assert max_norm(run.channel - traj.channel_pass.channel) < 1e-12
-    assert run.meta == traj.meta
     tr_vec = vec(identity(8)).conj()
     assert run.tp_defect == np.abs(tr_vec @ run.channel - tr_vec).max() <= 1e-12
     choi = np.zeros((64, 64), dtype=complex)
@@ -585,18 +583,11 @@ class TestExport:
         bath = BathSpec(WSE, tau_c=TAU_C)
         windows = drive_window(W1, 2e-6, bath)
         psi_t = basis_state([1])
-        traj = propagate(
-            ket2dm(basis_state([0])), windows, meta={"target_state": psi_t}
-        )
-        text = export_trajectory(traj)
+        traj = propagate(ket2dm(basis_state([0])), windows)
+        text = export_trajectory(traj, psi_t)
         lines = text.strip().split("\n")
         header = lines[0].split(", ")
         assert header[0] == "time_s"
         assert header[-1] == "fidelity"
         assert len(header) == 1 + 2 * 4 + 1  # time + re/im of 2x2 + fidelity
         assert len(lines) == len(traj.states) + 1
-
-    def test_without_target_no_fidelity_column(self):
-        traj = Trajectory(np.array([0.0]), [ket2dm(basis_state([0]))])
-        text = export_trajectory(traj)
-        assert "fidelity" not in text.split("\n")[0]

@@ -27,7 +27,7 @@ from spinswap.metrics import (
     swap_efficiency,
 )
 from spinswap.model import BathSpec
-from spinswap.sequences import U_SWAP, compile_program, transport_protocol
+from spinswap.sequences import U_SWAP, PulseProgram, compile_program, transport_protocol
 
 from chains import resolved_chain
 
@@ -207,29 +207,41 @@ def test_closed_forms_match_pauli_sum_on_random_channels(seed, rank):
 
 
 class TestReport:
+    NOISY = BathSpec(2 * np.pi * 1e5, tau_c=1e-7)
+
     def _run(self, bath, refocus=True):
         prog = transport_protocol(CHAIN3, W1, refocus=refocus)
         windows = compile_program(prog, CHAIN3, bath)
-        return channel_pass(ket2dm(prog.meta["initial_state"]), windows,
-                            meta=prog.meta)
+        return prog, channel_pass(ket2dm(prog.meta["initial_state"]), windows)
 
     def test_ideal_closed_run_scores_unity(self):
         bath = BathSpec(0.0, tau_c=1e-18)
-        rep = report(self._run(bath), CHAIN3)
+        prog, run = self._run(bath)
+        rep = report(run, prog, CHAIN3)
         assert rep.fidelity > 1 - 1e-6
         assert rep.concurrence_23 > 1 - 1e-6
         assert rep.efficiency > 1 - 1e-6
 
+    def test_transfer_time_is_the_program_duration(self):
+        prog, run = self._run(self.NOISY)
+        assert report(run, prog, CHAIN3).transfer_time_s == prog.total_duration
+
+    def test_efficiency_is_read_on_the_program_pair(self):
+        # the pair comes from the program, not from a fixed (0, 2)
+        prog, run = self._run(self.NOISY)
+        other = PulseProgram(prog.segments, {**prog.meta, "pair": (0, 1)})
+        want = swap_efficiency(pair_channel(run.channel, (0, 1), 3))
+        assert report(run, other, CHAIN3).efficiency == want
+        assert want != report(run, prog, CHAIN3).efficiency
+
     def test_fully_decohered_state(self):
-        traj = propagate(
-            identity(8) / 8, [], meta={"target_state": PSI_F}
-        )
+        traj = propagate(identity(8) / 8, [])
         np.testing.assert_allclose(
-            state_fidelity(traj.final_state, PSI_F), 1 / 8
+            state_fidelity(traj.states[-1], PSI_F), 1 / 8
         )
         from spinswap.linalg import partial_trace
 
-        rho23 = partial_trace(traj.final_state, (1, 2), [2, 2, 2])
+        rho23 = partial_trace(traj.states[-1], (1, 2), [2, 2, 2])
         assert concurrence(rho23) == 0.0
 
     def test_initial_state_has_no_23_entanglement(self):
@@ -239,9 +251,11 @@ class TestReport:
         assert concurrence(rho23) < 1e-12
 
     def test_missing_metadata_rejected(self):
-        run = channel_pass(identity(8) / 8, [])
-        with pytest.raises(ValueError):
-            report(run, CHAIN3)
+        prog, run = self._run(self.NOISY)
+        bare = PulseProgram(prog.segments, {k: v for k, v in prog.meta.items()
+                                            if k != "target_state"})
+        with pytest.raises(ValueError, match="no target-state metadata"):
+            report(run, bare, CHAIN3)
 
 
 class TestTransferReport:

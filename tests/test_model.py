@@ -221,6 +221,18 @@ class TestChainSpec:
         with pytest.raises(ValueError, match=r"coupling pair \(1,2\) needs a resolved regime"):
             ChainSpec(FIG2_LARMOR, ((0, 2, 1.5e5, ISING), (1, 2, 1.5e5, regime)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("build, field", [
+        (lambda v: ChainSpec((FIG2_LARMOR[0], v, FIG2_LARMOR[2])), r"larmor\[1\]"),
+        # a NaN J never wins the coupling's max and would drop the pair
+        (lambda v: ChainSpec(FIG2_LARMOR, ((0, 2, 1.5e5, ISING), (0, 1, v, ISING))),
+         r"coupling J of pair \(0,1\)"),
+        (lambda v: BathSpec(v, tau_c=1e-7), "omega_se"),
+    ], ids=["larmor", "coupling-j", "omega_se"])
+    def test_non_finite_input_rejected(self, build, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build(value)
+
     @pytest.mark.parametrize("second", [(0, 2), (2, 0)], ids=["same-order", "reversed"])
     def test_pair_listed_twice_rejected(self, second):
         # a repeated pair would put 2J into the Hamiltonian while

@@ -400,6 +400,14 @@ class TestProgramStructure:
         )
         np.testing.assert_allclose(prog.total_duration, prog.delay_total + pulses)
 
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+    @pytest.mark.parametrize("build", [swap_nonidentical, swap_identical])
+    def test_builder_inputs_must_be_positive_and_finite(self, build, value):
+        with pytest.raises(ValueError, match="J must be positive and finite"):
+            build((0, 1), value, W1)
+        with pytest.raises(ValueError, match="drive amplitude must be positive and finite"):
+            build((0, 1), J, value)
+
     def test_negative_durations_rejected(self):
         with pytest.raises(ValueError):
             Delay(-1.0)

@@ -58,13 +58,18 @@ class TestGridSpec:
         assert pts[2] == (1.0, 20.0, 1e-7)
         assert pts[-1] == (2.0, 20.0, 2e-7)
 
-    def test_axis_validation(self):
-        with pytest.raises(ValueError):
-            small_grid(omega1_values=())
-        with pytest.raises(ValueError):
-            small_grid(omega1_values=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            small_grid(tauc_values=(-1e-7,))
+    @pytest.mark.parametrize("field, values", [
+        ("omega1_values", ()),
+        ("omega1_values", (2.0, 1.0)),
+        ("tauc_values", (-1e-7,)),
+        # a pulse of pi/inf = 0 s would be skipped and the point read ok
+        ("omega1_values", (W1, np.inf)),
+        ("omegaD_values", (np.nan,)),
+        ("tauc_values", (-np.inf,)),
+    ], ids=["empty", "decreasing", "negative", "inf", "nan", "-inf"])
+    def test_axis_validation(self, field, values):
+        with pytest.raises(ValueError, match=field):
+            small_grid(**{field: values})
 
 
 class TestRunSweep:
@@ -150,6 +155,15 @@ class TestRunSweep:
         r = records[0]
         np.testing.assert_allclose(r.omega1_scaled, W1 / WSE)
         np.testing.assert_allclose(r.tauc_scaled, TAU_C * WSE)
+
+    def test_ratio_columns_are_nan_without_omega_se(self):
+        # omega / omega_SE has no value at omega_SE = 0; raw rad/s under a
+        # ratio's name would read as a ratio
+        (r,) = run_sweep(small_grid(omega1_values=(W1,), bath=BathSpec(0.0, tau_c=TAU_C)),
+                         workers=1)
+        assert r.status == "ok"
+        assert np.isnan(r.omega1_scaled) and np.isnan(r.omegaD_scaled)
+        assert r.tauc_scaled == 0.0
 
 
 class TestArgmax:
