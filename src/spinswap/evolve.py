@@ -12,9 +12,9 @@ The walk runs in real arithmetic on Pauli transfer matrices and Pauli
 coordinates: every generator preserves Hermiticity, so each is real in the
 Pauli basis, and so are its exponentials, the channel and the states.
 `master.assemble` gives each generator in that basis already, so the walk
-converts no generator.  The channel and the states are converted back to
-column stacking once, at the end of the walk, and every check runs on the
-converted values.
+converts no generator.  The channel stays a Pauli transfer matrix, checked
+and read in that basis; only the states are converted back to column
+stacking, once, at the end of the walk, and checked there.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (choi_matrix, clip_to_density, expm, pauli_to_superop,
-                     pauli_to_vecs, single_blas_thread, trace_defect, vec,
-                     vecs_to_pauli)
+from .linalg import (choi_matrix, clip_to_density, expm, pauli_to_vecs,
+                     single_blas_thread, trace_defect, vec, vecs_to_pauli)
 from .master import assemble
 from .sequences import UnitaryWindow
 
@@ -62,11 +61,12 @@ class ChannelError(RuntimeError):
 class ChannelPass:
     """The program channel and the final state of one propagation.
 
-    channel: Liouville-space superoperator of the whole program, the product
-        of the window propagators in program order (identity for no windows).
+    channel: real (float64) Pauli transfer matrix R_ij = Tr(P_i S(P_j)) of
+        the program's channel S over `linalg.pauli_strings`: the product of
+        the window propagators in program order (identity for no windows).
     final_state: the initial state stepped through every window boundary
         (validated and clipped like a sampled state).
-    tp_defect: trace-preservation defect max |vec(I)^dag S - vec(I)^dag|.
+    tp_defect: trace-preservation defect max_j |R_0j - delta_0j|.
     choi_min: smallest eigenvalue of the unnormalized Choi matrix
         sum_ij |i><j| (x) S(|i><j|), whose trace is the dimension d (8 for
         three spins) when S is trace preserving; S is completely positive
@@ -153,10 +153,10 @@ def _walk(rho0: np.ndarray, windows,
     spec for the whole walk.  Unitary windows bring their cached transfer
     matrices.  The sampled chain keeps its own state and clock, so its
     samples do not depend on the full-window propagators.  The channel, the
-    boundary states and the samples are stepped as real Pauli coordinates
-    and converted back to column stacking after the walk; the initial state
-    is kept as given.  The checks then run: the channel first, then the
-    boundary states, then the samples, each in time order.  Every walk,
+    boundary states and the samples are stepped as real Pauli coordinates;
+    only the states are converted back to column stacking after the walk,
+    the initial state kept as given.  The checks then run: the channel
+    first, then the boundary states, then the samples, each in time order.  Every walk,
     whoever calls it, holds OpenBLAS at one thread
     (`linalg.single_blas_thread`): the 64x64 operands are too small to
     split.
@@ -206,9 +206,7 @@ def _walk(rho0: np.ndarray, windows,
                 ts.append(t_sample)
             blocks.append((us, ts))
     if channel is None:
-        channel = np.eye(v0.size, dtype=complex)
-    else:
-        channel = pauli_to_superop(channel)
+        channel = np.eye(v0.size)
     tp_defect = trace_defect(channel)
     if tp_defect > TRACE_TOL:
         raise ChannelError(f"channel not trace preserving: defect {tp_defect:.3e} "

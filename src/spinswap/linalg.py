@@ -16,9 +16,9 @@ qubits (8-dimensional Hilbert space, 64-dimensional Liouville space), so
 sparsity is deliberately not used.  A superoperator that preserves
 Hermiticity (every GKLS generator, every channel) is real in the
 orthonormal Pauli-string basis: its Pauli transfer matrix R_ij =
-Tr(P_i S(P_j)) (Greenbaum, arXiv:1509.02921).  The window walk runs in
-that real form and converts back to column stacking once (see
-`superop_to_pauli` and `pauli_to_superop`).
+Tr(P_i S(P_j)) (Greenbaum, arXiv:1509.02921).  Superoperators are built in
+column stacking and converted once (`superop_to_pauli`); the window walk and
+the program channel stay in that real form, and only states go back.
 """
 
 from __future__ import annotations
@@ -177,25 +177,25 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(d, d, order="F")
 
 
-def choi_matrix(superop: np.ndarray) -> np.ndarray:
-    """Unnormalized Choi matrix sum_ij |i><j| (x) S(|i><j|) of a
-    column-stacking superoperator S on d x d matrices.
+def choi_matrix(transfer: np.ndarray) -> np.ndarray:
+    """Unnormalized Choi matrix sum_ij |i><j| (x) S(|i><j|) of the channel S
+    with Pauli transfer matrix R, as sum_kl R_lk P_k^T (x) P_l.
 
     Its trace is d when S is trace preserving, and it is positive
     semidefinite iff S is completely positive.
     """
-    d = int(round(np.sqrt(superop.shape[0])))
-    # S[l*d + k, j*d + i] = S(|i><j|)[k, l]: axes (l, k, j, i) -> (i, k, j, l)
-    return superop.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    d = int(round(np.sqrt(transfer.shape[0])))
+    strings = pauli_strings(d.bit_length() - 1).reshape(d * d, d * d)
+    # axes (c, a) of P_k and (b, e) of S(P_k) -> (a, b, c, e)
+    out = strings.T @ (transfer.T @ strings)
+    return out.reshape(d, d, d, d).transpose(1, 2, 0, 3).reshape(d * d, d * d)
 
 
-def trace_defect(superop: np.ndarray) -> float:
-    """Trace-preservation defect max |vec(I)^dag S - vec(I)^dag| of a
-    column-stacking superoperator S: the largest change of Tr X over the
-    matrix units X = |i><j|, 0 iff S is trace preserving."""
-    d = int(round(np.sqrt(superop.shape[0])))
-    trace_row = vec(np.eye(d)).conj()
-    return float(np.abs(trace_row @ superop - trace_row).max())
+def trace_defect(transfer: np.ndarray) -> float:
+    """Trace-preservation defect max_j |R_0j - delta_0j| of a Pauli transfer
+    matrix R: row 0 belongs to the identity string, so this is 0 iff the
+    channel is trace preserving."""
+    return float(np.abs(transfer[0] - np.eye(1, transfer.shape[1])[0]).max())
 
 
 def left_mult(a: np.ndarray) -> np.ndarray:
@@ -346,12 +346,6 @@ def superop_to_pauli(superop: np.ndarray) -> np.ndarray:
         raise ValueError(f"superoperator does not preserve Hermiticity: imaginary "
                          f"Pauli transfer residue {max_norm(r.imag):.3e}")
     return np.ascontiguousarray(r.real)
-
-
-def pauli_to_superop(transfer: np.ndarray) -> np.ndarray:
-    """Column-stacking superoperator B R B^dag of a Pauli transfer matrix R."""
-    b, b_dag = _pauli_vec_basis(transfer.shape[0])
-    return b @ transfer @ b_dag
 
 
 def vecs_to_pauli(vs: np.ndarray) -> np.ndarray:

@@ -5,12 +5,11 @@ swapped pair against the ideal SWAP (Horodecki, Horodecki & Horodecki,
 PRA 60, 1888 (1999)),
 
     F_avg = (d * F_pro + 1) / (d + 1),
-    F_pro = Tr(S_U^dag S) / d^2 = (1/d^2) sum_k Tr[U P_k^dag U^dag E(P_k)],
+    F_pro = (1/d^2) sum_k Tr[U P_k U^dag E(P_k)] = (1/d^2) sum_ij R_U,ij R_ij,
 
-with d = 4, S and S_U the superoperators of the channel E and of the
-target unitary U, and {P_k} the Hilbert-Schmidt-orthonormal two-qubit
-Pauli basis; the trace form is the Pauli sum read in the superoperator
-basis.  F_avg equals 1 iff the channel is the target unitary up to a
+with d = 4, {P_k} the Hilbert-Schmidt-orthonormal two-qubit Pauli basis,
+and R, R_U the Pauli transfer matrices R_ij = Tr(P_i E(P_j)) of the channel
+E and of the target unitary U.  F_avg equals 1 iff the channel is U up to a
 global phase (identity channel against SWAP scores 2/5, the completely
 depolarizing channel 1/4).
 """
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import conjugation_superop, dagger, partial_trace, trace_defect
+from .linalg import conjugation_superop, dagger, partial_trace, superop_to_pauli, trace_defect
 from .model import ChainSpec
 from .sequences import U_SWAP, PulseProgram
 
@@ -32,7 +31,7 @@ _SY2 = np.kron(
 METRIC_SLACK = 1e-9
 TRACE_PRESERVATION_TOL = 1e-6
 
-_SWAP_SUPEROP = conjugation_superop(U_SWAP)
+_SWAP_TRANSFER = superop_to_pauli(conjugation_superop(U_SWAP))
 
 
 @dataclass(frozen=True)
@@ -83,42 +82,42 @@ def concurrence(rho2: np.ndarray) -> float:
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-def swap_efficiency(channel_superop: np.ndarray) -> float:
+def swap_efficiency(transfer: np.ndarray) -> float:
     """Average gate fidelity of a two-qubit channel against the ideal SWAP.
 
-    The channel is given as its 16x16 superoperator (column stacking).
-    Raises if its trace-preservation defect (`linalg.trace_defect`)
-    exceeds TRACE_PRESERVATION_TOL.
+    The channel is given as its 16x16 Pauli transfer matrix.  Raises if its
+    trace-preservation defect (`linalg.trace_defect`) exceeds
+    TRACE_PRESERVATION_TOL.
     """
-    if channel_superop.shape != (16, 16):
-        raise ValueError("expected a 16x16 pair-channel superoperator")
-    tp_defect = trace_defect(channel_superop)
+    if transfer.shape != (16, 16):
+        raise ValueError("expected a 16x16 pair-channel Pauli transfer matrix")
+    tp_defect = trace_defect(transfer)
     if tp_defect > TRACE_PRESERVATION_TOL:
         raise ValueError(f"channel not trace preserving (defect {tp_defect:.3e})")
     d = 4
-    f_pro = np.vdot(_SWAP_SUPEROP, channel_superop).real / (d * d)
+    f_pro = np.vdot(_SWAP_TRANSFER, transfer) / (d * d)
     return float((d * f_pro + 1.0) / (d + 1.0))
 
 
-def pair_channel(total_superop: np.ndarray, pair, nsites: int) -> np.ndarray:
+def pair_channel(transfer: np.ndarray, pair, nsites: int) -> np.ndarray:
     """Reduce a full-register channel to the given pair of sites.
 
     Inputs on the pair are completed with the bystanders in the maximally
     mixed state (the reduced state of the middle spin in the transport
     initial condition), propagated through the full channel, and traced
-    back down to the pair.  In one contraction: the superoperator's axes
-    are (output column, output row, input column, input row) per site, and
-    each bystander ties its output row and column labels (partial trace)
-    and its input row and column labels (identity filler, scaled by 1/2).
+    back down to the pair.  On Pauli transfer matrices that is a selection:
+    Tr((Q_a (x) I) S(Q_b (x) I / 2^(n-2))) is exactly the entry of the
+    strings Q_a (x) I and Q_b (x) I, so the pair's matrix is the block of
+    the strings that are the identity on every bystander.  Raises
+    ValueError unless `pair` is two distinct sites in [0, nsites).
     """
-    pair = sorted(pair)
-    labels = np.arange(4 * nsites).reshape(4, nsites)
-    for s in set(range(nsites)) - set(pair):
-        labels[1, s] = labels[0, s]
-        labels[3, s] = labels[2, s]
-    t = np.asarray(total_superop).reshape((2,) * (4 * nsites))
-    out = np.einsum(t, labels.ravel().tolist(), labels[:, pair].ravel().tolist())
-    return out.reshape(16, 16) / 2 ** (nsites - 2)
+    a, b = sorted(pair)
+    if not 0 <= a < b < nsites:
+        raise ValueError(f"pair {tuple(pair)} is not two distinct sites of {nsites}")
+    # the string with label c_s on site s has index sum_s c_s 4^(n-1-s)
+    keep = [i * 4 ** (nsites - 1 - a) + j * 4 ** (nsites - 1 - b)
+            for i in range(4) for j in range(4)]
+    return transfer[np.ix_(keep, keep)]
 
 
 def report(run, program: PulseProgram, chain: ChainSpec) -> TransferReport:

@@ -26,6 +26,7 @@ import json
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -49,6 +50,21 @@ U_SWAP = np.array(
 )
 
 
+def _check_finite(name: str, value: float, nonnegative: bool = False) -> None:
+    """Raise ValueError naming `name` unless `value` is finite (and >= 0)."""
+    if not np.isfinite(value) or (nonnegative and value < 0):
+        bound = ">= 0 and finite" if nonnegative else "finite"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def _site(name: str, value) -> int:
+    """`value` as a site index: an integer or an integral float, never a
+    boolean; raises ValueError naming `name` otherwise."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer site index, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SquarePulse:
     """Square drive pulse on `targets` about the axis at azimuth `phase`,
@@ -63,11 +79,11 @@ class SquarePulse:
     duration: float  # s
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("drive amplitude must be >= 0")
-        if self.duration < 0:
-            raise ValueError("pulse duration must be >= 0")
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        _check_finite("drive amplitude", self.amplitude, nonnegative=True)
+        _check_finite("pulse phase", self.phase)
+        _check_finite("pulse duration", self.duration, nonnegative=True)
+        object.__setattr__(self, "targets",
+                           tuple(_site("pulse target", t) for t in self.targets))
 
     @property
     def flip_angle(self) -> float:
@@ -79,8 +95,7 @@ class Delay:
     duration: float  # s
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("delay duration must be >= 0")
+        _check_finite("delay duration", self.duration, nonnegative=True)
 
 
 @dataclass(frozen=True)
@@ -91,6 +106,10 @@ class VirtualZ:
     target: int
 
     duration = 0.0
+
+    def __post_init__(self):
+        _check_finite("virtual-z angle", self.angle)
+        object.__setattr__(self, "target", _site("virtual-z target", self.target))
 
 
 @dataclass(frozen=True)
@@ -105,6 +124,7 @@ class IdealPi:
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise ValueError("axis must be x, y or z")
+        object.__setattr__(self, "target", _site("ideal-pi target", self.target))
 
 
 Segment = SquarePulse | Delay | VirtualZ | IdealPi

@@ -7,6 +7,10 @@ trace over explicit local environments with a quadrature of the memory
 integral, and the Kossakowski matrix that certifies GKLS form.  Every
 component is static (zero frequency) in the rotating frame, so the
 regulated kernel weighs every pair with tau_c.
+
+The package keeps channels as real Pauli transfer matrices after they are
+built; `pauli_to_superop` is the reference converter back to column
+stacking, and `choi_of_superop` the Choi matrix read off that form.
 """
 
 import numpy as np
@@ -17,8 +21,29 @@ from spinswap.linalg import (
     identity,
     partial_trace,
     pauli_strings,
+    unvec,
     vec,
 )
+
+
+def pauli_to_superop(transfer: np.ndarray) -> np.ndarray:
+    """Column-stacking superoperator B R B^dag of a Pauli transfer matrix R,
+    B the matrix whose column i is vec(P_i) over `pauli_strings`."""
+    n = int(round(np.log2(transfer.shape[0]) / 2))
+    b = np.array([vec(p) for p in pauli_strings(n)]).T
+    return b @ transfer @ b.conj().T
+
+
+def choi_of_superop(superop: np.ndarray) -> np.ndarray:
+    """Unnormalized Choi matrix sum_ij |i><j| (x) S(|i><j|) of a
+    column-stacking superoperator S, one matrix unit at a time."""
+    d = int(round(np.sqrt(superop.shape[0])))
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            e_ij = np.outer(np.eye(d)[i], np.eye(d)[j])
+            choi += np.kron(e_ij, unvec(superop @ vec(e_ij)))
+    return choi
 
 
 def kossakowski_matrix(gen: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ from spinswap.linalg import (
     identity,
     ket2dm,
     max_norm,
-    pauli_to_superop,
     superop_to_pauli,
     unvec,
     vec,
@@ -49,7 +48,8 @@ import spinswap.sweep as sweep
 from spinswap.sweep import GridSpec, evaluate_point, run_sweep, run_transport
 
 from chains import resolved_chain
-from oracles import brute_force_dissipator, reference_dissipator, reference_first_order
+from oracles import (brute_force_dissipator, choi_of_superop, pauli_to_superop,
+                     reference_dissipator, reference_first_order)
 
 W1 = 2 * np.pi * 1.5e5
 WSE = 2 * np.pi * 1.0e5
@@ -159,6 +159,7 @@ class TestChannel:
     def test_no_windows_identity_channel(self):
         traj = propagate(ket2dm(basis_state([0])), [])
         np.testing.assert_array_equal(traj.channel_pass.channel, np.eye(4))
+        assert traj.channel_pass.channel.dtype == np.float64
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=5, deadline=None)
@@ -183,7 +184,7 @@ class TestChannel:
         windows = compile_program(prog, chain, bath)
         rho0 = ket2dm(prog.meta["initial_state"])
         traj = propagate(rho0, windows)
-        channel = traj.channel_pass.channel
+        channel = pauli_to_superop(traj.channel_pass.channel)
         assert max_norm(unvec(channel @ vec(rho0)) - traj.states[-1]) < 1e-12
         tr_vec = vec(identity(8)).conj()
         assert max_norm(tr_vec @ channel - tr_vec) < 1e-12
@@ -198,8 +199,9 @@ class TestChannel:
 )
 def test_pass_matches_sampled_propagation(larmor_khz, omega1_khz, wse_tauc):
     # random 3-spin transport runs: the pass alone gives the sampled final
-    # state and the channel, which is trace preserving and completely
-    # positive by an explicitly built Choi matrix
+    # state and the channel, a real Pauli transfer matrix, which is trace
+    # preserving (row 0) and completely positive by the oracle's
+    # column-stacking Choi matrix
     j = 1.5e5
     omega1 = 2 * np.pi * 1e3 * omega1_khz
     bath = BathSpec(WSE, tau_c=wse_tauc / WSE)
@@ -215,14 +217,12 @@ def test_pass_matches_sampled_propagation(larmor_khz, omega1_khz, wse_tauc):
     traj = propagate(rho0, windows)
     assert max_norm(run.final_state - traj.states[-1]) < 1e-12
     assert max_norm(run.channel - traj.channel_pass.channel) < 1e-12
+    assert run.channel.dtype == np.float64
+    assert run.tp_defect == np.abs(run.channel[0] - np.eye(64)[0]).max() <= 1e-12
+    superop = pauli_to_superop(run.channel)
     tr_vec = vec(identity(8)).conj()
-    assert run.tp_defect == np.abs(tr_vec @ run.channel - tr_vec).max() <= 1e-12
-    choi = np.zeros((64, 64), dtype=complex)
-    for i in range(8):
-        for k in range(8):
-            e_ik = np.zeros((8, 8))
-            e_ik[i, k] = 1.0
-            choi += np.kron(e_ik, unvec(run.channel @ vec(e_ik)))
+    assert max_norm(tr_vec @ superop - tr_vec) < 1e-12
+    choi = choi_of_superop(superop)
     assert abs(np.trace(choi) - 8) < 1e-12
     assert abs(run.choi_min - np.linalg.eigvalsh(choi).min()) < 1e-12
     assert run.choi_min >= 0.0
@@ -277,7 +277,7 @@ def test_pass_matches_complex_reference_walk(larmor_khz, identical, omega1_khz,
     rho0 = ket2dm(prog.meta["initial_state"])
     run = channel_pass(rho0, windows)
     channel, final = complex_reference_pass(rho0, windows)
-    assert max_norm(run.channel - channel) < 1e-12
+    assert max_norm(pauli_to_superop(run.channel) - channel) < 1e-12
     assert max_norm(run.final_state - final) < 1e-12
 
 

@@ -19,17 +19,19 @@ from spinswap.linalg import (
     max_norm,
     partial_trace,
     pauli_strings,
-    pauli_to_superop,
     pauli_to_vecs,
     right_mult,
     single_blas_thread,
     site_operators,
     spin_half_ops,
     superop_to_pauli,
+    trace_defect,
     unvec,
     vec,
     vecs_to_pauli,
 )
+
+from oracles import choi_of_superop, pauli_to_superop
 
 IX, IY, IZ, IP, IM = spin_half_ops()
 
@@ -166,22 +168,19 @@ class TestVectorization:
 
 
 class TestChoiMatrix:
-    def test_matches_sum_over_matrix_units(self):
-        # sum_ij |i><j| (x) S(|i><j|) for a random (non-physical) superoperator
+    @pytest.mark.parametrize("nqubits", [1, 2, 3])
+    def test_matches_sum_over_matrix_units(self, nqubits):
+        # a random (non-physical) Hermiticity-preserving channel, as its Pauli
+        # transfer matrix, against sum_ij |i><j| (x) S(|i><j|) in column stacking
         rng = np.random.default_rng(5)
-        d = 3
-        s = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-        ref = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                e_ij = np.outer(np.eye(d)[i], np.eye(d)[j])
-                ref += np.kron(e_ij, unvec(s @ vec(e_ij)))
-        np.testing.assert_array_equal(choi_matrix(s), ref)
+        r = rng.normal(size=(4**nqubits, 4**nqubits))
+        ref = choi_of_superop(pauli_to_superop(r))
+        assert max_norm(choi_matrix(r) - ref) < 1e-13
 
     def test_unitary_channel_is_rank_one_with_trace_d(self):
         rng = np.random.default_rng(6)
         u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        w = np.linalg.eigvalsh(choi_matrix(conjugation_superop(u)))
+        w = np.linalg.eigvalsh(choi_matrix(superop_to_pauli(conjugation_superop(u))))
         np.testing.assert_allclose(w, [0.0] * 15 + [4.0], atol=1e-12)
 
     def test_transpose_is_not_completely_positive(self):
@@ -189,7 +188,17 @@ class TestChoiMatrix:
         transpose = np.eye(d * d)[[0, 2, 1, 3]]
         rho = random_density(np.random.default_rng(7), 1)
         np.testing.assert_array_equal(unvec(transpose @ vec(rho)), rho.T)
-        assert np.linalg.eigvalsh(choi_matrix(transpose)).min() == pytest.approx(-1.0)
+        w = np.linalg.eigvalsh(choi_matrix(superop_to_pauli(transpose)))
+        assert w.min() == pytest.approx(-1.0)
+
+
+class TestTraceDefect:
+    def test_reads_row_zero(self):
+        r = superop_to_pauli(random_channel(8, 2, 3))
+        assert trace_defect(r) <= 1e-13
+        # scaling a trace-preserving channel scales the trace: R_00 = 0.9
+        assert trace_defect(0.9 * r) > 1e-3
+        assert trace_defect(0.9 * r) == pytest.approx(0.1, abs=1e-13)
 
 
 class TestExpm:

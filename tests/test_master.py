@@ -12,7 +12,6 @@ from spinswap.linalg import (
     identity,
     left_mult,
     max_norm,
-    pauli_to_superop,
     right_mult,
     spin_half_ops,
     unvec,
@@ -32,6 +31,7 @@ from spinswap.sequences import compile_program, transport_protocol
 from oracles import (
     brute_force_dissipator,
     kossakowski_matrix,
+    pauli_to_superop,
     reference_dissipator,
     reference_first_order,
 )

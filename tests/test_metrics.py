@@ -14,6 +14,7 @@ from spinswap.linalg import (
     partial_trace,
     pauli_strings,
     spin_half_ops,
+    superop_to_pauli,
     trace_defect,
     unvec,
     vec,
@@ -26,10 +27,12 @@ from spinswap.metrics import (
     state_fidelity,
     swap_efficiency,
 )
+from spinswap.config import load_preset
 from spinswap.model import BathSpec
 from spinswap.sequences import U_SWAP, PulseProgram, compile_program, transport_protocol
 
 from chains import resolved_chain
+from oracles import pauli_to_superop
 
 IX, IY, IZ, IP, IM = spin_half_ops()
 
@@ -115,13 +118,17 @@ def pauli_overlap_oracle(channel_fn, ideal):
     return (4.0 * (s / 16.0) + 1.0) / 5.0
 
 
+def unitary_transfer(u):
+    return superop_to_pauli(conjugation_superop(u))
+
+
 class TestSwapEfficiency:
     def test_exact_swap_scores_one(self):
-        chan = conjugation_superop(U_SWAP)
+        chan = unitary_transfer(U_SWAP)
         np.testing.assert_allclose(swap_efficiency(chan), 1.0, atol=1e-10)
 
     def test_identity_channel_scores_two_fifths(self):
-        chan = np.eye(16, dtype=complex)
+        chan = np.eye(16)
         np.testing.assert_allclose(swap_efficiency(chan), 0.4, atol=1e-12)
         oracle = pauli_overlap_oracle(lambda p: p, U_SWAP)
         np.testing.assert_allclose(oracle, 0.4, atol=1e-12)
@@ -129,7 +136,7 @@ class TestSwapEfficiency:
     def test_depolarizing_channel(self):
         # E(X) = Tr(X) I/4: columns are vec(I/4) * trace of basis element
         chan = np.outer(vec(identity(4) / 4), vec(identity(4)).conj())
-        got = swap_efficiency(chan)
+        got = swap_efficiency(superop_to_pauli(chan))
         oracle = pauli_overlap_oracle(
             lambda p: np.trace(p) * identity(4) / 4, U_SWAP
         )
@@ -138,52 +145,63 @@ class TestSwapEfficiency:
 
     def test_global_phase_invariance(self):
         for theta in np.linspace(0, 2 * np.pi, 8, endpoint=False):
-            chan = conjugation_superop(np.exp(1j * theta) * U_SWAP)
+            chan = unitary_transfer(np.exp(1j * theta) * U_SWAP)
             np.testing.assert_allclose(swap_efficiency(chan), 1.0, atol=1e-10)
 
     def test_wrong_unitary_scores_below_one(self):
-        chan = conjugation_superop(np.diag([1, 1, 1, -1]).astype(complex))
+        chan = unitary_transfer(np.diag([1, 1, 1, -1]).astype(complex))
         assert swap_efficiency(chan) < 1.0 - 1e-3
 
     def test_non_trace_preserving_rejected(self):
         with pytest.raises(ValueError):
-            swap_efficiency(0.5 * np.eye(16, dtype=complex))
+            swap_efficiency(0.5 * np.eye(16))
 
 
 class TestPairChannel:
     def test_ideal_swap_on_pair(self):
-        u = kron_all([U_SWAP.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4), identity(2)])
-        # build SWAP(0,2) on 3 qubits directly instead: permute basis states
+        # SWAP(0,2) on 3 qubits: permute basis states
         perm = np.zeros((8, 8), dtype=complex)
         for a in range(2):
             for b in range(2):
                 for c in range(2):
                     perm[c * 4 + b * 2 + a, a * 4 + b * 2 + c] = 1.0
-        chan = pair_channel(conjugation_superop(perm), (0, 2), 3)
+        chan = pair_channel(unitary_transfer(perm), (0, 2), 3)
         np.testing.assert_allclose(swap_efficiency(chan), 1.0, atol=1e-10)
 
     def test_embedding_matches_site_by_site_reference(self):
-        # reference: embed each pair matrix unit with maximally mixed
-        # bystanders as a sum of site-ordered Kronecker products, apply the
-        # full channel, and trace the bystanders out
+        # random Hermiticity-preserving channels, given as Pauli transfer
+        # matrices, against the site-by-site reference in column stacking
         rng = np.random.default_rng(7)
-        filler = identity(2) / 2
         for pair, nsites in (((0, 2), 3), ((0, 1), 3), ((1, 2), 3), ((1, 3), 4)):
-            dims = [2] * nsites
-            n2 = 4**nsites
-            superop = rng.normal(size=(n2, n2)) + 1j * rng.normal(size=(n2, n2))
-            ref = np.zeros((16, 16), dtype=complex)
-            for k in range(16):
-                x = unvec(np.eye(16)[k])
-                full = np.zeros((2**nsites, 2**nsites), dtype=complex)
-                for (ao, bo, ai, bi), coeff in np.ndenumerate(x.reshape(2, 2, 2, 2)):
-                    factors = [filler] * nsites
-                    factors[pair[0]] = np.outer(np.eye(2)[ao], np.eye(2)[ai])
-                    factors[pair[1]] = np.outer(np.eye(2)[bo], np.eye(2)[bi])
-                    full += coeff * kron_all(factors)
-                ref[:, k] = vec(partial_trace(unvec(superop @ vec(full)), pair, dims))
-            np.testing.assert_allclose(pair_channel(superop, pair, nsites), ref,
-                                       rtol=0, atol=1e-12)
+            transfer = rng.normal(size=(4**nsites, 4**nsites))
+            ref = reference_pair_superop(pauli_to_superop(transfer), pair, nsites)
+            got = pauli_to_superop(pair_channel(transfer, pair, nsites))
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pair", [(0, 0), (-1, 2), (0, 3)],
+                             ids=["repeated-site", "negative-site", "site-outside"])
+    def test_invalid_pair_rejected(self, pair):
+        with pytest.raises(ValueError, match="not two distinct sites"):
+            pair_channel(np.eye(64), pair, 3)
+
+
+def reference_pair_superop(superop, pair, nsites):
+    """Column-stacking pair channel: embed each pair matrix unit with
+    maximally mixed bystanders as a sum of site-ordered Kronecker products,
+    apply the full channel, and trace the bystanders out."""
+    dims = [2] * nsites
+    filler = identity(2) / 2
+    ref = np.zeros((16, 16), dtype=complex)
+    for k in range(16):
+        x = unvec(np.eye(16)[k])
+        full = np.zeros((2**nsites, 2**nsites), dtype=complex)
+        for (ao, bo, ai, bi), coeff in np.ndenumerate(x.reshape(2, 2, 2, 2)):
+            factors = [filler] * nsites
+            factors[pair[0]] = np.outer(np.eye(2)[ao], np.eye(2)[ai])
+            factors[pair[1]] = np.outer(np.eye(2)[bo], np.eye(2)[bi])
+            full += coeff * kron_all(factors)
+        ref[:, k] = vec(partial_trace(unvec(superop @ vec(full)), pair, dims))
+    return ref
 
 
 def random_kraus(seed, rank):
@@ -199,11 +217,31 @@ def random_kraus(seed, rank):
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_closed_forms_match_pauli_sum_on_random_channels(seed, rank):
     kraus = random_kraus(seed, rank)
-    superop = sum(conjugation_superop(k) for k in kraus)
-    assert trace_defect(superop) <= 1e-13
+    transfer = superop_to_pauli(sum(conjugation_superop(k) for k in kraus))
+    assert trace_defect(transfer) <= 1e-13
     oracle = pauli_overlap_oracle(
         lambda p: sum(k @ p @ dagger(k) for k in kraus), U_SWAP)
-    assert abs(swap_efficiency(superop) - oracle) <= 1e-12
+    assert abs(swap_efficiency(transfer) - oracle) <= 1e-12
+
+
+def test_efficiency_matches_column_stacking_path_in_the_weak_regime():
+    # fig2 with omega_SE tau_c = 1e-3 at its grid point omega_1 = 2.31
+    # omega_SE, where the transfer works (F near 0.96): the efficiency read
+    # on the Pauli transfer matrix equals the oracle path (column stacking,
+    # site-by-site reduction, Pauli-sum fidelity), away from full
+    # depolarization
+    cfg = load_preset("fig2")
+    bath = BathSpec(cfg.bath.omega_se, tau_c=1e-3 / cfg.bath.omega_se)
+    omega1 = cfg.grid.omega1_values[5]
+    assert omega1 / cfg.bath.omega_se == pytest.approx(2.31, abs=5e-3)
+    prog = transport_protocol(cfg.chain, omega1)
+    run = channel_pass(ket2dm(prog.meta["initial_state"]),
+                       compile_program(prog, cfg.chain, bath))
+    rep = report(run, prog, cfg.chain)
+    assert rep.fidelity > 0.95
+    pair = reference_pair_superop(pauli_to_superop(run.channel), prog.meta["pair"], 3)
+    oracle = pauli_overlap_oracle(lambda p: unvec(pair @ vec(p)), U_SWAP)
+    assert abs(rep.efficiency - oracle) <= 1e-12
 
 
 class TestReport:

@@ -4,8 +4,11 @@
 of `spinswap sweep --preset fig2|fig3 --workers 1` as written by the
 sampled-trajectory pipeline (commit 658e6b6).  `data/preset_programs.json`
 holds the `program.json` text of `spinswap simulate --preset fig2|fig3`
-as written by commit 3391033, before the drive carrier was removed.  Both
-are reference data: never regenerate them from the code under test.
+as written by commit 3391033, before the drive carrier was removed.
+`data/preset_reports.json` holds the `report.json` text of the same runs as
+written by commit 8e72a30, before the program channel was kept as a Pauli
+transfer matrix.  All three are reference data: never regenerate them from
+the code under test.
 """
 
 import json
@@ -19,7 +22,12 @@ from spinswap.sequences import program_to_json, transport_protocol
 
 DATA = json.loads((Path(__file__).parent / "data" / "preset_sweeps.json").read_text())
 PROGRAMS = json.loads((Path(__file__).parent / "data" / "preset_programs.json").read_text())
+REPORTS = json.loads((Path(__file__).parent / "data" / "preset_reports.json").read_text())
 METRIC_TOL = 1e-12
+# report.json values that may move in the last digits with the operation
+# order; every other key (the echo, transfer time, clip count and minimum
+# eigenvalue) must stay exact
+REPORT_METRICS = ("fidelity", "concurrence_23", "efficiency", "choi_min")
 
 
 @pytest.mark.parametrize("preset", ["fig2", "fig3"])
@@ -46,3 +54,20 @@ def test_preset_program_json_reproduces_recorded_bytes(preset):
     cfg = load_preset(preset)
     program = transport_protocol(cfg.chain, cfg.omega1, refocus=cfg.refocusing)
     assert program_to_json(program) == PROGRAMS["presets"][preset]
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_preset_report_reproduces_recorded_values(tmp_path, preset):
+    want = json.loads(REPORTS["presets"][preset])
+    assert main(["simulate", "--preset", preset, "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / "report.json").read_text())
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if key in REPORT_METRICS:
+            assert abs(got[key] - value) <= METRIC_TOL, key
+        elif key == "tp_defect":
+            # recorded under the column-stacking definition; both read
+            # rounding only on a trace-preserving channel
+            assert got[key] <= 1e-13
+        else:
+            assert got[key] == value, key

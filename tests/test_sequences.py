@@ -33,6 +33,7 @@ from spinswap.sequences import (
 )
 
 from chains import resolved_chain
+from oracles import pauli_to_superop
 
 J = 1.5e5  # Hz
 W1 = 2 * np.pi * 1.5e5
@@ -334,7 +335,8 @@ class TestCompile:
         windows = compile_program(prog, CHAIN3, self.bath)
         assert isinstance(windows[0], UnitaryWindow)
         rho = ket2dm(np.eye(8)[:, 0])
-        out = unvec(propagate(rho, windows).channel_pass.channel @ vec(rho))
+        channel = pauli_to_superop(propagate(rho, windows).channel_pass.channel)
+        out = unvec(channel @ vec(rho))
         np.testing.assert_allclose(np.trace(out), 1.0, atol=1e-12)
         # the channel conjugates by the window's unitary: |000> -> |010>
         u = segment_unitary(windows[0].segment, windows[0].nsites)
@@ -408,15 +410,53 @@ class TestProgramStructure:
         with pytest.raises(ValueError, match="drive amplitude must be positive and finite"):
             build((0, 1), J, value)
 
-    def test_negative_durations_rejected(self):
-        with pytest.raises(ValueError):
-            Delay(-1.0)
-        with pytest.raises(ValueError):
-            SquarePulse(W1, 0.0, (0,), -1e-6)
-        with pytest.raises(ValueError, match="amplitude must be >= 0"):
-            SquarePulse(-W1, 0.0, (0,), 1e-6)
-        with pytest.raises(ValueError):
-            IdealPi("q", 0)
+    @pytest.mark.parametrize("segment, match", [
+        (lambda: Delay(-1.0), "delay duration must be >= 0"),
+        (lambda: SquarePulse(W1, 0.0, (0,), -1e-6), "pulse duration must be >= 0"),
+        (lambda: SquarePulse(-W1, 0.0, (0,), 1e-6), "amplitude must be >= 0"),
+        (lambda: IdealPi("q", 0), "axis must be x, y or z"),
+        (lambda: Delay(np.nan), "delay duration must be >= 0 and finite"),
+        (lambda: Delay(np.inf), "delay duration must be >= 0 and finite"),
+        (lambda: SquarePulse(np.inf, 0.0, (0,), 1e-6), "amplitude must be >= 0 and finite"),
+        (lambda: SquarePulse(W1, 0.0, (0,), np.nan), "pulse duration must be >= 0 and finite"),
+        (lambda: SquarePulse(W1, np.nan, (0,), 1e-6), "pulse phase must be finite"),
+        (lambda: VirtualZ(np.nan, 0), "virtual-z angle must be finite"),
+        (lambda: VirtualZ(-np.inf, 0), "virtual-z angle must be finite"),
+        (lambda: SquarePulse(W1, 0.0, (1.5,), 1e-6), "pulse target must be an integer"),
+        (lambda: SquarePulse(W1, 0.0, (True,), 1e-6), "pulse target must be an integer"),
+        (lambda: VirtualZ(np.pi, 1.5), "virtual-z target must be an integer"),
+        (lambda: IdealPi("x", True), "ideal-pi target must be an integer"),
+        (lambda: IdealPi("x", np.nan), "ideal-pi target must be an integer"),
+    ], ids=["delay-negative", "pulse-negative-duration", "pulse-negative-amplitude",
+            "ideal-pi-axis", "delay-nan", "delay-inf", "pulse-inf-amplitude",
+            "pulse-nan-duration", "pulse-nan-phase", "virtual-z-nan", "virtual-z-minus-inf",
+            "pulse-fractional-target", "pulse-bool-target", "virtual-z-fractional-target",
+            "ideal-pi-bool-target", "ideal-pi-nan-target"])
+    def test_negative_durations_rejected(self, segment, match):
+        # every duration, amplitude, phase and angle must be finite (durations
+        # and amplitudes >= 0) and every target an integer, named in the error
+        with pytest.raises(ValueError, match=match):
+            segment()
+
+    def test_integral_float_targets_are_site_indices(self):
+        # 1.0 is site 1: the segment equals the integer-target one and runs
+        segments = (VirtualZ(np.pi, 1.0), IdealPi("x", 1.0),
+                    SquarePulse(W1, 0.0, (np.float64(1.0),), 1e-6))
+        assert segments == (VirtualZ(np.pi, 1), IdealPi("x", 1), SquarePulse(W1, 0.0, (1,), 1e-6))
+        assert all(type(t) is int for s in segments
+                   for t in getattr(s, "targets", (getattr(s, "target", 0),)))
+        windows = compile_program(PulseProgram(segments), CHAIN3, BathSpec(0.0, tau_c=1e-18))
+        propagate(ket2dm(np.eye(8)[:, 0]), windows)
+
+    @pytest.mark.parametrize("record, match", [
+        ({"kind": "delay", "duration_s": float("nan")}, "delay duration"),
+        ({"kind": "virtual_z", "angle_rad": float("inf"), "target": 0}, "virtual-z angle"),
+        ({"kind": "ideal_pi", "axis": "x", "target": 0.5}, "ideal-pi target"),
+    ], ids=["delay-nan", "virtual-z-inf", "ideal-pi-fractional-target"])
+    def test_program_from_json_inherits_the_segment_checks(self, record, match):
+        doc = json.dumps({"segments": [record], "meta": {}})
+        with pytest.raises(ValueError, match=match):
+            program_from_json(doc)
 
 
 class TestSerialization:
@@ -472,7 +512,8 @@ def test_compiled_closed_limit_identical_regime():
     prog = transport_protocol(chain, W1, refocus=True)
     assert prog.meta["regime"] == "zero_quantum"
     windows = compile_program(prog, chain, bath0)
-    total = propagate(ket2dm(prog.meta["initial_state"]), windows).channel_pass.channel
+    total = pauli_to_superop(
+        propagate(ket2dm(prog.meta["initial_state"]), windows).channel_pass.channel)
     psi_i, psi_f = prog.meta["initial_state"], prog.meta["target_state"]
     rho = unvec(total @ vec(ket2dm(psi_i)))
     fid = np.real(np.conj(psi_f) @ rho @ psi_f)
