@@ -13,17 +13,21 @@ Conventions fixed here and relied on everywhere else in the package:
 
 Operators are dense complex128; the largest system handled is three
 qubits (8-dimensional Hilbert space, 64-dimensional Liouville space), so
-sparsity is deliberately not used.  A superoperator that preserves
-Hermiticity (every GKLS generator, every channel) is real in the
-orthonormal Pauli-string basis: its Pauli transfer matrix R_ij =
-Tr(P_i S(P_j)) (Greenbaum, arXiv:1509.02921).  Superoperators are built in
-column stacking and converted once (`superop_to_pauli`); the window walk and
-the program channel stay in that real form, and only states go back.
+sparsity is deliberately not used.  The module needs numpy alone: the
+matrix exponential is a Taylor scaling-and-squaring kernel built from
+matrix products (`expm`), and `single_blas_thread` pins numpy's OpenBLAS.
+A superoperator that preserves Hermiticity (every GKLS generator, every
+channel) is real in the orthonormal Pauli-string basis: its Pauli transfer
+matrix R_ij = Tr(P_i S(P_j)) (Greenbaum, arXiv:1509.02921).  Superoperators
+are built in column stacking and converted once (`superop_to_pauli`); the
+window walk and the program channel stay in that real form, and only states
+go back.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 from contextlib import contextmanager
 from functools import cache
 from itertools import product
@@ -31,7 +35,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as _sla
 
 HERMITICITY_TOL = 1e-12
 PAULI_REAL_TOL = 1e-12
@@ -225,32 +228,122 @@ def commutator_superop(h: np.ndarray) -> np.ndarray:
     return -1j * (left_mult(h) - right_mult(h))
 
 
-def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential of a*t via scaling-and-squaring (Pade).
+# Taylor scaling and squaring (Bader, Blanes & Casas, Mathematics 7, 1174
+# (2019)), evaluated by Paterson-Stockmeyer.  Degree m = p*q costs p + q - 2
+# products: p - 1 for the powers X^2 ... X^p and q - 1 Horner steps in X^p.
+# Each (p, q) gives the highest degree its number of products reaches.
+_TAYLOR_SPLITS = ((2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (5, 4))
+_UNIT_ROUNDOFF = 2.0**-53
 
-    Raises on non-finite entries.  Dense 64x64 worst case lands well below
-    the 1e-12 relative-accuracy target of the propagation layer.  The input
-    is not cast: a real generator (a Pauli transfer matrix) is exponentiated
-    in real arithmetic, about three times faster than as complex.
+
+def _taylor_threshold(m: int) -> float:
+    """The largest theta with e^(2 theta) theta^(m+1) / (m+1)! <= 2^-53.
+
+    For ||X||_1 <= theta the degree-m Taylor remainder is at most
+    e^theta theta^(m+1) / (m+1)!, and ||e^X||_1 >= e^-theta (since
+    e^X e^-X = I), so the truncation error relative to ||e^X||_1 is at most
+    the unit roundoff.  Found by bisection on the log of the bound, which
+    increases with theta.
+    """
+    target = math.log(_UNIT_ROUNDOFF) + math.lgamma(m + 2)
+    lo, hi = 0.0, float(m + 1)  # the bound exceeds 2^-53 at m + 1
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if 2.0 * mid + (m + 1) * math.log(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class _TaylorDegree(NamedTuple):
+    """One Taylor degree: its threshold on ||X||_1, the split p of the
+    Paterson-Stockmeyer evaluation, and its coefficients as q blocks over
+    the powers I, X, ..., X^p (row j holds 1/(jp + i)! at column i < p;
+    1/m! at column p of the last row is the top term)."""
+
+    degree: int
+    theta: float
+    p: int
+    coeffs: np.ndarray
+
+
+def _taylor_degree(p: int, q: int) -> _TaylorDegree:
+    coeffs = np.zeros((q, p + 1))
+    for j, i in product(range(q), range(p)):
+        coeffs[j, i] = 1.0 / math.factorial(j * p + i)
+    coeffs[-1, p] = 1.0 / math.factorial(p * q)
+    return _TaylorDegree(p * q, _taylor_threshold(p * q), p, read_only(coeffs))
+
+
+_TAYLOR_DEGREES = tuple(_taylor_degree(p, q) for p, q in _TAYLOR_SPLITS)
+
+
+def _taylor_plan(norm: float) -> tuple[_TaylorDegree, int]:
+    """The Taylor degree and the number s of squarings for a matrix of
+    1-norm `norm`: the lowest degree whose threshold covers it, s = 0; above
+    the last threshold, the highest degree, on the matrix scaled by 2^-s."""
+    for deg in _TAYLOR_DEGREES:
+        if norm <= deg.theta:
+            return deg, 0
+    return deg, math.ceil(math.log2(norm / deg.theta))
+
+
+def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """Matrix exponential of a*t by Taylor scaling and squaring.
+
+    The degree, one of 2, 4, 6, 9, 12, 16 and 20, is chosen from
+    ||a t||_1 (`_taylor_plan`): under each degree's threshold
+    (`_taylor_threshold`) the truncation error relative to the result is at
+    most 2^-53.  Above the last threshold the argument is scaled by 2^-s and
+    the result squared s times.  The polynomial is evaluated by
+    Paterson-Stockmeyer with matrix products only: the powers
+    I, X, ..., X^p are stacked once and all coefficient blocks come from one
+    product with that stack; no linear system is solved.  Real input stays
+    real: a real generator (a Pauli transfer matrix) is exponentiated in
+    real arithmetic, about three times faster than as complex.  Integer and
+    single-precision input is computed in float64.  Raises ValueError
+    unless a is square and a*t finite.
     """
     m = np.asarray(a)
-    if not np.all(np.isfinite(m)) or not np.isfinite(t):
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.multiply(m, t, dtype=np.result_type(m, t, np.float64))
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"expm: expected a square matrix, got shape {x.shape}")
+    # NaN and inf entries make the norm non-finite, and so does a finite
+    # a*t whose column sums overflow
+    norm = float(np.abs(x).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
         raise ValueError("expm: non-finite entries in generator")
-    return _sla.expm(m * t)
+    deg, s = _taylor_plan(norm)
+    if s:
+        x = x * 2.0**-s
+    n, p = x.shape[0], deg.p
+    powers = np.empty((p + 1, n, n), dtype=x.dtype)
+    powers[0] = np.eye(n)
+    powers[1] = x
+    for k in range(2, p + 1):
+        np.matmul(powers[k - 1], x, out=powers[k])
+    blocks = (deg.coeffs @ powers.reshape(p + 1, n * n)).reshape(len(deg.coeffs), n, n)
+    r = blocks[-1]
+    for block in blocks[-2::-1]:
+        r = powers[p] @ r
+        r += block
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
-# (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy
-# bundle: numpy's 64-bit-integer libscipy_openblas64_ and scipy's own
-# libscipy_openblas, which scipy.linalg (expm among it) runs on.
+# (get, set) thread-count symbols of the OpenBLAS that numpy bundles, the
+# 64-bit-integer libscipy_openblas64_
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
 )
 
 
 @cache
 def _openblas_handles() -> tuple:
-    """(get, set) thread-count functions of every loaded OpenBLAS.
+    """(get, set) thread-count functions of every loaded OpenBLAS that
+    exports numpy's symbols (`_OPENBLAS_THREAD_SYMBOLS`).
 
     Looked up on first use, not at import, from the libraries mapped into
     this process; where the process map cannot be read (non-Linux) or no
@@ -281,7 +374,8 @@ def _openblas_handles() -> tuple:
 
 @contextmanager
 def single_blas_thread():
-    """Run the block with every loaded OpenBLAS on one thread.
+    """Run the block with numpy's OpenBLAS, the one BLAS the package uses,
+    on one thread.
 
     At 64x64 the operands are far too small to split: extra BLAS threads
     only spin, and in a process pool they compete with the other workers

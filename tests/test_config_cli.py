@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,3 +573,21 @@ def test_one_swap_builder_per_regime(monkeypatch, preset, regime, builder):
     assert all(passed for _, passed, _ in cli._gate_checks(cfg))
     # the transport program that names the pair, then the pair's own SWAP
     assert seen == [build, build]
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only; the test process has it loaded, so
+    # the run goes through a fresh interpreter
+    code = (
+        "import sys\n"
+        "from spinswap.cli import main\n"
+        f"assert main(['simulate', '--preset', 'fig3', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.json").is_file()
+    assert proc.stdout.splitlines()[-1] == "[]"

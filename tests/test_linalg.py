@@ -1,8 +1,14 @@
+import math
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm as scipy_expm
 
-from spinswap import linalg
+from spinswap import evolve, linalg, sequences
+from spinswap.config import load_preset
 from spinswap.linalg import (
     basis_state,
     choi_matrix,
@@ -30,6 +36,7 @@ from spinswap.linalg import (
     vec,
     vecs_to_pauli,
 )
+from spinswap.sweep import run_transport
 
 from oracles import choi_of_superop, pauli_to_superop
 
@@ -219,6 +226,150 @@ class TestExpm:
         bad = np.array([[np.inf, 0], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
             expm(bad)
+
+    @pytest.mark.parametrize("dtype, n", [(float, 64), (complex, 8)])
+    def test_overflowing_product_rejected(self, dtype, n):
+        # a and t are finite apart; their product is not, and neither a
+        # RuntimeWarning nor an OverflowError may stand in for the error
+        a = np.zeros((n, n), dtype=dtype)
+        a[0, 1], a[1, 0] = 1e200, -1e200
+        if dtype is complex:
+            a *= 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite entries in generator"):
+                expm(a, 1e200)
+            with pytest.raises(ValueError, match="non-finite entries in generator"):
+                expm(np.eye(n, dtype=dtype), np.inf)
+
+
+def assert_close_to_scipy(a, rtol=1e-13):
+    """expm(a) within rtol of scipy.linalg.expm(a), relative to the 1-norm
+    of the result."""
+    got, want = expm(a), scipy_expm(a)
+    assert got.dtype == want.dtype
+    err = np.abs(got - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max()
+    assert err <= rtol, err
+
+
+def column_matrix(norm, n, dtype):
+    """A signed cyclic shift times `norm` (times i if complex): one nonzero
+    per column, so its 1-norm is exactly `norm`."""
+    a = np.roll(np.diag(np.where(np.arange(n) % 2, -norm, norm)), 1, axis=0).astype(dtype)
+    return 1j * a if dtype is complex else a
+
+
+class TestTaylorKernel:
+    """The Taylor kernel against its bound and against scipy.linalg.expm."""
+
+    DEGREES = linalg._TAYLOR_DEGREES
+
+    def test_thresholds_meet_the_written_bound(self):
+        # e^(2 theta) theta^(m+1) / (m+1)! <= 2^-53 at each theta_m, and no
+        # longer a relative 1e-9 above it (direct evaluation, no logs)
+        bound = lambda m, th: math.exp(2 * th) * th ** (m + 1) / math.factorial(m + 1)
+        assert [d.degree for d in self.DEGREES] == [2, 4, 6, 9, 12, 16, 20]
+        for d in self.DEGREES:
+            assert bound(d.degree, d.theta) <= 2.0**-53 * (1 + 1e-12)
+            assert bound(d.degree, d.theta * (1 + 1e-9)) > 2.0**-53
+        assert all(a.theta < b.theta for a, b in zip(self.DEGREES, self.DEGREES[1:]))
+
+    def test_coefficients_are_the_taylor_series(self):
+        for d in self.DEGREES:
+            flat = np.concatenate([d.coeffs[:, :d.p].ravel(), [d.coeffs[-1, -1]]])
+            want = [1 / math.factorial(k) for k in range(d.degree + 1)]
+            np.testing.assert_allclose(flat, want, rtol=1e-15)
+            assert np.count_nonzero(d.coeffs[:-1, -1]) == 0
+
+    @pytest.mark.parametrize("i", range(7))
+    def test_degree_switches_at_each_threshold(self, i):
+        d = self.DEGREES[i]
+        below, above = np.nextafter(d.theta, 0), np.nextafter(d.theta, np.inf)
+        assert linalg._taylor_plan(below) == (d, 0)
+        assert linalg._taylor_plan(d.theta) == (d, 0)
+        nxt = (self.DEGREES[i + 1], 0) if i + 1 < len(self.DEGREES) else (d, 1)
+        assert linalg._taylor_plan(above) == nxt
+        for norm in (below, above):
+            for dtype in (float, complex):
+                a = column_matrix(norm, 5, dtype)
+                assert np.abs(a).sum(axis=0).max() == norm
+                assert_close_to_scipy(a)
+
+    def test_fewest_squarings_that_reach_the_last_threshold(self):
+        last = self.DEGREES[-1]
+        for norm in (1.5, 10.0, 1e3, 1e300):
+            deg, s = linalg._taylor_plan(norm)
+            assert deg == last and norm * 2.0**-s <= last.theta < norm * 2.0 ** (1 - s)
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((4, 4)),
+        np.zeros((3, 3), dtype=complex),
+        np.array([[2.5]]),
+        np.array([[-3.0 + 1.0j]]),
+        np.triu(np.arange(1.0, 37.0).reshape(6, 6), 1) / 36,
+        np.triu(np.full((5, 5), 0.5 - 0.25j), 1),
+    ], ids=["zero", "zero-complex", "1x1", "1x1-complex", "nilpotent", "nilpotent-complex"])
+    def test_pinned_cases(self, a):
+        assert_close_to_scipy(a)
+
+    def test_zero_and_nilpotent_are_exact_sums(self):
+        np.testing.assert_array_equal(expm(np.zeros((4, 4))), np.eye(4))
+        # N^6 = 0: e^N is the finite sum of N^k / k!.  At this 1-norm (90)
+        # scipy.linalg.expm is 1.8e-13 off that sum, so it is no oracle here
+        n = np.triu(np.arange(1.0, 37.0).reshape(6, 6), 1)
+        want = sum(np.linalg.matrix_power(n, k) / math.factorial(k) for k in range(6))
+        np.testing.assert_allclose(expm(n), want, rtol=1e-14)
+
+    def test_unitary_case(self):
+        rng = np.random.default_rng(7)
+        h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        h = h + dagger(h)
+        for t in (1e-3, 0.7, 40.0):
+            u = expm(-1j * h, t)
+            assert_close_to_scipy(-1j * t * h)
+            np.testing.assert_allclose(u @ dagger(u), np.eye(8), atol=1e-13)
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_preset_generators(self, monkeypatch, preset):
+        # every distinct window and sampling-step argument of `simulate`
+        # (real 64x64 Pauli transfer generators) and of the ideal
+        # propagator (complex 8x8 Hamiltonians)
+        args = {}
+
+        def recording(real):
+            def expm_(g, t=1.0):
+                args.setdefault((g.tobytes(), t), g * t)
+                return real(g, t)
+            return expm_
+
+        for module in (evolve, sequences):
+            monkeypatch.setattr(module, "expm", recording(module.expm))
+        cfg = load_preset(preset)
+        program, _, _ = run_transport(cfg.chain, cfg.bath, cfg.omega1, sampled=True)
+        sequences.ideal_propagator(program, cfg.chain)
+        kinds = Counter((a.shape, a.dtype.kind) for a in args.values())
+        assert kinds == {((64, 64), "f"): {"fig2": 22, "fig3": 8}[preset],
+                         ((8, 8), "c"): {"fig2": 11, "fig3": 4}[preset]}
+        for a in args.values():
+            assert_close_to_scipy(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 64), is_complex=st.booleans(),
+           log_norm=st.floats(-10.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_random_matrices(self, n, is_complex, log_norm, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(n, n))
+        if is_complex:
+            g = g + 1j * rng.normal(size=(n, n))
+        a = g * (10.0**log_norm / np.abs(g).sum(axis=0).max())
+        # clip the spectral abscissa into [-1, 1], so that e^A neither
+        # overflows nor underflows at 1-norms up to 1e3
+        alpha = np.linalg.eigvals(a).real.max()
+        a = a - (alpha - np.clip(alpha, -1.0, 1.0)) * np.eye(n)
+        # the relative condition number of exp at A is at least ||A|| (it
+        # equals ||A||_2 for normal A), and scipy.linalg.expm's own error
+        # grows with it: above norm 1 the tolerance grows in proportion
+        assert_close_to_scipy(a, 1e-13 * max(1.0, np.abs(a).sum(axis=0).max()))
 
 
 class TestCommutatorSuperop:
