@@ -12,10 +12,12 @@ Conventions fixed here and relied on everywhere else in the package:
   generators are in 1/s.
 
 Operators are dense complex128; the largest system handled is three
-qubits (8-dimensional Hilbert space, 64-dimensional Liouville space), so
-sparsity is deliberately not used.  The module needs numpy alone: the
-matrix exponential is a Taylor scaling-and-squaring kernel built from
-matrix products (`expm`), and `single_blas_thread` pins numpy's OpenBLAS.
+qubits (8-dimensional Hilbert space, 64-dimensional Liouville space).  The
+one sparsity used is block-diagonal: `expm` exponentiates each diagonal
+block of its argument, and every window generator has several.  The
+module needs numpy alone: the matrix exponential is a Taylor
+scaling-and-squaring kernel built from matrix products (`expm`), and
+`single_blas_thread` pins numpy's OpenBLAS.
 A superoperator that preserves Hermiticity (every GKLS generator, every
 channel) is real in the orthonormal Pauli-string basis: its Pauli transfer
 matrix R_ij = Tr(P_i S(P_j)) (Greenbaum, arXiv:1509.02921).  Superoperators
@@ -29,7 +31,7 @@ from __future__ import annotations
 import ctypes
 import math
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from pathlib import Path
 from typing import NamedTuple
@@ -288,6 +290,70 @@ def _taylor_plan(norm: float) -> tuple[_TaylorDegree, int]:
     return deg, math.ceil(math.log2(norm / deg.theta))
 
 
+def _block_partition(nonzero: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The diagonal blocks of a square matrix with boolean nonzero pattern
+    `nonzero`, after a symmetric permutation: the connected components of
+    the graph joining i and j wherever entry (i, j) or (j, i) is nonzero.
+
+    Returns one (blocks, size) index array per block size, in increasing
+    size; each row holds the ascending indices of one block, and every
+    index is in one row.
+    """
+    n = nonzero.shape[0]
+    adj = nonzero | nonzero.T
+    labels = np.arange(n)
+    # each index takes the least label of itself and its neighbours, then
+    # that label's own label; labels only fall and never leave a component,
+    # so they settle on the least index of each component
+    while True:
+        new = np.minimum(labels, np.where(adj, labels, n).min(axis=1, initial=n))
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    roots = np.flatnonzero(labels == np.arange(n))
+    blocks = [np.flatnonzero(labels == root) for root in roots]
+    return tuple(np.array([b for b in blocks if b.size == size])
+                 for size in sorted({b.size for b in blocks}))
+
+
+@lru_cache(maxsize=16)
+def _block_cells(n: int, pattern: bytes) -> tuple[np.ndarray, ...]:
+    """The diagonal blocks (`_block_partition`) of an n x n matrix whose
+    nonzero pattern packs to `pattern` (`np.packbits`), as flat indices
+    into the C-ordered matrix: one read-only (blocks, size, size) array
+    per block size.
+
+    Kept for the 16 most recently used patterns.  An entry holds the
+    packed pattern, n^2/8 bytes, and at most n^2 eight-byte indices:
+    about 33 kB at n = 64.
+    """
+    nonzero = np.unpackbits(np.frombuffer(pattern, np.uint8), count=n * n)
+    return tuple(read_only(i[:, :, None] * n + i[:, None, :])
+                 for i in _block_partition(nonzero.reshape(n, n).astype(bool)))
+
+
+def _taylor(x: np.ndarray, deg: _TaylorDegree, s: int) -> np.ndarray:
+    """e^X of each matrix X of the stack `x`, shape (k, n, n), by the Taylor
+    degree `deg` on X 2^-s, squared s times."""
+    if s:
+        x = x * 2.0**-s
+    p = deg.p
+    powers = np.empty((p + 1,) + x.shape, dtype=x.dtype)
+    powers[0] = np.eye(x.shape[-1])
+    powers[1] = x
+    for k in range(2, p + 1):
+        np.matmul(powers[k - 1], x, out=powers[k])
+    blocks = (deg.coeffs @ powers.reshape(p + 1, -1)).reshape((len(deg.coeffs),) + x.shape)
+    r = blocks[-1]
+    for block in blocks[-2::-1]:
+        r = powers[p] @ r
+        r += block
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     """Matrix exponential of a*t by Taylor scaling and squaring.
 
@@ -298,15 +364,31 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     the result squared s times.  The polynomial is evaluated by
     Paterson-Stockmeyer with matrix products only: the powers
     I, X, ..., X^p are stacked once and all coefficient blocks come from one
-    product with that stack; no linear system is solved.  Real input stays
-    real: a real generator (a Pauli transfer matrix) is exponentiated in
-    real arithmetic, about three times faster than as complex.  Integer and
-    single-precision input is computed in float64.  Raises ValueError
-    unless a is square and a*t finite.
+    product with that stack; no linear system is solved.
+
+    The kernel runs on the diagonal blocks of a*t (`_block_cells`):
+    the connected components of its symmetrized nonzero pattern.  A window
+    generator has several, because a z rotation of a spin the window does
+    not drive commutes with it and splits the Pauli strings.  Blocks of one
+    size are evaluated together as a stack and placed into a zero matrix;
+    an irreducible matrix is one block.  Every block takes the plan of the
+    whole matrix, whose 1-norm bounds each block's, so the bound above
+    holds.  The terms a dense product would add from outside a block are
+    exact zeros, so each block is the dense evaluation with those terms
+    left out: equal bit for bit wherever the BLAS sums the in-block terms
+    in the dense order, as numpy's OpenBLAS does for the real window
+    generators of the presets (`test_preset_window_generators`).
+
+    Real input stays real: a real generator (a Pauli transfer matrix) is
+    exponentiated in real arithmetic, about three times faster than as
+    complex.  Integer and single-precision input is computed in float64.
+    Raises ValueError unless a is square and a*t finite.
     """
     m = np.asarray(a)
+    # C order, so that the flat views of x and out below share the indices
+    # of `_block_cells` whatever the layout of a
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.multiply(m, t, dtype=np.result_type(m, t, np.float64))
+        x = np.multiply(m, t, dtype=np.result_type(m, t, np.float64), order="C")
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expm: expected a square matrix, got shape {x.shape}")
     # NaN and inf entries make the norm non-finite, and so does a finite
@@ -315,22 +397,10 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     if not math.isfinite(norm):
         raise ValueError("expm: non-finite entries in generator")
     deg, s = _taylor_plan(norm)
-    if s:
-        x = x * 2.0**-s
-    n, p = x.shape[0], deg.p
-    powers = np.empty((p + 1, n, n), dtype=x.dtype)
-    powers[0] = np.eye(n)
-    powers[1] = x
-    for k in range(2, p + 1):
-        np.matmul(powers[k - 1], x, out=powers[k])
-    blocks = (deg.coeffs @ powers.reshape(p + 1, n * n)).reshape(len(deg.coeffs), n, n)
-    r = blocks[-1]
-    for block in blocks[-2::-1]:
-        r = powers[p] @ r
-        r += block
-    for _ in range(s):
-        r = r @ r
-    return r
+    out = np.zeros_like(x)
+    for cells in _block_cells(x.shape[0], np.packbits(x != 0).tobytes()):
+        out.reshape(-1)[cells] = _taylor(x.reshape(-1)[cells], deg, s)
+    return out
 
 
 # (get, set) thread-count symbols of the OpenBLAS that numpy bundles, the

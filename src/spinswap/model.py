@@ -21,6 +21,7 @@ import enum
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -52,6 +53,14 @@ class Regime(enum.Enum):
     ZERO_QUANTUM = "zero_quantum"
 
 
+def _site(name: str, value) -> int:
+    """`value` as a site index: an integer or an integral float, never a
+    boolean; raises ValueError naming `name` otherwise."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer site index, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Static chain parameters.
@@ -70,7 +79,8 @@ class ChainSpec:
         object.__setattr__(
             self,
             "couplings",
-            tuple((int(a), int(b), float(j), r) for a, b, j, r in self.couplings),
+            tuple((_site(f"couplings[{k}] site", a), _site(f"couplings[{k}] site", b),
+                   float(j), r) for k, (a, b, j, r) in enumerate(self.couplings)),
         )
         if not self.larmor:
             raise ValueError("chain needs at least one spin")

@@ -26,7 +26,6 @@ import json
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .model import (
     TimescaleSeparationWarning,
     _check_positive_finite,
     _drive_axis,
+    _site,
     coupling_component,
     drive_hamiltonian,
     system_env_coupling,
@@ -55,14 +55,6 @@ def _check_finite(name: str, value: float, nonnegative: bool = False) -> None:
     if not np.isfinite(value) or (nonnegative and value < 0):
         bound = ">= 0 and finite" if nonnegative else "finite"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
-
-
-def _site(name: str, value) -> int:
-    """`value` as a site index: an integer or an integral float, never a
-    boolean; raises ValueError naming `name` otherwise."""
-    if isinstance(value, bool) or not (isinstance(value, Real) and float(value).is_integer()):
-        raise ValueError(f"{name} must be an integer site index, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

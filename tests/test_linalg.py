@@ -36,6 +36,8 @@ from spinswap.linalg import (
     vec,
     vecs_to_pauli,
 )
+from spinswap.master import assemble
+from spinswap.model import Mechanism
 from spinswap.sweep import run_transport
 
 from oracles import choi_of_superop, pauli_to_superop
@@ -370,6 +372,131 @@ class TestTaylorKernel:
         # equals ||A||_2 for normal A), and scipy.linalg.expm's own error
         # grows with it: above norm 1 the tolerance grows in proportion
         assert_close_to_scipy(a, 1e-13 * max(1.0, np.abs(a).sum(axis=0).max()))
+
+
+def partition(pattern):
+    """The blocks `_block_partition` finds in `pattern`, as sorted index
+    lists, after checking its layout: one array per block size, sizes
+    increasing, every index once."""
+    pattern = np.asarray(pattern, dtype=bool)
+    groups = linalg._block_partition(pattern)
+    sizes = [g.shape[1] for g in groups]
+    assert sizes == sorted(set(sizes))
+    blocks = sorted(row.tolist() for g in groups for row in g)
+    assert sorted(i for b in blocks for i in b) == list(range(pattern.shape[0]))
+    assert all(b == sorted(b) for b in blocks)
+    return blocks
+
+
+def one_block_expm(g, t):
+    """expm(g, t) evaluated by the Taylor kernel on the whole matrix as one
+    block, with the plan expm takes."""
+    x = np.multiply(g, t, dtype=np.result_type(g, t, np.float64))
+    plan = linalg._taylor_plan(float(np.abs(x).sum(axis=0).max()))
+    return linalg._taylor(x[None], *plan)[0]
+
+
+class TestDiagonalBlocks:
+    """expm on the diagonal blocks of its argument."""
+
+    def test_asymmetric_entry_joins_its_indices(self):
+        a = np.zeros((3, 3))
+        a[0, 2] = 1.0
+        assert partition(a) == [[0, 2], [1]]
+        assert partition(a.T) == [[0, 2], [1]]
+
+    def test_isolated_index_is_a_one_by_one_block(self):
+        a = np.zeros((4, 4))
+        a[0, 3] = a[3, 1] = a[2, 2] = 1.0
+        assert partition(a) == [[0, 1, 3], [2]]
+        a[2, 2] = 0.0
+        assert partition(a) == [[0, 1, 3], [2]]
+
+    def test_zero_and_trivial_sizes(self):
+        assert linalg._block_partition(np.zeros((0, 0), dtype=bool)) == ()
+        assert partition(np.zeros((5, 5))) == [[i] for i in range(5)]
+        assert partition([[0.0]]) == partition([[2.0]]) == [[0]]
+        assert expm(np.zeros((0, 0))).shape == (0, 0)
+        np.testing.assert_array_equal(expm(np.zeros((5, 5)), 2.0), np.eye(5))
+
+    def test_irreducible_matrix_is_one_block(self):
+        # a cyclic shift reaches every index through one-way entries only
+        shift = np.roll(np.eye(7), 1, axis=0)
+        assert partition(shift) == [list(range(7))]
+        assert partition(np.ones((4, 4))) == [[0, 1, 2, 3]]
+        np.testing.assert_array_equal(expm(shift, 0.3), one_block_expm(shift, 0.3))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_any_memory_layout(self, dtype):
+        # blocks {0, 2, 5}, {1, 4} and {3}; a transposed or Fortran-ordered
+        # argument has the same blocks and must give the same exponential
+        rng = np.random.default_rng(14)
+        a = np.zeros((6, 6), dtype=dtype)
+        for b in ([0, 2, 5], [1, 4], [3]):
+            a[np.ix_(b, b)] = rng.normal(size=(len(b), len(b)))
+            if dtype is complex:
+                a[np.ix_(b, b)] += 1j * rng.normal(size=(len(b), len(b)))
+        for arg in (a.T, np.asfortranarray(a), a[::-1, ::-1], a):
+            assert not arg.flags.c_contiguous or arg is a
+            assert_close_to_scipy(arg)
+        np.testing.assert_array_equal(expm(np.asfortranarray(a)), expm(a))
+        np.testing.assert_array_equal(expm(a.T), expm(np.ascontiguousarray(a.T)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 64), nblocks=st.integers(1, 6), is_complex=st.booleans(),
+           log_norm=st.floats(-10.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_random_block_diagonal_matrices(self, n, nblocks, is_complex, log_norm, seed):
+        # 1-6 dense blocks of mixed sizes, their indices shuffled
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.choice(np.arange(1, n), min(nblocks, n) - 1, replace=False))
+        blocks = np.split(rng.permutation(n), cuts)
+        g = np.zeros((n, n), dtype=complex if is_complex else float)
+        for b in blocks:
+            g[np.ix_(b, b)] = rng.normal(size=(b.size, b.size))
+            if is_complex:
+                g[np.ix_(b, b)] += 1j * rng.normal(size=(b.size, b.size))
+        a = g * (10.0**log_norm / np.abs(g).sum(axis=0).max())
+        # the spectral abscissa clipped into [-1, 1] as in
+        # TestTaylorKernel.test_random_matrices
+        alpha = np.linalg.eigvals(a).real.max()
+        a = a - (alpha - np.clip(alpha, -1.0, 1.0)) * np.eye(n)
+        assert partition(a) == sorted(sorted(b.tolist()) for b in blocks)
+        assert_close_to_scipy(a, 1e-13 * max(1.0, np.abs(a).sum(axis=0).max()))
+        outside = np.ones((n, n), dtype=bool)
+        for b in blocks:
+            outside[np.ix_(b, b)] = False
+        got = expm(a)
+        assert got.dtype == a.dtype
+        assert np.all(got[outside] == 0)
+
+    # block sizes of each window generator kind: z rotations of the spins a
+    # window does not drive split the Pauli strings; fig3's zero-quantum pair
+    # (0, 2) ties those two spins together
+    PRESET_BLOCKS = {
+        ("fig2", "pulse"): {16: 4},
+        ("fig2", "delay"): {8: 7, 4: 2},
+        ("fig3", "pulse"): {32: 2},
+        ("fig3", "delay"): {16: 4},
+    }
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_preset_window_generators(self, preset):
+        cfg = load_preset(preset)
+        program = sequences.transport_protocol(cfg.chain, cfg.omega1, refocus=cfg.refocusing)
+        windows = [w for w in sequences.compile_program(program, cfg.chain, cfg.bath)
+                   if isinstance(w, sequences.GeneratorWindow) and w.duration > 0]
+        kinds = set()
+        # one window per generator and duration, as the window walk has them
+        for w in {(id(w.spec), w.duration): w for w in windows}.values():
+            kind = ("pulse" if any(c.mechanism is Mechanism.DRIVE for c in w.spec.components)
+                    else "delay")
+            kinds.add(kind)
+            g = assemble(w.spec)
+            sizes = {b.shape[1]: b.shape[0] for b in linalg._block_partition(g != 0)}
+            assert sizes == self.PRESET_BLOCKS[preset, kind]
+            for t in (w.duration, w.duration / evolve.SAMPLES_PER_WINDOW):
+                np.testing.assert_array_equal(expm(g, t), one_block_expm(g, t))
+        assert kinds == {"pulse", "delay"}
 
 
 class TestCommutatorSuperop:

@@ -213,6 +213,20 @@ class TestChainSpec:
         with pytest.raises(ValueError):
             ChainSpec(())
 
+    @pytest.mark.parametrize("couplings, field", [
+        # int() would read 0.9 as site 0 and True as site 1
+        (((0.9, 2, 1e3, ISING),), r"couplings\[0\] site"),
+        (((0, 2, 1e3, ISING), (True, 2.0, 5e2, ISING)), r"couplings\[1\] site"),
+    ], ids=["non-integral", "boolean"])
+    def test_non_integer_sites_rejected(self, couplings, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer site index"):
+            ChainSpec((1.0, 2.0, 3.0), couplings)
+
+    def test_integral_float_sites_are_site_indices(self):
+        chain = ChainSpec((1.0, 2.0, 3.0), ((np.float64(0.0), 2.0, 1e3, ISING),))
+        assert chain.couplings == ((0, 2, 1e3, ISING),)
+        assert all(type(site) is int for site in chain.couplings[0][:2])
+
     @pytest.mark.parametrize("regime", [Regime.AUTO, "ising_only", None],
                              ids=["auto", "string", "none"])
     def test_unresolved_regime_rejected(self, regime):

@@ -7,13 +7,17 @@ holds the `program.json` text of `spinswap simulate --preset fig2|fig3`
 as written by commit 3391033, before the drive carrier was removed.
 `data/preset_reports.json` holds the `report.json` text of the same runs as
 written by commit 8e72a30, before the program channel was kept as a Pauli
-transfer matrix.  All three are reference data: never regenerate them from
-the code under test.
+transfer matrix.  `data/preset_trajectories.json` holds the header, the
+row count and every 64th row of the `trajectory.txt` of the same runs as
+written by commit a131da3, before window generators were exponentiated on
+their diagonal blocks.  All four are reference data: never regenerate them
+from the code under test.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spinswap.cli import main
@@ -23,6 +27,8 @@ from spinswap.sequences import program_to_json, transport_protocol
 DATA = json.loads((Path(__file__).parent / "data" / "preset_sweeps.json").read_text())
 PROGRAMS = json.loads((Path(__file__).parent / "data" / "preset_programs.json").read_text())
 REPORTS = json.loads((Path(__file__).parent / "data" / "preset_reports.json").read_text())
+TRAJECTORIES = json.loads(
+    (Path(__file__).parent / "data" / "preset_trajectories.json").read_text())
 METRIC_TOL = 1e-12
 # report.json values that may move in the last digits with the operation
 # order; every other key (the echo, transfer time, clip count and minimum
@@ -71,3 +77,20 @@ def test_preset_report_reproduces_recorded_values(tmp_path, preset):
             assert got[key] <= 1e-13
         else:
             assert got[key] == value, key
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_preset_trajectory_reproduces_recorded_rows(tmp_path, preset):
+    # the header and row count exact, each recorded row's time exact and
+    # its state entries and fidelity within METRIC_TOL: the bits of
+    # rounding-level entries depend on the order in which the BLAS sums
+    want = TRAJECTORIES["presets"][preset]
+    assert main(["simulate", "--preset", preset, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "trajectory.txt").read_text().splitlines()
+    assert lines[:2] == want["header"]
+    assert len(lines) - 2 == want["rows"]
+    got = np.loadtxt(lines[2:][::want["every"]], delimiter=",", ndmin=2)
+    ref = np.loadtxt(want["sample"], delimiter=",", ndmin=2)
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got[:, 0], ref[:, 0])
+    np.testing.assert_allclose(got[:, 1:], ref[:, 1:], rtol=0, atol=METRIC_TOL)
