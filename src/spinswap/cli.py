@@ -75,8 +75,9 @@ def cmd_simulate(args) -> int:
     j = cfg.chain.coupling_j(program.meta["pair"])
 
     traj_path = out / "trajectory.txt"
-    traj_path.write_text(_config_banner(cfg) + "\n"
-                         + export_trajectory(traj, program.meta["target_state"]))
+    with open(traj_path, "w") as fh:
+        fh.write(_config_banner(cfg) + "\n")
+        export_trajectory(traj, program.meta["target_state"], fh)
     rep_doc = {
         "fidelity": rep.fidelity,
         "concurrence_23": rep.concurrence_23,

@@ -14,12 +14,16 @@ Pauli basis, and so are its exponentials, the channel and the states.
 `master.assemble` gives each generator in that basis already, so the walk
 converts no generator.  The channel stays a Pauli transfer matrix, checked
 and read in that basis; only the states are converted back to column
-stacking, once, at the end of the walk, and checked there.
+stacking, once per window, and checked as one stack at the end of the
+walk.  A state whose Gershgorin discs all lie above CERT_MARGIN is
+certified positive without an eigenvalue call; only the others go to
+`eigvalsh`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -32,6 +36,11 @@ TRACE_TOL = 1e-9
 HERM_TOL = 1e-9
 EIG_FLOOR = -1e-8
 SAMPLES_PER_WINDOW = 50
+# a state whose Gershgorin lower bound exceeds this is positive beyond the
+# backward error of eigvalsh on a trace-1 state (a few d * eps), so its
+# eigvalsh minimum would be positive: it could not lower min_eig (which
+# starts at 0), be clipped or fail
+CERT_MARGIN = 1e-12
 
 
 def rounding_floor(d: int) -> float:
@@ -84,7 +93,9 @@ class Trajectory:
     """Sampled states along a propagation.
 
     times: sample times in seconds (starting at 0).
-    states: density matrices at those times (validated and clipped).
+    states: density matrices at those times (validated and clipped), one
+        (m, d, d) complex array; each matrix is stored column by column, as
+        its column-stacking vector.
     clip_count: number of samples whose small negative eigenvalues (below
         minus `rounding_floor`) were floored at zero; min_eigenvalue is the
         worst value seen pre-clip, rounding-level ones included.
@@ -92,26 +103,47 @@ class Trajectory:
     """
 
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray
     clip_count: int = 0
     min_eigenvalue: float = 0.0
     channel_pass: ChannelPass | None = None
 
 
-def _checked(rhos: np.ndarray, times, stats: dict) -> list[np.ndarray]:
-    """Validate a time-ordered stack of sampled states, shape (m, d, d).
+def _gershgorin_lower(h: np.ndarray) -> np.ndarray:
+    """Per matrix of a Hermitian stack, min_i (h_ii - sum_{j != i} |h_ij|):
+    a lower bound on its smallest eigenvalue (Gershgorin discs)."""
+    diag = h.diagonal(axis1=1, axis2=2).real
+    return (diag + np.abs(diag) - np.abs(h).sum(axis=2)).min(axis=1)
 
-    Each sample must have unit trace, be Hermitian and be positive, checked
-    in that order; the first failing sample in time order raises.  Samples
-    whose smallest eigenvalue lies in [EIG_FLOOR, -rounding_floor(d)) are
-    clipped one by one and counted; those in [-rounding_floor(d), 0) stay
-    as they are and only reach stats["min_eig"].
+
+def _checked(rhos: np.ndarray, times, stats: dict) -> np.ndarray:
+    """Validate a time-ordered stack of sampled states, shape (m, d, d), and
+    return a copy in the same memory layout with the clipped states
+    replaced.
+
+    Each sample must have finite entries, unit trace, be Hermitian and be
+    positive, checked in that order; the first failing sample in time order
+    raises.  Positivity is read from `eigvalsh` of the symmetrized state,
+    except where the Gershgorin bound certifies it (above CERT_MARGIN), which
+    changes no result.  Samples whose smallest eigenvalue lies in
+    [EIG_FLOOR, -rounding_floor(d)) are clipped (`clip_to_density`) and
+    counted in stats["clips"]; those in [-rounding_floor(d), 0) stay as
+    they are and only reach stats["min_eig"].
     """
-    adj = rhos.conj().transpose(0, 2, 1)
-    tr = np.trace(rhos, axis1=1, axis2=2)
+    nonfinite = ~np.isfinite(rhos).all(axis=(1, 2))
+    # only the samples before the first non-finite one are checked further
+    m = int(np.argmax(nonfinite)) if nonfinite.any() else len(rhos)
+    head = rhos[:m]
+    adj = head.conj().transpose(0, 2, 1)
+    tr = np.trace(head, axis1=1, axis2=2)
     bad_trace = np.abs(tr - 1.0) > TRACE_TOL
-    bad_herm = np.abs(rhos - adj).max(axis=(1, 2)) > HERM_TOL
-    wmin = np.linalg.eigvalsh(0.5 * (rhos + adj)).min(axis=1)
+    bad_herm = np.abs(head - adj).max(axis=(1, 2), initial=0.0) > HERM_TOL
+    h = 0.5 * (head + adj)
+    # certified samples keep their (positive) bound; a NaN bound certifies
+    # nothing
+    wmin = _gershgorin_lower(h)
+    todo = ~(wmin > CERT_MARGIN)
+    wmin[todo] = np.linalg.eigvalsh(h[todo]).min(axis=1)
     bad = bad_trace | bad_herm | (wmin < EIG_FLOOR)
     if bad.any():
         k = int(np.argmax(bad))
@@ -121,14 +153,14 @@ def _checked(rhos: np.ndarray, times, stats: dict) -> list[np.ndarray]:
         if bad_herm[k]:
             raise RuntimeError(f"state lost Hermiticity at t = {t:.6e} s")
         raise PositivityError(t, float(wmin[k]))
+    if m < len(rhos):
+        raise RuntimeError(f"state has a non-finite entry at t = {times[m]:.6e} s")
     stats["min_eig"] = min(stats["min_eig"], float(wmin.min()))
-    states = []
-    floor = -rounding_floor(rhos.shape[-1])
-    for rho, w in zip(rhos, wmin):
-        if w < floor:
-            stats["clips"] += 1
-            rho = clip_to_density(rho)
-        states.append(rho)
+    states = rhos.copy(order="K")
+    clipped = np.flatnonzero(wmin < -rounding_floor(rhos.shape[-1]))
+    for k in clipped:
+        states[k] = clip_to_density(rhos[k])
+    stats["clips"] += clipped.size
     return states
 
 
@@ -154,10 +186,11 @@ def _walk(rho0: np.ndarray, windows,
     matrices.  The sampled chain keeps its own state and clock, so its
     samples do not depend on the full-window propagators.  The channel, the
     boundary states and the samples are stepped as real Pauli coordinates;
-    only the states are converted back to column stacking after the walk,
-    the initial state kept as given.  The checks then run: the channel
-    first, then the boundary states, then the samples, each in time order.  Every walk,
-    whoever calls it, holds OpenBLAS at one thread
+    the boundary states are converted back to column stacking after the
+    walk and the samples once per window, the initial state kept as given.
+    The checks then run: the channel first, then the boundary states, then
+    the samples, each stack in time order.  Every walk, whoever calls it,
+    holds OpenBLAS at one thread
     (`linalg.single_blas_thread`): the 64x64 operands are too small to
     split.
     """
@@ -172,8 +205,7 @@ def _walk(rho0: np.ndarray, windows,
     times, rs = [0.0], [r]
     t_sample = 0.0
     u = r
-    # one (states, times) block per window, so each check stays small
-    blocks = []
+    sample_times, sample_vecs = [0.0], [v0[None]]
     for w in windows:
         if isinstance(w, UnitaryWindow):
             # zero duration: one sample at the current time holds the state
@@ -198,13 +230,15 @@ def _walk(rho0: np.ndarray, windows,
         times.append(t)
         channel = full if channel is None else full @ channel
         if sampled:
-            us, ts = np.empty((nsub, u.size)), []
+            us = np.empty((nsub, u.size))
             for k in range(nsub):
                 u = step @ u
                 us[k] = u
                 t_sample += dt
-                ts.append(t_sample)
-            blocks.append((us, ts))
+                sample_times.append(t_sample)
+            # converted per window: one product over every sample would sum
+            # in another order and move the rounding-level eigenvalues
+            sample_vecs.append(pauli_to_vecs(us))
     if channel is None:
         channel = np.eye(v0.size)
     tp_defect = trace_defect(channel)
@@ -218,16 +252,12 @@ def _walk(rho0: np.ndarray, windows,
                            f"{choi_min:.3e} below floor {EIG_FLOOR:.0e}")
     vs = pauli_to_vecs(np.array(rs))
     vs[0] = v0
-    states = _checked(_unvec_rows(vs, d), times, {"clips": 0, "min_eig": 0.0})
-    result = ChannelPass(channel, states[-1], tp_defect, choi_min)
+    boundary = _checked(_unvec_rows(vs, d), times, {"clips": 0, "min_eig": 0.0})
+    result = ChannelPass(channel, boundary[-1], tp_defect, choi_min)
     if not sampled:
         return result, None
     stats = {"clips": 0, "min_eig": 0.0}
-    states = _checked(_unvec_rows(v0[None], d), [0.0], stats)
-    sample_times = [0.0]
-    for us, ts in blocks:
-        states += _checked(_unvec_rows(pauli_to_vecs(us), d), ts, stats)
-        sample_times += ts
+    states = _checked(_unvec_rows(np.concatenate(sample_vecs), d), sample_times, stats)
     return result, Trajectory(np.array(sample_times), states, clip_count=stats["clips"],
                               min_eigenvalue=stats["min_eig"], channel_pass=result)
 
@@ -255,20 +285,21 @@ def propagate(rho0: np.ndarray, windows) -> Trajectory:
     return _walk(rho0, windows, sampled=True)[1]
 
 
-def export_trajectory(traj: Trajectory, target: np.ndarray) -> str:
-    """Columnar text export: time, Re/Im of every entry (row-major), and the
-    instantaneous fidelity against the `target` ket."""
-    states = np.asarray(traj.states, dtype=complex)
+def export_trajectory(traj: Trajectory, target: np.ndarray, out: TextIO) -> None:
+    """Write the columnar text export to the open text file `out`: a header
+    line, then one line per sample with the time, Re/Im of every entry
+    (row-major) and the instantaneous fidelity against the `target` ket."""
+    states = traj.states
     m, d = states.shape[:2]
     cols = ["time_s"] + [f"{part}_rho_{i}{j}" for i in range(d) for j in range(d)
                          for part in ("re", "im")] + ["fidelity"]
-    fid = [float(np.real(np.conj(target) @ rho @ target)) for rho in traj.states]
+    # unpinned, the stacked product wakes a second BLAS thread that only spins
+    with single_blas_thread():
+        fid = (np.conj(target) @ states @ target).real
     # one float table: time, Re/Im interleaved per entry, fidelity
-    table = [np.asarray(traj.times, dtype=float)[:, None],
-             states.reshape(m, -1).view(float), np.array(fid)[:, None]]
-    row = ", ".join(["%.12g"] * len(cols))
-    # rows become Python floats one at a time, and the trailing "" gives the
-    # final newline without a second copy of the text
-    lines = [", ".join(cols)] + [row % tuple(r.tolist()) for r in np.hstack(table)]
-    lines.append("")
-    return "\n".join(lines)
+    table = np.hstack([np.asarray(traj.times, dtype=float)[:, None],
+                       states.reshape(m, -1).view(float), fid[:, None]])
+    row = ", ".join(["%.12g"] * len(cols)) + "\n"
+    out.write(", ".join(cols) + "\n")
+    # rows become Python floats and text one at a time, straight into `out`
+    out.writelines(row % tuple(r.tolist()) for r in table)

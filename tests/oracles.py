@@ -11,11 +11,17 @@ regulated kernel weighs every pair with tau_c.
 The package keeps channels as real Pauli transfer matrices after they are
 built; `pauli_to_superop` is the reference converter back to column
 stacking, and `choi_of_superop` the Choi matrix read off that form.
+`checked_reference` is the state check with an `eigvalsh` call on every
+state, which `evolve._checked` spares where a Gershgorin bound certifies
+positivity.
 """
 
 import numpy as np
 
+from spinswap.evolve import (EIG_FLOOR, HERM_TOL, TRACE_TOL, PositivityError,
+                             rounding_floor)
 from spinswap.linalg import (
+    clip_to_density,
     commutator_superop,
     dagger,
     identity,
@@ -24,6 +30,41 @@ from spinswap.linalg import (
     unvec,
     vec,
 )
+
+
+def checked_reference(rhos: np.ndarray, times, stats: dict) -> np.ndarray:
+    """`evolve._checked` with `eigvalsh` on every state and the clipped
+    states replaced one by one: the same checks, order, errors and stats."""
+    finite = np.isfinite(rhos).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        if k:
+            # a failure before the first non-finite sample wins
+            checked_reference(rhos[:k], times, dict(stats))
+        raise RuntimeError(f"state has a non-finite entry at t = {times[k]:.6e} s")
+    adj = rhos.conj().transpose(0, 2, 1)
+    tr = np.trace(rhos, axis1=1, axis2=2)
+    bad_trace = np.abs(tr - 1.0) > TRACE_TOL
+    bad_herm = np.abs(rhos - adj).max(axis=(1, 2)) > HERM_TOL
+    wmin = np.linalg.eigvalsh(0.5 * (rhos + adj)).min(axis=1)
+    bad = bad_trace | bad_herm | (wmin < EIG_FLOOR)
+    if bad.any():
+        k = int(np.argmax(bad))
+        t = times[k]
+        if bad_trace[k]:
+            raise RuntimeError(f"trace drifted to {tr[k]:.12f} at t = {t:.6e} s")
+        if bad_herm[k]:
+            raise RuntimeError(f"state lost Hermiticity at t = {t:.6e} s")
+        raise PositivityError(t, float(wmin[k]))
+    stats["min_eig"] = min(stats["min_eig"], float(wmin.min()))
+    states = []
+    floor = -rounding_floor(rhos.shape[-1])
+    for rho, w in zip(rhos, wmin):
+        if w < floor:
+            stats["clips"] += 1
+            rho = clip_to_density(rho)
+        states.append(rho)
+    return np.array(states)
 
 
 def pauli_to_superop(transfer: np.ndarray) -> np.ndarray:

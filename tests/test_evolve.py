@@ -1,3 +1,4 @@
+import io
 from collections import Counter
 from dataclasses import replace
 
@@ -48,8 +49,8 @@ import spinswap.sweep as sweep
 from spinswap.sweep import GridSpec, evaluate_point, run_sweep, run_transport
 
 from chains import resolved_chain
-from oracles import (brute_force_dissipator, choi_of_superop, pauli_to_superop,
-                     reference_dissipator, reference_first_order)
+from oracles import (brute_force_dissipator, checked_reference, choi_of_superop,
+                     pauli_to_superop, reference_dissipator, reference_first_order)
 
 W1 = 2 * np.pi * 1.5e5
 WSE = 2 * np.pi * 1.0e5
@@ -498,6 +499,18 @@ class TestChannelChecks:
         with pytest.raises(PositivityError):
             channel_pass(bad, [])
 
+    @pytest.mark.parametrize("entry", [channel_pass, propagate])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_state_fails_the_boundary_check(self, entry, value):
+        # every comparison with NaN is false, and a Hermitian pair of
+        # infinities passes the trace and Hermiticity checks: neither may
+        # pass as a validated state
+        bad = np.diag([0.5, 0.5]).astype(complex)
+        bad[0, 1] = bad[1, 0] = value
+        with np.errstate(invalid="ignore"), pytest.raises(
+                RuntimeError, match=r"non-finite entry at t = 0\.000000e\+00 s"):
+            entry(bad, [])
+
 
 def per_sample_checked(rhos, times):
     """The per-sample validation the batched check replaced (reference),
@@ -533,8 +546,92 @@ def state_stack(min_eigs, seed=3):
     return np.array(rhos)
 
 
+STATE_KINDS = ("mixed", "near_diagonal", "gershgorin_edge", "rank_deficient", "clipped",
+               "rounding", "below_floor", "non_hermitian", "wrong_trace", "non_finite")
+
+
+def random_state(rng, d, kind):
+    """A d x d test state of the given kind (see STATE_KINDS)."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    p = rng.dirichlet(np.ones(d))
+    if kind in ("near_diagonal", "gershgorin_edge"):
+        # a positive diagonal with Hermitian off-diagonal noise, scaled so
+        # that Gershgorin's lower bound is `bound`: well above zero, or
+        # close to it on either side of CERT_MARGIN
+        bound = (0.5 * p.min() if kind == "near_diagonal"
+                 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -8.0))
+        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        noise = noise + dagger(noise)
+        np.fill_diagonal(noise, 0.0)
+        scale = ((p - bound) / np.abs(noise).sum(axis=1)).min()
+        return np.diag(p).astype(complex) + scale * noise
+    if kind == "rank_deficient":
+        p[rng.permutation(d)[:rng.integers(1, d)]] = 0.0  # rank 1 is pure
+        p /= p.sum()
+    floor = evolve.rounding_floor(d)
+    low = {"clipped": -10.0 ** rng.uniform(np.log10(floor) + 0.01, -8.0),
+           "rounding": -rng.uniform(0.0, 1.0) * floor,
+           "below_floor": -10.0 ** rng.uniform(-7.5, -3.0)}.get(kind)
+    if low is not None:
+        p = np.concatenate([[low], (1.0 - low) * p[1:] / p[1:].sum()])
+    rho = (q * p) @ dagger(q)
+    if kind == "non_hermitian":
+        # a traceless perturbation on either side of HERM_TOL
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x -= np.trace(x) / d * np.eye(d)
+        rho = rho + 10.0 ** rng.uniform(-12.0, -6.0) * x / np.abs(x).max()
+    elif kind == "wrong_trace":
+        rho = rho * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -6.0))
+    elif kind == "non_finite":
+        i, j = rng.integers(0, d, size=2)
+        rho[i, j] = rng.choice([np.nan, np.inf, -np.inf])
+    return rho
+
+
 class TestBatchedChecks:
     TIMES = list(np.linspace(1e-6, 2e-6, 6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.sampled_from([2, 4, 8]),
+           kinds=st.lists(st.sampled_from(STATE_KINDS), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1), column_major=st.booleans())
+    def test_matches_all_eigvalsh_reference(self, d, kinds, seed, column_major):
+        # the Gershgorin certificate changes no result: the same stack bit
+        # for bit, the same stats, or the same error with the same message
+        rng = np.random.default_rng(seed)
+        rhos = np.array([random_state(rng, d, k) for k in kinds])
+        if column_major:  # the layout the walk passes
+            rhos = np.ascontiguousarray(rhos.transpose(0, 2, 1)).transpose(0, 2, 1)
+        times = list(np.cumsum(rng.uniform(1e-7, 1e-6, len(kinds))))
+        got_stats, want_stats = {"clips": 0, "min_eig": 0.0}, {"clips": 0, "min_eig": 0.0}
+        try:
+            want = checked_reference(rhos, times, want_stats)
+        except (RuntimeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                evolve._checked(rhos, times, got_stats)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            return
+        got = evolve._checked(rhos, times, got_stats)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert got_stats == want_stats
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_certificate_spares_most_preset_states(self, monkeypatch, preset):
+        # eigvalsh sees the Choi matrix and fewer than half of the states of
+        # each checked stack (boundary states, then samples)
+        checked, shapes = [], []
+        real_checked, real_eigvalsh = evolve._checked, np.linalg.eigvalsh
+        monkeypatch.setattr(evolve, "_checked", lambda rhos, *args: (
+            checked.append(len(rhos)) or real_checked(rhos, *args)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: (
+            shapes.append(a.shape) or real_eigvalsh(a)))
+        run_preset_point(preset, sampled=True)
+        assert shapes[0] == (64, 64)
+        assert len(shapes) == 1 + len(checked) == 3
+        for shape, total in zip(shapes[1:], checked):
+            assert 0 < shape[0] < 0.5 * total
 
     def test_clipping_matches_per_sample_path(self):
         rhos = state_stack([0.0, -1e-10, 1e-3, -3e-9, -1e-12, 0.0])
@@ -584,8 +681,9 @@ class TestExport:
         windows = drive_window(W1, 2e-6, bath)
         psi_t = basis_state([1])
         traj = propagate(ket2dm(basis_state([0])), windows)
-        text = export_trajectory(traj, psi_t)
-        lines = text.strip().split("\n")
+        out = io.StringIO()
+        export_trajectory(traj, psi_t, out)
+        lines = out.getvalue().strip().split("\n")
         header = lines[0].split(", ")
         assert header[0] == "time_s"
         assert header[-1] == "fidelity"
