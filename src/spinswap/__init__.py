@@ -3,16 +3,7 @@ fluctuation-regulated master equation: SWAP pulse sequences, drive-induced
 and thermal dissipation, and parameter sweeps locating the fidelity
 optimum."""
 
-from .linalg import (
-    commutator_superop,
-    embed,
-    expm,
-    ket2dm,
-    partial_trace,
-    spin_half_ops,
-    unvec,
-    vec,
-)
+from .linalg import embed, expm, ket2dm, partial_trace, spin_half_ops
 from .master import GeneratorSpec, assemble
 from .metrics import TransferReport, concurrence, report, state_fidelity, swap_efficiency
 from .model import (

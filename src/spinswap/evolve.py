@@ -1,7 +1,7 @@
 """Window-by-window propagation of the density matrix.
 
 Generators are piecewise constant by construction, so each window is
-applied as a matrix exponential in Liouville space (exact up to expm
+applied as a matrix exponential of its generator (exact up to expm
 accuracy, independent of the trajectory sampling); zero-duration segments
 are exact unitary conjugations.  `channel_pass` gives the program channel
 and the final state with one full-window exponential per distinct window
@@ -13,11 +13,11 @@ coordinates: every generator preserves Hermiticity, so each is real in the
 Pauli basis, and so are its exponentials, the channel and the states.
 `master.assemble` gives each generator in that basis already, so the walk
 converts no generator.  The channel stays a Pauli transfer matrix, checked
-and read in that basis; only the states are converted back to column
-stacking, once per window, and checked as one stack at the end of the
-walk.  A state whose Gershgorin discs all lie above CERT_MARGIN is
-certified positive without an eigenvalue call; only the others go to
-`eigvalsh`.
+and read in that basis; only the states are converted back to row-major
+d x d matrices (`linalg.from_pauli`), once per window, and checked as one
+stack at the end of the walk.  A state whose Gershgorin discs all lie
+above CERT_MARGIN is certified positive without an eigenvalue call; only
+the others go to `eigvalsh`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .linalg import (choi_matrix, clip_to_density, expm, pauli_to_vecs,
-                     single_blas_thread, trace_defect, vec, vecs_to_pauli)
+from .linalg import (choi_matrix, clip_to_density, expm, from_pauli,
+                     single_blas_thread, to_pauli, trace_defect)
 from .master import assemble
 from .sequences import UnitaryWindow
 
@@ -94,8 +94,7 @@ class Trajectory:
 
     times: sample times in seconds (starting at 0).
     states: density matrices at those times (validated and clipped), one
-        (m, d, d) complex array; each matrix is stored column by column, as
-        its column-stacking vector.
+        (m, d, d) complex array, each matrix row-major.
     clip_count: number of samples whose small negative eigenvalues (below
         minus `rounding_floor`) were floored at zero; min_eigenvalue is the
         worst value seen pre-clip, rounding-level ones included.
@@ -164,12 +163,6 @@ def _checked(rhos: np.ndarray, times, stats: dict) -> np.ndarray:
     return states
 
 
-def _unvec_rows(vs: np.ndarray, d: int) -> np.ndarray:
-    """Rows of vectorized states as a (m, d, d) stack of views (column
-    stacking)."""
-    return vs.reshape(-1, d, d).transpose(0, 2, 1)
-
-
 @single_blas_thread()
 def _walk(rho0: np.ndarray, windows,
           sampled: bool) -> tuple[ChannelPass, Trajectory | None]:
@@ -186,26 +179,24 @@ def _walk(rho0: np.ndarray, windows,
     matrices.  The sampled chain keeps its own state and clock, so its
     samples do not depend on the full-window propagators.  The channel, the
     boundary states and the samples are stepped as real Pauli coordinates;
-    the boundary states are converted back to column stacking after the
-    walk and the samples once per window, the initial state kept as given.
-    The checks then run: the channel first, then the boundary states, then
-    the samples, each stack in time order.  Every walk, whoever calls it,
-    holds OpenBLAS at one thread
-    (`linalg.single_blas_thread`): the 64x64 operands are too small to
-    split.
+    the boundary states are converted back to matrices after the walk and
+    the samples once per window, the initial state kept as given.  The
+    checks then run: the channel first (finite, trace preserving,
+    completely positive), then the boundary states, then the samples, each
+    stack in time order.  Every walk, whoever calls it, holds OpenBLAS at
+    one thread (`linalg.single_blas_thread`): the 64x64 operands are too
+    small to split.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    d = rho0.shape[0]
     generators: dict[int, np.ndarray] = {}
     propagators: dict[tuple, tuple] = {}
     channel = None
     t = 0.0
-    v0 = vec(rho0)
-    r = vecs_to_pauli(v0)
+    r = to_pauli(rho0)
     times, rs = [0.0], [r]
     t_sample = 0.0
     u = r
-    sample_times, sample_vecs = [0.0], [v0[None]]
+    sample_times, sample_states = [0.0], [rho0[None]]
     for w in windows:
         if isinstance(w, UnitaryWindow):
             # zero duration: one sample at the current time holds the state
@@ -238,9 +229,11 @@ def _walk(rho0: np.ndarray, windows,
                 sample_times.append(t_sample)
             # converted per window: one product over every sample would sum
             # in another order and move the rounding-level eigenvalues
-            sample_vecs.append(pauli_to_vecs(us))
+            sample_states.append(from_pauli(us))
     if channel is None:
-        channel = np.eye(v0.size)
+        channel = np.eye(r.size)
+    if not np.isfinite(channel).all():
+        raise ChannelError("program channel has a non-finite entry")
     tp_defect = trace_defect(channel)
     if tp_defect > TRACE_TOL:
         raise ChannelError(f"channel not trace preserving: defect {tp_defect:.3e} "
@@ -250,14 +243,14 @@ def _walk(rho0: np.ndarray, windows,
     if choi_min < EIG_FLOOR:
         raise ChannelError(f"channel not completely positive: Choi eigenvalue "
                            f"{choi_min:.3e} below floor {EIG_FLOOR:.0e}")
-    vs = pauli_to_vecs(np.array(rs))
-    vs[0] = v0
-    boundary = _checked(_unvec_rows(vs, d), times, {"clips": 0, "min_eig": 0.0})
+    states = from_pauli(np.array(rs))
+    states[0] = rho0
+    boundary = _checked(states, times, {"clips": 0, "min_eig": 0.0})
     result = ChannelPass(channel, boundary[-1], tp_defect, choi_min)
     if not sampled:
         return result, None
     stats = {"clips": 0, "min_eig": 0.0}
-    states = _checked(_unvec_rows(np.concatenate(sample_vecs), d), sample_times, stats)
+    states = _checked(np.concatenate(sample_states), sample_times, stats)
     return result, Trajectory(np.array(sample_times), states, clip_count=stats["clips"],
                               min_eigenvalue=stats["min_eig"], channel_pass=result)
 
@@ -266,10 +259,10 @@ def channel_pass(rho0: np.ndarray, windows) -> ChannelPass:
     """The program channel and the final state, with no sampled states.
 
     The initial state is stepped through the window boundaries.  Raises
-    ChannelError if the channel's trace-preservation defect exceeds
-    TRACE_TOL or its Choi minimum lies below EIG_FLOOR, and the errors of
-    the state checks (trace, Hermiticity, PositivityError) if a boundary
-    state fails them.
+    ChannelError if the channel has a non-finite entry, if its
+    trace-preservation defect exceeds TRACE_TOL or if its Choi minimum lies
+    below EIG_FLOOR, and the errors of the state checks (trace,
+    Hermiticity, PositivityError) if a boundary state fails them.
     """
     return _walk(rho0, windows, sampled=False)[0]
 

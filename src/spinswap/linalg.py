@@ -1,29 +1,28 @@
-"""Dense operator and Liouville-space primitives for small spin systems.
+"""Dense operator and Pauli-transfer primitives for small spin systems.
 
 Conventions fixed here and relied on everywhere else in the package:
 
 - |0> is spin-up: Iz|0> = +1/2 |0>.  Computational ordering for two qubits
   is |00>, |01>, |10>, |11>, with the leftmost label the lowest site index
   (site 0 is the leftmost Kronecker factor).
-- Vectorization is column-stacking: vec(rho) stacks the columns of rho, so
-  vec(A rho B) = (B.T kron A) vec(rho) and left multiplication by A maps to
-  (identity kron A).
-- Hamiltonians are in angular-frequency units (rad/s); Liouville-space
-  generators are in 1/s.
+- A linear map S on d x d operators (a generator, a propagator, a channel)
+  is kept as its Pauli transfer matrix R_ij = Tr(P_i S(P_j)) over the
+  normalized Pauli strings P_i (`pauli_strings`).  Every map of the package
+  preserves Hermiticity, so R is real (Greenbaum, arXiv:1509.02921).  It is
+  built from the images S(P_j) of the strings in Hilbert space
+  (`pauli_transfer`), with no superoperator in between.  States move
+  between Pauli coordinates Tr(P_i rho) and row-major d x d matrices
+  (`to_pauli`, `from_pauli`).
+- Hamiltonians are in angular-frequency units (rad/s); generators are in
+  1/s.
 
 Operators are dense complex128; the largest system handled is three
-qubits (8-dimensional Hilbert space, 64-dimensional Liouville space).  The
-one sparsity used is block-diagonal: `expm` exponentiates each diagonal
-block of its argument, and every window generator has several.  The
-module needs numpy alone: the matrix exponential is a Taylor
-scaling-and-squaring kernel built from matrix products (`expm`), and
-`single_blas_thread` pins numpy's OpenBLAS.
-A superoperator that preserves Hermiticity (every GKLS generator, every
-channel) is real in the orthonormal Pauli-string basis: its Pauli transfer
-matrix R_ij = Tr(P_i S(P_j)) (Greenbaum, arXiv:1509.02921).  Superoperators
-are built in column stacking and converted once (`superop_to_pauli`); the
-window walk and the program channel stay in that real form, and only states
-go back.
+qubits (8-dimensional Hilbert space, 64 Pauli strings).  The one sparsity
+used is block-diagonal: `expm` exponentiates each diagonal block of its
+argument, and every window generator has several.  The module needs numpy
+alone: the matrix exponential is a Taylor scaling-and-squaring kernel
+built from matrix products (`expm`), and `single_blas_thread` pins numpy's
+OpenBLAS.
 """
 
 from __future__ import annotations
@@ -169,19 +168,6 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     )
 
 
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError("vector length is not a perfect square")
-    return v.reshape(d, d, order="F")
-
-
 def choi_matrix(transfer: np.ndarray) -> np.ndarray:
     """Unnormalized Choi matrix sum_ij |i><j| (x) S(|i><j|) of the channel S
     with Pauli transfer matrix R, as sum_kl R_lk P_k^T (x) P_l.
@@ -201,33 +187,6 @@ def trace_defect(transfer: np.ndarray) -> float:
     matrix R: row 0 belongs to the identity string, so this is 0 iff the
     channel is trace preserving."""
     return float(np.abs(transfer[0] - np.eye(1, transfer.shape[1])[0]).max())
-
-
-def left_mult(a: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> a rho."""
-    return np.kron(identity(a.shape[0]), a)
-
-
-def right_mult(b: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> rho b."""
-    return np.kron(b.T, identity(b.shape[0]))
-
-
-def conjugation_superop(u: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> u rho u^dagger."""
-    return np.kron(u.conj(), u)
-
-
-def commutator_superop(h: np.ndarray) -> np.ndarray:
-    """Superoperator of the coherent generator rho -> -i [h, rho].
-
-    `h` must be Hermitian to within HERMITICITY_TOL in max-norm.
-    """
-    h = np.asarray(h, dtype=complex)
-    defect = max_norm(h - dagger(h))
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"Hamiltonian not Hermitian: max-norm defect {defect:.3e}")
-    return -1j * (left_mult(h) - right_mult(h))
 
 
 # Taylor scaling and squaring (Bader, Blanes & Casas, Mathematics 7, 1174
@@ -485,44 +444,53 @@ def pauli_strings(nqubits: int) -> np.ndarray:
 
 
 @cache
-def _pauli_vec_basis(dim2: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B, B^dag), read-only: the unitary (dim2, dim2) matrix B whose column
-    i is vec(P_i), over the full Pauli-string basis of a register with
-    Liouville dimension dim2, and its adjoint."""
-    n = int(round(np.log2(dim2) / 2))
-    if 4**n != dim2:
-        raise ValueError(f"Liouville dimension {dim2} is not that of a qubit register")
-    strings = pauli_strings(n)
-    # vec(P) stacks the columns of P, i.e. the rows of P.T
-    b = np.ascontiguousarray(strings.transpose(0, 2, 1).reshape(dim2, dim2).T)
-    return read_only(b), read_only(np.ascontiguousarray(b.conj().T))
+def _string_rows(nqubits: int) -> np.ndarray:
+    """The Pauli strings of `nqubits` qubits flattened to rows, string i in
+    row i as P_i in row-major order, stored in Fortran order and read-only:
+    the layout that fixes the summation order of `from_pauli`."""
+    d2 = 4**nqubits
+    return read_only(np.asfortranarray(pauli_strings(nqubits).reshape(d2, d2)))
 
 
-def superop_to_pauli(superop: np.ndarray) -> np.ndarray:
-    """Real Pauli transfer matrix B^dag S B of a column-stacking
-    superoperator S, B the vectorized Pauli-string basis; entry (i, j) is
-    Tr(P_i S(P_j)).  It is real iff S preserves Hermiticity: raises
-    ValueError if its imaginary residue exceeds PAULI_REAL_TOL relative to
-    its largest entry."""
-    b, b_dag = _pauli_vec_basis(superop.shape[0])
-    r = b_dag @ superop @ b
+def pauli_transfer(images: np.ndarray) -> np.ndarray:
+    """Real Pauli transfer matrix R_ij = Tr(P_i S(P_j)) of a linear map S,
+    from the images S(P_j) of the Pauli strings (`pauli_strings`), a
+    (d^2, d, d) stack in string order.
+
+    One product with the conjugated strings: Tr(P_i X) sums conj(P_i) X
+    entrywise, because P_i is Hermitian.  R is real iff S preserves
+    Hermiticity: raises ValueError if its imaginary residue exceeds
+    PAULI_REAL_TOL relative to its largest entry.
+    """
+    d2 = images.shape[0]
+    strings = _string_rows(images.shape[-1].bit_length() - 1)
+    r = strings.conj() @ images.reshape(d2, d2).T
     if not max_norm(r.imag) <= PAULI_REAL_TOL * max_norm(r):  # NaN fails too
         raise ValueError(f"superoperator does not preserve Hermiticity: imaginary "
                          f"Pauli transfer residue {max_norm(r.imag):.3e}")
     return np.ascontiguousarray(r.real)
 
 
-def vecs_to_pauli(vs: np.ndarray) -> np.ndarray:
-    """Real Pauli coordinates Tr(P_i rho) of vectorized states, one per row
-    of `vs` (or a single vector), for the Hermitian part of each rho."""
-    return (vs @ _pauli_vec_basis(vs.shape[-1])[1].T).real
+def unitary_transfer(u: np.ndarray) -> np.ndarray:
+    """Real Pauli transfer matrix of the conjugation rho -> u rho u^dagger."""
+    strings = pauli_strings(u.shape[0].bit_length() - 1)
+    return pauli_transfer(u @ strings @ dagger(u))
 
 
-def pauli_to_vecs(rs: np.ndarray) -> np.ndarray:
-    """Vectorized (column-stacking) states of Pauli coordinates, one per row
-    of `rs` (or a single vector); the inverse of `vecs_to_pauli` on
-    Hermitian states."""
-    return rs @ _pauli_vec_basis(rs.shape[-1])[0].T
+def to_pauli(rhos: np.ndarray) -> np.ndarray:
+    """Real Pauli coordinates Tr(P_i rho) of a state (d, d) or of a stack of
+    states (m, d, d), for the Hermitian part of each rho."""
+    d = rhos.shape[-1]
+    flat = rhos.reshape(rhos.shape[:-2] + (d * d,))
+    return (flat @ _string_rows(d.bit_length() - 1).conj().T).real
+
+
+def from_pauli(rs: np.ndarray) -> np.ndarray:
+    """Row-major states sum_i r_i P_i of Pauli coordinates, a vector (d^2,)
+    or a stack of rows (m, d^2); the inverse of `to_pauli` on Hermitian
+    states."""
+    d = math.isqrt(rs.shape[-1])
+    return (rs @ _string_rows(d.bit_length() - 1)).reshape(rs.shape[:-1] + (d, d))
 
 
 def clip_to_density(rho: np.ndarray) -> np.ndarray:

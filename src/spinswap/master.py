@@ -26,10 +26,11 @@ the second order bilinear in them and linear in tau_c, so the generator is
 
 with one matrix per coherent mechanism m and one per unordered mechanism
 pair (m, n).  Those matrices depend only on the point-independent
-`GeneratorShape` (unit operators, environment factors, coherent flags),
-are built once per shape as real Pauli transfer matrices (Greenbaum,
-arXiv:1509.02921) and kept in a bounded per-process cache; `assemble` only
-forms the linear combination, so the window walk converts no generator.
+`GeneratorShape` (unit operators, environment factors, coherent flags).
+Each is built once per shape as a real Pauli transfer matrix (Greenbaum,
+arXiv:1509.02921), from the images of the Pauli strings under its map in
+Hilbert space (`linalg.pauli_transfer`), and kept in a bounded per-process
+cache; `assemble` only forms the linear combination.
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ import numpy as np
 
 from .linalg import (
     HERMITICITY_TOL,
-    commutator_superop,
     dagger,
-    identity,
     max_norm,
+    pauli_strings,
+    pauli_transfer,
     read_only,
-    superop_to_pauli,
 )
 from .model import BathSpec, HarmonicComponent
 
@@ -154,40 +154,40 @@ def _env_contractions(comps) -> np.ndarray:
     return contr
 
 
-def _second_order_terms(ops: np.ndarray, w: np.ndarray):
-    """Cross superoperator and left/right operators of the dissipator with
+def _dissipator_images(ops: np.ndarray, w: np.ndarray,
+                       strings: np.ndarray) -> np.ndarray:
+    """Images D(P) of the Pauli strings `strings` under the dissipator with
     pair weights `w`.
 
     With component operators A_a, the dissipator over the pairs (a, b) at
     weights W[a, b] (the contractions C of `_env_contractions`, masked to
-    one mechanism pair, times tau_c) is, in column stacking,
+    one mechanism pair, times tau_c) is
 
-        D = sum_ab (W + W.T)[a, b] A_a.T kron A_b - I kron M_L - M_R.T kron I,
-        M_L = sum_ab W[a, b] A_a A_b,   M_R = sum_ab W[a, b] A_b A_a,
+        D(rho) = sum_ab W[a, b] (A_b rho A_a - A_a A_b rho + A_a rho A_b - rho A_b A_a),
 
-    that is, D(rho) = sum_ab W[a, b] (A_b rho A_a - A_a A_b rho + A_a rho A_b
-    - rho A_b A_a), the double commutator -[A_a, [A_b, rho]] with the
-    environment traced out.  C is symmetric because Tr(E_a E_b) =
-    Tr(E_b E_a), so one weight matrix serves all three sums; D is
-    bilinear in the operators, which gives the polynomial form of the
-    module docstring.
+    the double commutator -[A_a, [A_b, rho]] with the environment traced
+    out.  C is symmetric because Tr(E_a E_b) = Tr(E_b E_a), so with
+    B_a = sum_b W[a, b] A_b and M = sum_a A_a B_a this is
+
+        D(rho) = 2 sum_a A_a rho B_a - M rho - rho M.
+
+    D is bilinear in the operators, which gives the polynomial form of the
+    module docstring.  Components whose weights all vanish are skipped.
     """
+    keep = w.any(axis=1)
+    ops, w = ops[keep], w[np.ix_(keep, keep)]
     n, d = ops.shape[:2]
-    flat = ops.reshape(n, d * d)
-    weighted = (w @ flat).reshape(n, d, d)  # sum_b W[a, b] A_b
-    m_left = (ops @ weighted).sum(axis=0)
-    m_right = (weighted @ ops).sum(axis=0)
-    # (flat.T K flat)[(j i), (k l)] = sum_ab K[a,b] A_a[j,i] A_b[k,l], which is
-    # the entry [(i k), (j l)] of sum_ab K[a,b] A_a.T kron A_b.
-    cross = (flat.T @ (w + w.T) @ flat).reshape(d, d, d, d)
-    cross = cross.transpose(1, 2, 0, 3).reshape(d * d, d * d)
-    return cross, m_left, m_right
-
-
-def _generator(cross: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> cross(rho) - left rho - rho right."""
-    eye = identity(left.shape[0])
-    return cross - np.kron(eye, left) - np.kron(right.T, eye)
+    d2 = strings.shape[0]
+    weighted = (w @ ops.reshape(n, d * d)).reshape(n, d, d)  # B_a
+    m = (ops @ weighted).sum(axis=0)
+    # the strings side by side, t[u, (j, v)] = P_j[u, v]: one BLAS product
+    # then multiplies every string from the left, and one of the (u, j)
+    # rows from the right; a stack of d x d products is slower
+    t = strings.transpose(1, 0, 2).reshape(d, d2 * d)
+    out = -(m @ t).reshape(d * d2, d) - t.reshape(d * d2, d) @ m
+    for a, b in zip(ops, weighted):
+        out += 2.0 * (a @ t).reshape(d * d2, d) @ b
+    return out.reshape(d, d2, d).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,9 @@ class _Polynomial:
 
 
 def _build_polynomial(shape: GeneratorShape) -> _Polynomial:
-    """The monomial matrices of a shape, each built with the bilinear
-    formulas at unit scale and tau_c and converted to the Pauli basis once.
+    """The monomial matrices of a shape, each the Pauli transfer matrix of
+    its map at unit scale and tau_c, read off the images of the Pauli
+    strings.
 
     Raises "Hamiltonian not Hermitian" if a mechanism's coherent unit sum
     is not Hermitian, and "does not preserve Hermiticity" if a monomial's
@@ -234,13 +235,16 @@ def _build_polynomial(shape: GeneratorShape) -> _Polynomial:
     heads = tuple(mechanisms.index(m) for m in groups)
     slot = np.array([groups.index(m) for m in mechanisms])
     units = _units(comps)
+    d = units.shape[1]
+    strings = pauli_strings(d.bit_length() - 1)
     first = _first_order_mask(comps)
-    mats, linear, quadratic = [], [], []
+    images, linear, quadratic = [], [], []
     for m in range(len(groups)):
         sel = first & (slot == m)
         if sel.any():
             linear.append(m)
-            mats.append(commutator_superop(_coherent_hamiltonian(units[sel])))
+            h = _coherent_hamiltonian(units[sel])
+            images.append(-1j * (h @ strings - strings @ h))
     contr = _env_contractions(comps)
     for m in range(len(groups)):
         for n in range(m, len(groups)):
@@ -249,9 +253,8 @@ def _build_polynomial(shape: GeneratorShape) -> _Polynomial:
             w = np.where(both, contr, 0.0)
             if w.any():
                 quadratic.append((m, n))
-                mats.append(_generator(*_second_order_terms(units, w)))
-    d2 = units.shape[1] ** 2
-    stack = np.array([superop_to_pauli(g) for g in mats]).reshape(-1, d2 * d2)
+                images.append(_dissipator_images(units, w, strings))
+    stack = np.array([pauli_transfer(x) for x in images]).reshape(-1, d**4)
     return _Polynomial(heads, tuple(linear), tuple(quadratic), read_only(stack))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import conjugation_superop, dagger, partial_trace, superop_to_pauli, trace_defect
+from .linalg import dagger, partial_trace, trace_defect, unitary_transfer
 from .model import ChainSpec
 from .sequences import U_SWAP, PulseProgram
 
@@ -31,7 +31,7 @@ _SY2 = np.kron(
 METRIC_SLACK = 1e-9
 TRACE_PRESERVATION_TOL = 1e-6
 
-_SWAP_TRANSFER = superop_to_pauli(conjugation_superop(U_SWAP))
+_SWAP_TRANSFER = unitary_transfer(U_SWAP)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (conjugation_superop, expm, read_only, site_operators,
-                     superop_to_pauli)
+from .linalg import expm, read_only, site_operators, unitary_transfer
 from .master import GeneratorSpec
 from .model import (
     BathSpec,
@@ -351,7 +350,7 @@ def segment_unitary(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
 def segment_transfer(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
     """Real Pauli transfer matrix of rho -> U rho U^dag for the segment's
     unitary U (`segment_unitary`), read-only."""
-    return read_only(superop_to_pauli(conjugation_superop(segment_unitary(seg, n))))
+    return read_only(unitary_transfer(segment_unitary(seg, n)))
 
 
 def _check_targets(program: PulseProgram, nsites: int) -> None:

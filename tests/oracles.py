@@ -1,16 +1,20 @@
 """Independent reference forms of the master-equation generator.
 
 The production engine (`spinswap.master`) builds each generator as a
-polynomial over cached Pauli transfer matrices.  The forms here share none
-of its code: a per-pair Kronecker loop in column stacking, a brute-force
-trace over explicit local environments with a quadrature of the memory
-integral, and the Kossakowski matrix that certifies GKLS form.  Every
-component is static (zero frequency) in the rotating frame, so the
-regulated kernel weighs every pair with tau_c.
+polynomial over cached Pauli transfer matrices, read off the images of the
+Pauli strings.  The forms here share none of its code: a per-pair
+Kronecker loop in column stacking, a brute-force trace over explicit local
+environments with a quadrature of the memory integral, and the Kossakowski
+matrix that certifies GKLS form.  Every component is static (zero
+frequency) in the rotating frame, so the regulated kernel weighs every
+pair with tau_c.
 
-The package keeps channels as real Pauli transfer matrices after they are
-built; `pauli_to_superop` is the reference converter back to column
-stacking, and `choi_of_superop` the Choi matrix read off that form.
+Column stacking lives only here.  vec(rho) stacks the columns of rho, so
+vec(A rho B) = (B.T kron A) vec(rho) and left multiplication by A maps to
+(identity kron A).  `superop_to_pauli` converts a column-stacking
+superoperator S to its Pauli transfer matrix B^dag S B, B the matrix whose
+column i is vec(P_i); `pauli_to_superop` converts back, and
+`choi_of_superop` is the Choi matrix read off that form.
 `checked_reference` is the state check with an `eigvalsh` call on every
 state, which `evolve._checked` spares where a Gershgorin bound certifies
 positivity.
@@ -21,15 +25,81 @@ import numpy as np
 from spinswap.evolve import (EIG_FLOOR, HERM_TOL, TRACE_TOL, PositivityError,
                              rounding_floor)
 from spinswap.linalg import (
+    HERMITICITY_TOL,
+    PAULI_REAL_TOL,
     clip_to_density,
-    commutator_superop,
     dagger,
     identity,
+    max_norm,
     partial_trace,
     pauli_strings,
-    unvec,
-    vec,
 )
+
+
+def vec(rho: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization."""
+    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+
+
+def unvec(v: np.ndarray) -> np.ndarray:
+    """The d x d matrix of a column-stacking vector."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    d = int(round(np.sqrt(v.size)))
+    if d * d != v.size:
+        raise ValueError("vector length is not a perfect square")
+    return v.reshape(d, d, order="F")
+
+
+def left_mult(a: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> a rho."""
+    return np.kron(identity(a.shape[0]), a)
+
+
+def right_mult(b: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> rho b."""
+    return np.kron(b.T, identity(b.shape[0]))
+
+
+def conjugation_superop(u: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> u rho u^dagger."""
+    return np.kron(u.conj(), u)
+
+
+def commutator_superop(h: np.ndarray) -> np.ndarray:
+    """Superoperator of the coherent generator rho -> -i [h, rho]; `h` must
+    be Hermitian to within HERMITICITY_TOL in max-norm."""
+    h = np.asarray(h, dtype=complex)
+    defect = max_norm(h - dagger(h))
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"Hamiltonian not Hermitian: max-norm defect {defect:.3e}")
+    return -1j * (left_mult(h) - right_mult(h))
+
+
+def _pauli_vec_basis(dim2: int) -> np.ndarray:
+    """The unitary matrix B whose column i is vec(P_i), over the Pauli
+    strings of a register with dim2 = d^2, C-ordered."""
+    n = int(round(np.log2(dim2) / 2))
+    return np.ascontiguousarray(np.array([vec(p) for p in pauli_strings(n)]).T)
+
+
+def pauli_to_vecs(rs: np.ndarray) -> np.ndarray:
+    """Column-stacking vectors of the states with Pauli coordinates `rs`,
+    one per row, as the product with B.T (Fortran-ordered, as B is
+    C-ordered)."""
+    return rs @ _pauli_vec_basis(rs.shape[-1]).T
+
+
+def superop_to_pauli(superop: np.ndarray) -> np.ndarray:
+    """Real Pauli transfer matrix B^dag S B of a column-stacking
+    superoperator S; raises ValueError, as `linalg.pauli_transfer` does, if
+    its imaginary residue exceeds PAULI_REAL_TOL relative to its largest
+    entry."""
+    b = _pauli_vec_basis(superop.shape[0])
+    r = b.conj().T @ superop @ b
+    if not max_norm(r.imag) <= PAULI_REAL_TOL * max_norm(r):
+        raise ValueError(f"superoperator does not preserve Hermiticity: imaginary "
+                         f"Pauli transfer residue {max_norm(r.imag):.3e}")
+    return np.ascontiguousarray(r.real)
 
 
 def checked_reference(rhos: np.ndarray, times, stats: dict) -> np.ndarray:
@@ -70,8 +140,7 @@ def checked_reference(rhos: np.ndarray, times, stats: dict) -> np.ndarray:
 def pauli_to_superop(transfer: np.ndarray) -> np.ndarray:
     """Column-stacking superoperator B R B^dag of a Pauli transfer matrix R,
     B the matrix whose column i is vec(P_i) over `pauli_strings`."""
-    n = int(round(np.log2(transfer.shape[0]) / 2))
-    b = np.array([vec(p) for p in pauli_strings(n)]).T
+    b = _pauli_vec_basis(transfer.shape[0])
     return b @ transfer @ b.conj().T
 
 
@@ -172,18 +241,53 @@ def reference_env_trace_coeffs(a, b):
     return complex(c1), complex(c2)
 
 
-def reference_dissipator(spec):
-    """The second order as a per-pair Kronecker loop, in column stacking."""
-    d = spec.dim
+def reference_pair_loop(comps, ops, pairs=None):
+    """The second order at tau_c = 1 as a per-pair Kronecker loop, in column
+    stacking: every ordered pair (a, b) of components, or only those in
+    `pairs`, with operators ops[a] and ops[b]."""
+    d = ops[0].shape[0]
     diss = np.zeros((d * d, d * d), dtype=complex)
     eye = identity(d)
-    for a in spec.components:
-        for b in spec.components:
+    for i, a in enumerate(comps):
+        for j, b in enumerate(comps):
+            if pairs is not None and (i, j) not in pairs:
+                continue
             c1, c2 = reference_env_trace_coeffs(a, b)
             if c1 == 0.0 and c2 == 0.0:
                 continue
-            sa, sb = a.op, b.op
+            sa, sb = ops[i], ops[j]
             term = c1 * (np.kron(eye, sa @ sb) - np.kron(sa.T, sb))
             term += c2 * (np.kron((sb @ sa).T, eye) - np.kron(sb.T, sa))
-            diss -= spec.bath.tau_c * term
+            diss -= term
     return diss
+
+
+def reference_dissipator(spec):
+    """The second order as a per-pair Kronecker loop, in column stacking."""
+    comps = spec.components
+    return spec.bath.tau_c * reference_pair_loop(comps, [c.op for c in comps])
+
+
+def reference_monomials(comps):
+    """The monomial matrices of `master._Polynomial` for the components
+    `comps`, in its order, as column-stacking superoperators at unit scales
+    and tau_c: per mechanism in order of first appearance, -i[H, .] with H
+    the Hermitian part of its coherent system-only units, where it has any;
+    then per mechanism pair m <= n with a nonzero environment contraction,
+    the per-pair loop over the component pairs of those two mechanisms."""
+    groups = list(dict.fromkeys(c.mechanism for c in comps))
+    units = [c.unit for c in comps]
+    mats = []
+    for m in groups:
+        first = [c.unit for c in comps if c.mechanism is m and c.coherent and not c.has_env]
+        if first:
+            h = sum(first)
+            mats.append(commutator_superop(0.5 * (h + dagger(h))))
+    for i, m in enumerate(groups):
+        for n in groups[i:]:
+            pairs = {(a, b) for a, ca in enumerate(comps) for b, cb in enumerate(comps)
+                     if {ca.mechanism, cb.mechanism} == {m, n}
+                     and reference_env_trace_coeffs(ca, cb) != (0.0, 0.0)}
+            if pairs:
+                mats.append(reference_pair_loop(comps, units, pairs))
+    return mats

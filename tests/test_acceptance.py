@@ -17,8 +17,7 @@ from spinswap.linalg import (
     ket2dm,
     max_norm,
     pauli_strings,
-    unvec,
-    vec,
+    unitary_transfer,
 )
 from spinswap.master import GeneratorSpec, assemble
 from spinswap.metrics import concurrence, report, swap_efficiency
@@ -39,7 +38,7 @@ from spinswap.sequences import (
 from spinswap.sweep import GridSpec, format_table, run_sweep
 
 from chains import resolved_chain
-from oracles import brute_force_dissipator, kossakowski_matrix, pauli_to_superop
+from oracles import brute_force_dissipator, kossakowski_matrix, pauli_to_superop, unvec, vec
 
 WSE = 2 * np.pi * 1.0e5
 TAU_C = 0.1 / WSE
@@ -245,9 +244,7 @@ def test_criterion_7_metrics_oracles():
     for p in (0.0, 0.25, 1.0 / 3.0, 0.5, 0.8, 1.0):
         rho = p * ket2dm(psi_m) + (1 - p) * identity(4) / 4
         worst = max(worst, abs(concurrence(rho) - max(0.0, (3 * p - 1) / 2)))
-    from spinswap.linalg import conjugation_superop, superop_to_pauli
-
-    eff_swap = swap_efficiency(superop_to_pauli(conjugation_superop(U_SWAP)))
+    eff_swap = swap_efficiency(unitary_transfer(U_SWAP))
     eff_id = swap_efficiency(np.eye(16))
     # independent overlap-sum oracle for the identity channel
     paulis = pauli_strings(2)

@@ -20,18 +20,7 @@ from spinswap.evolve import (
     export_trajectory,
     propagate,
 )
-from spinswap.linalg import (
-    basis_state,
-    clip_to_density,
-    conjugation_superop,
-    dagger,
-    identity,
-    ket2dm,
-    max_norm,
-    superop_to_pauli,
-    unvec,
-    vec,
-)
+from spinswap.linalg import basis_state, clip_to_density, dagger, identity, ket2dm, max_norm
 import spinswap.master as master
 from spinswap.master import GeneratorSpec, assemble
 from spinswap.model import BathSpec, ChainSpec, drive_hamiltonian, system_env_coupling
@@ -50,7 +39,8 @@ from spinswap.sweep import GridSpec, evaluate_point, run_sweep, run_transport
 
 from chains import resolved_chain
 from oracles import (brute_force_dissipator, checked_reference, choi_of_superop,
-                     pauli_to_superop, reference_dissipator, reference_first_order)
+                     conjugation_superop, pauli_to_superop, reference_dissipator,
+                     reference_first_order, superop_to_pauli, unvec, vec)
 
 W1 = 2 * np.pi * 1.5e5
 WSE = 2 * np.pi * 1.0e5
@@ -327,19 +317,20 @@ class TestDistinctGenerators:
         # simulate walks the windows once: one assemble per distinct
         # generator, one full-window and one sampling-step expm per
         # distinct (generator, duration), and each boundary state and
-        # sample validated once.  The walk converts no generator to the
-        # Pauli basis and builds no conjugation superoperator: each
+        # sample validated once.  The walk builds no transfer matrix: each
         # distinct shape's monomial matrices and each distinct segment's
-        # transfer matrix are built once per process and serve every
-        # later run.  A pulse shape has 5 monomials (the drive's linear
+        # transfer matrix are built once per process (one
+        # `linalg.pauli_transfer` call each) and serve every later run.  A pulse shape has 5 monomials (the drive's linear
         # term; coupling-coupling, coupling-drive, environment-environment
         # and drive-drive quadratic terms), the delay shape 3.
         sequences.segment_unitary.cache_clear()
         sequences.segment_transfer.cache_clear()
         master._cached_polynomial.cache_clear()
-        calls = counting_calls(monkeypatch, [(evolve, "assemble"), (evolve, "expm"),
-                                             (master, "superop_to_pauli"),
-                                             (sequences, "conjugation_superop")])
+        calls = counting_calls(monkeypatch, [(evolve, "assemble"), (evolve, "expm")])
+        # the shapes call master's binding; the segments reach linalg's
+        # through `linalg.unitary_transfer`
+        monomial_calls = counting_calls(monkeypatch, [(master, "pauli_transfer")])
+        segment_calls = counting_calls(monkeypatch, [(linalg, "pauli_transfer")])
         checked = []
         real = evolve._checked
         monkeypatch.setattr(evolve, "_checked",
@@ -347,27 +338,27 @@ class TestDistinctGenerators:
         run_preset_point(preset, sampled=True)
         assert (calls["assemble"], calls["expm"]) == (assembles, expms)
         assert master._cached_polynomial.cache_info().currsize == assembles
-        assert calls["superop_to_pauli"] == monomials
-        assert calls["conjugation_superop"] == segments
+        assert monomial_calls["pauli_transfer"] == monomials
+        assert segment_calls["pauli_transfer"] == segments
         assert sum(checked) == validated
         run_preset_point(preset, sampled=True)
-        assert (calls["conjugation_superop"], calls["superop_to_pauli"]) == (segments, monomials)
+        assert monomial_calls["pauli_transfer"] == monomials
+        assert segment_calls["pauli_transfer"] == segments
         assert master._cached_polynomial.cache_info().currsize == assembles
 
     def test_warm_point_builds_no_shape_and_no_kronecker_product(self, monkeypatch):
         # once the operator table, the segment transfer matrices and the
         # generator shapes exist, a fig2 sweep point at a new omega_1, J
-        # and tau_c builds no embedded operator, no conjugation
-        # superoperator and no shape: it makes no Kronecker product and no
-        # conversion to the Pauli basis
+        # and tau_c builds no embedded operator, no transfer matrix and no
+        # shape: it makes no Kronecker product
         run_preset_point("fig2")
         cfg = load_preset("fig2")
         before = master._cached_polynomial.cache_info()
         calls = []
         kron = np.kron
         monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
-        counts = counting_calls(monkeypatch, [(linalg, "embed"), (master, "superop_to_pauli"),
-                                              (sequences, "superop_to_pauli")])
+        counts = counting_calls(monkeypatch, [(linalg, "embed"), (master, "pauli_transfer"),
+                                              (linalg, "pauli_transfer")])
         rep = evaluate_point(cfg.chain, cfg.bath, 1.37 * cfg.omega1,
                              2 * np.pi * 0.8 * cfg.chain.coupling_j((0, 2)),
                              0.7 * cfg.bath.tau_c)
@@ -457,20 +448,25 @@ def test_direct_calls_run_expm_on_one_blas_thread(monkeypatch):
 
 
 class TestChannelChecks:
-    """A doctored window that breaks TP or CP stops the pass and fails the
-    sweep point with the check's message."""
+    """A doctored window that breaks TP or CP, or is not finite, stops the
+    pass and fails the sweep point with the check's message."""
 
     CASES = [
-        (lambda: transpose_superop(8), "channel not completely positive: Choi eigenvalue"),
+        (lambda: superop_to_pauli(transpose_superop(8)),
+         "channel not completely positive: Choi eigenvalue"),
         (lambda: 1.001 * np.eye(64), "channel not trace preserving: defect"),
+        # NaN fails every comparison: without its own check it would pass
+        # the defect and stop the Choi eigvalsh with a LinAlgError
+        (lambda: np.full((64, 64), np.nan), "program channel has a non-finite entry"),
     ]
 
-    @pytest.mark.parametrize("superop, message", CASES, ids=["transpose", "trace-scaling"])
-    def test_pass_and_sweep_point_fail(self, monkeypatch, superop, message):
+    @pytest.mark.parametrize("transfer, message", CASES,
+                             ids=["transpose", "trace-scaling", "non-finite"])
+    def test_pass_and_sweep_point_fail(self, monkeypatch, transfer, message):
         # fig2's first pulse window has a generator of its own: replace its
-        # propagator, and only that one, by the doctored superoperator.  The
-        # bath is off: a strongly depolarizing remainder would make even a
-        # transposed window's program CP.
+        # propagator, and only that one, by the doctored Pauli transfer
+        # matrix.  The bath is off: a strongly depolarizing remainder would
+        # make even a transposed window's program CP.
         cfg = load_preset("fig2")
         bath = BathSpec(0.0, tau_c=1e-18)
         program = transport_protocol(cfg.chain, cfg.omega1)
@@ -484,7 +480,7 @@ class TestChannelChecks:
         gen = assemble(first.spec)
         real = evolve.expm
         monkeypatch.setattr(evolve, "expm", lambda g, t: (
-            superop_to_pauli(superop()) if np.array_equal(g, gen) else real(g, t)))
+            transfer() if np.array_equal(g, gen) else real(g, t)))
         with pytest.raises(ChannelError, match=message):
             channel_pass(rho0, windows)
         grid = GridSpec((cfg.omega1,), (2 * np.pi * cfg.chain.coupling_j((0, 2)),),

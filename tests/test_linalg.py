@@ -13,34 +13,40 @@ from spinswap.linalg import (
     basis_state,
     choi_matrix,
     clip_to_density,
-    commutator_superop,
-    conjugation_superop,
     dagger,
     embed,
     expm,
+    from_pauli,
     identity,
     ket2dm,
     kron_all,
-    left_mult,
     max_norm,
     partial_trace,
     pauli_strings,
-    pauli_to_vecs,
-    right_mult,
+    pauli_transfer,
     single_blas_thread,
     site_operators,
     spin_half_ops,
-    superop_to_pauli,
+    to_pauli,
     trace_defect,
-    unvec,
-    vec,
-    vecs_to_pauli,
+    unitary_transfer,
 )
 from spinswap.master import assemble
 from spinswap.model import Mechanism
 from spinswap.sweep import run_transport
 
-from oracles import choi_of_superop, pauli_to_superop
+from oracles import (
+    choi_of_superop,
+    commutator_superop,
+    conjugation_superop,
+    left_mult,
+    pauli_to_superop,
+    pauli_to_vecs,
+    right_mult,
+    superop_to_pauli,
+    unvec,
+    vec,
+)
 
 IX, IY, IZ, IP, IM = spin_half_ops()
 
@@ -147,6 +153,8 @@ class TestPartialTrace:
 
 
 class TestVectorization:
+    """The column-stacking reference forms of `oracles`."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         rho = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -189,7 +197,7 @@ class TestChoiMatrix:
     def test_unitary_channel_is_rank_one_with_trace_d(self):
         rng = np.random.default_rng(6)
         u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        w = np.linalg.eigvalsh(choi_matrix(superop_to_pauli(conjugation_superop(u))))
+        w = np.linalg.eigvalsh(choi_matrix(unitary_transfer(u)))
         np.testing.assert_allclose(w, [0.0] * 15 + [4.0], atol=1e-12)
 
     def test_transpose_is_not_completely_positive(self):
@@ -203,7 +211,7 @@ class TestChoiMatrix:
 
 class TestTraceDefect:
     def test_reads_row_zero(self):
-        r = superop_to_pauli(random_channel(8, 2, 3))
+        r = pauli_transfer(apply_kraus(random_kraus(8, 2, 3), pauli_strings(2)))
         assert trace_defect(r) <= 1e-13
         # scaling a trace-preserving channel scales the trace: R_00 = 0.9
         assert trace_defect(0.9 * r) > 1e-3
@@ -500,6 +508,8 @@ class TestDiagonalBlocks:
 
 
 class TestCommutatorSuperop:
+    """The column-stacking coherent generator of `oracles`."""
+
     def test_zero_hamiltonian(self):
         assert max_norm(commutator_superop(np.zeros((4, 4)))) == 0.0
 
@@ -562,15 +572,26 @@ class TestPauliStrings:
             part[0, 0, 0] = 1.0
 
 
-def random_channel(seed, nqubits, nkraus):
-    """Column-stacking superoperator of a random CPTP map: its Kraus
-    operators are the blocks of the Q factor of a complex Gaussian matrix,
-    so sum_k K_k^dag K_k = I."""
+def random_kraus(seed, nqubits, nkraus):
+    """Kraus operators of a random CPTP map: the blocks of the Q factor of a
+    complex Gaussian matrix, so sum_k K_k^dag K_k = I."""
     rng = np.random.default_rng(seed)
     d = 2**nqubits
     g = rng.normal(size=(nkraus * d, d)) + 1j * rng.normal(size=(nkraus * d, d))
     q, _ = np.linalg.qr(g)
-    return sum(conjugation_superop(k) for k in q.reshape(nkraus, d, d))
+    return q.reshape(nkraus, d, d)
+
+
+def apply_kraus(kraus, ops):
+    """sum_k K_k X K_k^dag of each operator X of the stack `ops`."""
+    return sum(k @ ops @ dagger(k) for k in kraus)
+
+
+def random_unitary(seed, nqubits):
+    rng = np.random.default_rng(seed)
+    d = 2**nqubits
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 class TestPauliTransfer:
@@ -578,33 +599,73 @@ class TestPauliTransfer:
     @given(seed=st.integers(0, 2**32 - 1), nqubits=st.integers(1, 3),
            nkraus=st.integers(1, 4))
     def test_round_trip_of_random_channels(self, seed, nqubits, nkraus):
-        s = random_channel(seed, nqubits, nkraus)
-        r = superop_to_pauli(s)
-        assert r.dtype == float
+        # from the images of the strings, against the column-stacking oracle
+        kraus = random_kraus(seed, nqubits, nkraus)
+        r = pauli_transfer(apply_kraus(kraus, pauli_strings(nqubits)))
+        assert r.dtype == float and r.flags.c_contiguous
+        s = sum(conjugation_superop(k) for k in kraus)
+        assert max_norm(r - superop_to_pauli(s)) < 1e-13
         assert max_norm(pauli_to_superop(r) - s) < 1e-13
         # trace preservation reads off the first row: R[0] = e_0
         assert max_norm(r[0] - np.eye(4**nqubits)[0]) < 1e-13
         rho = random_density(np.random.default_rng(seed), nqubits)
-        coords = vecs_to_pauli(vec(rho))
-        assert coords.dtype == float
-        assert max_norm(pauli_to_vecs(coords) - vec(rho)) < 1e-14
-        assert max_norm(pauli_to_vecs(r @ coords) - s @ vec(rho)) < 1e-13
+        assert max_norm(from_pauli(r @ to_pauli(rho)) - apply_kraus(kraus, rho)) < 1e-13
 
-    @pytest.mark.parametrize("superop", [
-        lambda: left_mult(embed(IP, 1, 2)),
-        lambda: 1j * np.eye(16),
-        lambda: random_channel(5, 2, 2) + 1e-9j * random_channel(6, 2, 2),
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nqubits=st.integers(1, 4))
+    def test_unitary_transfer_matches_column_stacking(self, seed, nqubits):
+        u = random_unitary(seed, nqubits)
+        r = unitary_transfer(u)
+        assert max_norm(r - superop_to_pauli(conjugation_superop(u))) < 1e-14
+        # orthogonal: a unitary channel is invertible and preserves the
+        # Hilbert-Schmidt inner product
+        assert max_norm(r @ r.T - np.eye(4**nqubits)) < 1e-13
+
+    @pytest.mark.parametrize("images", [
+        lambda: embed(IP, 1, 2) @ pauli_strings(2),
+        lambda: 1j * pauli_strings(2),
+        lambda: (apply_kraus(random_kraus(5, 2, 2), pauli_strings(2))
+                 + 1e-9j * apply_kraus(random_kraus(6, 2, 2), pauli_strings(2))),
     ], ids=["one-sided", "imaginary-identity", "small-anti-hermitian-part"])
-    def test_hermiticity_breaking_superoperator_raises(self, superop):
+    def test_hermiticity_breaking_superoperator_raises(self, images):
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-            superop_to_pauli(superop())
+            pauli_transfer(images())
 
     def test_generator_exponential_stays_real(self):
-        r = superop_to_pauli(commutator_superop(2 * np.pi * 1e5 * embed(IX, 0, 2)))
+        h = 2 * np.pi * 1e5 * embed(IX, 0, 2)
+        strings = pauli_strings(2)
+        r = pauli_transfer(-1j * (h @ strings - strings @ h))
         prop = expm(r, 1e-6)
         assert prop.dtype == float
-        want = expm(commutator_superop(2 * np.pi * 1e5 * embed(IX, 0, 2)), 1e-6)
+        want = expm(commutator_superop(h), 1e-6)
         assert max_norm(pauli_to_superop(prop) - want) < 1e-13
+
+
+class TestStateCoordinates:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nqubits=st.integers(1, 4),
+           m=st.integers(1, 5))
+    def test_round_trip(self, seed, nqubits, m):
+        rng = np.random.default_rng(seed)
+        rhos = np.array([random_density(rng, nqubits) for _ in range(m)])
+        coords = to_pauli(rhos)
+        assert coords.dtype == float and coords.shape == (m, 4**nqubits)
+        assert max_norm(from_pauli(coords) - rhos) < 1e-14
+        assert max_norm(to_pauli(rhos[0]) - coords[0]) < 1e-15
+        # the identity string carries the trace
+        np.testing.assert_allclose(coords[:, 0], 1.0 / np.sqrt(2.0) ** nqubits, atol=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nqubits=st.integers(1, 4),
+           m=st.sampled_from([1, 2, 50]))
+    def test_rows_equal_column_stacking_bit_for_bit(self, seed, nqubits, m):
+        # the product with the Fortran-ordered strings sums each entry as
+        # the column-stacking conversion did; a C-ordered operand sums the
+        # one-row products of unitary windows in another order
+        rs = np.random.default_rng(seed).normal(size=(m, 4**nqubits))
+        want = np.array([unvec(v) for v in pauli_to_vecs(rs)])
+        np.testing.assert_array_equal(from_pauli(rs), want)
+        np.testing.assert_array_equal(from_pauli(rs[0]), unvec(pauli_to_vecs(rs[0])))
 
 
 def test_site_operator_table_matches_embed():

@@ -6,17 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import spinswap.master as master
 from spinswap.config import load_preset
-from spinswap.linalg import (
-    dagger,
-    embed,
-    identity,
-    left_mult,
-    max_norm,
-    right_mult,
-    spin_half_ops,
-    unvec,
-    vec,
-)
+from spinswap import linalg
+from spinswap.linalg import dagger, embed, identity, max_norm, spin_half_ops
 from spinswap.master import GeneratorSpec, assemble
 from spinswap.model import (
     BathSpec,
@@ -31,9 +22,15 @@ from spinswap.sequences import compile_program, transport_protocol
 from oracles import (
     brute_force_dissipator,
     kossakowski_matrix,
+    left_mult,
     pauli_to_superop,
     reference_dissipator,
     reference_first_order,
+    reference_monomials,
+    right_mult,
+    superop_to_pauli,
+    unvec,
+    vec,
 )
 
 IX, IY, IZ, IP, IM = spin_half_ops()
@@ -301,6 +298,30 @@ class TestVectorizedAssembly:
         flipped = tuple(replace(c, coherent=not c.coherent) for c in comps)
         assert_matches_reference(GeneratorSpec(flipped, bath))
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nsites=st.integers(1, 4),
+        n_static=st.integers(0, 3),
+        env_sites=st.lists(st.integers(0, 3), max_size=3),
+        coherent=st.booleans(),
+    )
+    def test_every_monomial_equals_column_stacking(self, seed, nsites, n_static,
+                                                   env_sites, coherent):
+        # each monomial matrix, read off the images of the Pauli strings,
+        # against its column-stacking Kronecker form
+        rng = np.random.default_rng(seed)
+        comps = random_components(rng, nsites, n_static,
+                                  [k % nsites for k in env_sites], coherent)
+        if not comps:
+            comps = [component(np.zeros((2**nsites,) * 2, dtype=complex))]
+        poly = master._build_polynomial(GeneratorSpec(tuple(comps), make_bath()).shape())
+        want = reference_monomials(comps)
+        assert len(poly.stack) == len(poly.linear) + len(poly.quadratic) == len(want)
+        for got, ref in zip(poly.stack, want):
+            ref = superop_to_pauli(ref)
+            assert max_norm(got - ref.reshape(-1)) <= 1e-14 * max_norm(ref)
+
     @pytest.mark.parametrize("preset, distinct", [("fig2", 9), ("fig3", 3)])
     def test_equals_per_pair_loop_on_presets(self, preset, distinct):
         specs = preset_specs(preset)
@@ -316,9 +337,21 @@ class TestVectorizedAssembly:
         calls = []
         kron = np.kron
         monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
-        monkeypatch.setattr(master, "superop_to_pauli", lambda s: calls.append(1))
+        monkeypatch.setattr(master, "pauli_transfer", lambda s: calls.append(1))
         for spec in specs:
             assert assemble(spec).dtype == np.float64
+        assert calls == []
+
+    def test_shape_build_makes_no_kronecker_product(self, monkeypatch):
+        # with the register's Pauli strings built, a shape is built from
+        # products in Hilbert space alone
+        specs = preset_specs("fig2")
+        linalg.pauli_strings(3)
+        calls = []
+        kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
+        for spec in specs:
+            master._build_polynomial(spec.shape())
         assert calls == []
 
     def test_shapes_are_keyed_by_descriptors(self):

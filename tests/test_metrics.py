@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from spinswap.evolve import channel_pass, propagate
 from spinswap.linalg import (
     basis_state,
-    conjugation_superop,
     dagger,
     expm,
     identity,
@@ -14,10 +13,7 @@ from spinswap.linalg import (
     partial_trace,
     pauli_strings,
     spin_half_ops,
-    superop_to_pauli,
     trace_defect,
-    unvec,
-    vec,
 )
 from spinswap.metrics import (
     TransferReport,
@@ -32,7 +28,7 @@ from spinswap.model import BathSpec
 from spinswap.sequences import U_SWAP, PulseProgram, compile_program, transport_protocol
 
 from chains import resolved_chain
-from oracles import pauli_to_superop
+from oracles import conjugation_superop, pauli_to_superop, superop_to_pauli, unvec, vec
 
 IX, IY, IZ, IP, IM = spin_half_ops()
 

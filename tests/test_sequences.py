@@ -9,8 +9,7 @@ from scipy.linalg import expm as scipy_expm
 import spinswap.sequences as sequences
 from spinswap.cli import GATE_UNITARY_TOL
 from spinswap.evolve import propagate
-from spinswap.linalg import (conjugation_superop, embed, ket2dm, max_norm,
-                             spin_half_ops, superop_to_pauli, unvec, vec)
+from spinswap.linalg import embed, ket2dm, max_norm, spin_half_ops
 from spinswap.model import BathSpec, ChainSpec, Regime
 from spinswap.sequences import (
     Delay,
@@ -33,7 +32,7 @@ from spinswap.sequences import (
 )
 
 from chains import resolved_chain
-from oracles import pauli_to_superop
+from oracles import conjugation_superop, pauli_to_superop, superop_to_pauli, unvec, vec
 
 J = 1.5e5  # Hz
 W1 = 2 * np.pi * 1.5e5
@@ -372,7 +371,23 @@ class TestSegmentClosedForms:
         assert segment_transfer(VirtualZ(np.pi / 4, 2), 3) is r
         assert not u.flags.writeable and not r.flags.writeable
         assert r.dtype == float
-        np.testing.assert_array_equal(r, superop_to_pauli(conjugation_superop(u)))
+        assert max_norm(r - superop_to_pauli(conjugation_superop(u))) < 1e-15
+
+    @settings(max_examples=25, deadline=None)
+    @given(angle=st.floats(-4 * np.pi, 4 * np.pi), n=st.integers(1, 4),
+           target=st.integers(0, 3))
+    def test_virtual_z_transfer_matches_column_stacking(self, angle, n, target):
+        u = segment_unitary(VirtualZ(angle, target % n), n)
+        r = segment_transfer(VirtualZ(angle, target % n), n)
+        assert max_norm(r - superop_to_pauli(conjugation_superop(u))) < 1e-14
+
+    @pytest.mark.parametrize("axis", "xyz")
+    def test_ideal_pi_transfer_matches_column_stacking(self, axis):
+        for n in range(1, 5):
+            for k in range(n):
+                u = segment_unitary(IdealPi(axis, k), n)
+                r = segment_transfer(IdealPi(axis, k), n)
+                assert max_norm(r - superop_to_pauli(conjugation_superop(u))) < 1e-14
 
     def test_compile_makes_no_exponential(self, monkeypatch):
         calls = []

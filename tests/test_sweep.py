@@ -107,7 +107,7 @@ class TestRunSweep:
             tauc_values=tuple(wse_tauc / WSE * step**k for k in range(n_tc)),
         )
         for cached in (linalg.site_operators, linalg.pauli_strings,
-                       linalg._pauli_vec_basis, sequences.segment_unitary,
+                       linalg._string_rows, sequences.segment_unitary,
                        sequences.segment_transfer, model._dipolar_unit,
                        model._coupling_unit, model._drive_axis,
                        model._env_components, master._cached_polynomial):
