@@ -14,6 +14,7 @@ or a non-real value is a ConfigError naming the field.
 from __future__ import annotations
 
 import ast
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -106,6 +107,21 @@ class RunConfig:
         return {k: v for k, v in self.echo.items() if k not in ("workers", "out")}
 
 
+@contextlib.contextmanager
+def _reading(where: str):
+    """Read one part of a config, naming it in every error: a missing key
+    becomes ConfigError "<where>: missing field <key>", and a TypeError or
+    ValueError "<where>: <message>"; a ConfigError passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _section(value, where: str) -> dict:
     """A config section, which must be a JSON object."""
     if not isinstance(value, dict):
@@ -142,7 +158,7 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected a JSON object")
 
-    try:
+    with _reading("chain"):
         chain_doc = _section(doc["chain"], "chain")
         larmor = [
             parse_quantity(v, "angular_frequency", f"chain.larmor[{i}]")
@@ -157,12 +173,8 @@ def parse_config(doc: dict) -> RunConfig:
             a, b = (_integer(site, f"{where}.pair", 0) for site in pair)
             j = parse_quantity(c["j"], "frequency", f"{where}.j")
             couplings.append((a, b, j))
-    except KeyError as exc:
-        raise ConfigError(f"chain: missing field {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"chain: {exc}") from exc
 
-    try:
+    with _reading("bath"):
         bath_doc = _section(doc["bath"], "bath")
         omega_se = parse_quantity(bath_doc["omega_se"], "angular_frequency",
                                   "bath.omega_se")
@@ -172,18 +184,10 @@ def parse_config(doc: dict) -> RunConfig:
         if "kappa" in bath_doc:
             kappa = parse_quantity(bath_doc["kappa"], "kappa", "bath.kappa")
         bath = BathSpec(omega_se=omega_se, tau_c=tau_c, kappa=kappa)
-    except KeyError as exc:
-        raise ConfigError(f"bath: missing field {exc}") from exc
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bath: {exc}") from exc
 
-    try:
+    with _reading("drive"):
         omega1 = parse_quantity(_section(doc["drive"], "drive")["omega1"],
                                 "angular_frequency", "drive.omega1")
-    except KeyError as exc:
-        raise ConfigError(f"drive: missing field {exc}") from exc
     if omega1 <= 0:
         raise ConfigError("drive.omega1: must be positive")
 
@@ -202,20 +206,16 @@ def parse_config(doc: dict) -> RunConfig:
         dt = default_coarse_grain_dt(bath, omega1)
     # the one place each pair's form is resolved (a pair outside the chain
     # keeps `regime`, and ChainSpec names it invalid)
-    try:
+    with _reading("regime.coarse_grain_dt"):
         couplings = [(a, b, j, resolve_regime(regime, larmor[a], larmor[b], dt)
                       if max(a, b) < len(larmor) else regime) for a, b, j in couplings]
-    except ValueError as exc:
-        raise ConfigError(f"regime.coarse_grain_dt: {exc}") from None
 
     protocol = doc.get("protocol", "transport")
     if protocol != "transport":
         raise ConfigError(f"protocol: {protocol!r} is not supported (only transport)")
-    try:
+    with _reading("chain"):
         chain = ChainSpec(tuple(larmor), tuple(couplings))
         check_transport_chain(chain)
-    except ValueError as exc:
-        raise ConfigError(f"chain: {exc}") from exc
     refocusing = doc.get("refocusing", True)
     if not isinstance(refocusing, bool):
         raise ConfigError(f"refocusing: expected true or false, got {refocusing!r}")
@@ -227,7 +227,7 @@ def parse_config(doc: dict) -> RunConfig:
         if g.get("scale_to_omega_se", True) is not True:
             raise ConfigError(f"grid.scale_to_omega_se: {json.dumps(g['scale_to_omega_se'])} "
                               "is not supported (only true)")
-        try:
+        with _reading("grid"):
             grid = GridSpec(
                 omega1_values=_parse_axis(g["omega1"], "angular_frequency", "grid.omega1"),
                 omegaD_values=_parse_axis(g["omegaD"], "angular_frequency", "grid.omegaD"),
@@ -236,12 +236,6 @@ def parse_config(doc: dict) -> RunConfig:
                 bath=bath,
                 refocus=refocusing,
             )
-        except KeyError as exc:
-            raise ConfigError(f"grid: missing field {exc}") from exc
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"grid: {exc}") from exc
 
     workers = _integer(doc.get("workers", 1), "workers", 1)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .linalg import (choi_matrix, clip_to_density, expm, from_pauli,
                      single_blas_thread, to_pauli, trace_defect)
-from .master import assemble
+from .master import GeneratorSpec, assemble
 from .sequences import UnitaryWindow
 
 TRACE_TOL = 1e-9
@@ -173,9 +173,10 @@ def _walk(rho0: np.ndarray, windows,
     compile_program): each distinct generator is assembled once, as its real
     Pauli transfer matrix, and each distinct (generator, duration)
     exponentiated once over the full window and, with `sampled`, once over
-    the sampling step duration / SAMPLES_PER_WINDOW.  Both are keyed by spec
-    id, which stays unique because `windows` is a sequence that holds every
-    spec for the whole walk.  Unitary windows bring their cached transfer
+    the sampling step duration / SAMPLES_PER_WINDOW.  Both memos are keyed
+    by the spec itself, which compares and hashes by identity, and each
+    entry keeps its spec alive, so `windows` may be any iterable, a lazy
+    one included.  Unitary windows bring their cached transfer
     matrices.  The sampled chain keeps its own state and clock, so its
     samples do not depend on the full-window propagators.  The channel, the
     boundary states and the samples are stepped as real Pauli coordinates;
@@ -188,7 +189,7 @@ def _walk(rho0: np.ndarray, windows,
     small to split.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    generators: dict[int, np.ndarray] = {}
+    generators: dict[GeneratorSpec, np.ndarray] = {}
     propagators: dict[tuple, tuple] = {}
     channel = None
     t = 0.0
@@ -207,11 +208,11 @@ def _walk(rho0: np.ndarray, windows,
             continue
         else:
             nsub, dt = SAMPLES_PER_WINDOW, w.duration / SAMPLES_PER_WINDOW
-            key = (id(w.spec), w.duration)
+            key = (w.spec, w.duration)
             if key not in propagators:
-                if id(w.spec) not in generators:
-                    generators[id(w.spec)] = assemble(w.spec)
-                gen = generators[id(w.spec)]
+                if w.spec not in generators:
+                    generators[w.spec] = assemble(w.spec)
+                gen = generators[w.spec]
                 propagators[key] = (expm(gen, w.duration),
                                     expm(gen, dt) if sampled else None)
             full, step = propagators[key]

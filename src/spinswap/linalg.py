@@ -16,13 +16,14 @@ Conventions fixed here and relied on everywhere else in the package:
 - Hamiltonians are in angular-frequency units (rad/s); generators are in
   1/s.
 
-Operators are dense complex128; the largest system handled is three
-qubits (8-dimensional Hilbert space, 64 Pauli strings).  The one sparsity
-used is block-diagonal: `expm` exponentiates each diagonal block of its
-argument, and every window generator has several.  The module needs numpy
-alone: the matrix exponential is a Taylor scaling-and-squaring kernel
-built from matrix products (`expm`), and `single_blas_thread` pins numpy's
-OpenBLAS.
+Operators are dense complex128 on any number of qubits (the builders
+are tested at one to four); only `sequences.check_transport_chain` fixes
+three spins, for the transport protocol (8-dimensional Hilbert space, 64
+Pauli strings).  The one sparsity used is block-diagonal: `expm`
+exponentiates each diagonal block of its argument, and every window
+generator has several.  The module needs numpy alone: the matrix
+exponential is a Taylor scaling-and-squaring kernel built from matrix
+products (`expm`), and `single_blas_thread` pins numpy's OpenBLAS.
 """
 
 from __future__ import annotations
@@ -122,14 +123,13 @@ def site_operators(nsites: int) -> SiteOperators:
     ))
 
 
-def basis_state(bits, nsites: int | None = None) -> np.ndarray:
+def basis_state(bits) -> np.ndarray:
     """Computational basis ket |b0 b1 ...> as a 1-d complex array."""
     bits = list(bits)
-    n = nsites if nsites is not None else len(bits)
     idx = 0
     for b in bits:
         idx = 2 * idx + int(b)
-    ket = np.zeros(2**n, dtype=complex)
+    ket = np.zeros(2 ** len(bits), dtype=complex)
     ket[idx] = 1.0
     return ket
 

@@ -70,7 +70,7 @@ class GeneratorShape:
     components: tuple[HarmonicComponent, ...] = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSpec:
     """Inputs for one evolution window's generator.
 
@@ -78,6 +78,9 @@ class GeneratorSpec:
         system-environment terms); nonempty, as they fix the dimension.
         Components of one mechanism share one scale.
     bath: bath parameters (tau_c weighs the second order).
+
+    A spec compares and hashes by identity: windows share a generator by
+    sharing one spec object (`sequences.compile_program`).
     """
 
     components: tuple[HarmonicComponent, ...]

@@ -53,6 +53,19 @@ class Regime(enum.Enum):
     ZERO_QUANTUM = "zero_quantum"
 
 
+def warn_timescale(name: str, product: float) -> None:
+    """The one timescale check: warn (TimescaleSeparationWarning) when
+    `product` = `name` * tau_c is >= 1, outside the domain the master
+    equation assumes.  The warning is attributed to the caller's caller."""
+    if product >= 1.0:
+        warnings.warn(
+            f"{name} * tau_c = {product:.3g} >= 1 "
+            "violates the timescale separation the master equation assumes",
+            TimescaleSeparationWarning,
+            stacklevel=3,
+        )
+
+
 def _site(name: str, value) -> int:
     """`value` as a site index: an integer or an integral float, never a
     boolean; raises ValueError naming `name` otherwise."""
@@ -162,13 +175,7 @@ class BathSpec:
             raise ValueError("tau_c and kappa inconsistent with tau_c = 2/kappa^2")
         object.__setattr__(self, "tau_c", float(tau_c))
         object.__setattr__(self, "kappa", float(kappa))
-        if self.omega_se * self.tau_c >= 1.0:
-            warnings.warn(
-                f"omega_SE * tau_c = {self.omega_se * self.tau_c:.3g} >= 1 "
-                "violates the timescale separation the master equation assumes",
-                TimescaleSeparationWarning,
-                stacklevel=2,
-            )
+        warn_timescale("omega_SE", self.omega_se * self.tau_c)
 
 
 @dataclass(frozen=True)
@@ -207,12 +214,8 @@ class HarmonicComponent:
         return self.env_site is not None
 
 
-# Unit operators depend only on their labels, never on the parameter
-# point, so each is built once per process; the bounds keep programs with
-# many distinct phases or couplings from growing the caches.
-@lru_cache(maxsize=64)
 def _dipolar_unit(pair: tuple[int, int], regime: Regime, nsites: int) -> np.ndarray:
-    """Iz Iz, less (I+ I- + I- I+)/4 in the zero-quantum regime, read-only."""
+    """Iz Iz, less (I+ I- + I- I+)/4 in the zero-quantum regime."""
     a, b = pair
     ops = site_operators(nsites)
     h = ops.z[a] @ ops.z[b]
@@ -220,9 +223,12 @@ def _dipolar_unit(pair: tuple[int, int], regime: Regime, nsites: int) -> np.ndar
         ff = ops.plus[a] @ ops.minus[b]
         ff = ff + ops.minus[a] @ ops.plus[b]
         h -= 0.25 * ff
-    return read_only(h)
+    return h
 
 
+# Unit operators depend only on their labels, never on the parameter
+# point, so each is built once per process; the bounds keep programs with
+# many distinct phases or couplings from growing the caches.
 @lru_cache(maxsize=64)
 def _coupling_unit(terms: tuple, nsites: int) -> np.ndarray:
     """Sum of ratio * (pair's unit coupling) over (a, b, regime, ratio)

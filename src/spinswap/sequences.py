@@ -29,19 +29,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import expm, read_only, site_operators, unitary_transfer
+from .linalg import basis_state, expm, read_only, site_operators, unitary_transfer
 from .master import GeneratorSpec
 from .model import (
     BathSpec,
     ChainSpec,
     Regime,
-    TimescaleSeparationWarning,
     _check_positive_finite,
     _drive_axis,
     _site,
     coupling_component,
     drive_hamiltonian,
     system_env_coupling,
+    warn_timescale,
 )
 
 U_SWAP = np.array(
@@ -288,9 +288,6 @@ def transport_protocol(chain: ChainSpec, drive_amp: float,
                     UserWarning,
                     stacklevel=2,
                 )
-
-    segs: list[Segment]
-    if refocus:
         midpoint = 0.5 * base.delay_total
         elapsed = 0.0
         segs = []
@@ -304,12 +301,8 @@ def transport_protocol(chain: ChainSpec, drive_amp: float,
         segs = list(base.segments)
 
     sq2 = np.sqrt(2.0)
-    psi_i = np.zeros(8, dtype=complex)
-    psi_i[0b100] = 1 / sq2
-    psi_i[0b010] = -1 / sq2
-    psi_f = np.zeros(8, dtype=complex)
-    psi_f[0b001] = 1 / sq2
-    psi_f[0b010] = -1 / sq2
+    psi_i = (basis_state((1, 0, 0)) - basis_state((0, 1, 0))) / sq2
+    psi_f = (basis_state((0, 0, 1)) - basis_state((0, 1, 0))) / sq2
     meta = dict(base.meta)
     meta.update(
         label="transport(1->3)",
@@ -441,13 +434,7 @@ def compile_program(program: PulseProgram, chain: ChainSpec,
         (s.amplitude for s in program.segments if isinstance(s, SquarePulse)),
         default=0.0,
     )
-    if omega1 * bath.tau_c >= 1.0:
-        warnings.warn(
-            f"omega_1 * tau_c = {omega1 * bath.tau_c:.3g} >= 1 violates the "
-            "timescale separation the master equation assumes",
-            TimescaleSeparationWarning,
-            stacklevel=2,
-        )
+    warn_timescale("omega_1", omega1 * bath.tau_c)
     env_comps = tuple(system_env_coupling(chain, bath))
     coupling = coupling_component(chain)
     # couplings evolve the state during delays; during hard pulses their

@@ -230,6 +230,37 @@ class TestCli:
         assert main(["validate", "--config", path]) == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("chain", "larmor", None, "chain: missing field 'larmor'"),
+        ("chain", "couplings", 5, "chain: 'int' object is not iterable"),
+        ("bath", "omega_se", None, "bath: missing field 'omega_se'"),
+        ("bath", "kappa", "1 1/sqrt(s)",
+         "bath: tau_c and kappa inconsistent with tau_c = 2/kappa^2"),
+        ("drive", "omega1", None, "drive: missing field 'omega1'"),
+        ("regime", "coarse_grain_dt", "0 s",
+         "regime.coarse_grain_dt: coarse_grain_dt must be positive"),
+        ("chain", "j", "-1 Hz",
+         "chain: coupling J of pair (0,2) must be finite and >= 0, got -1.0"),
+        ("grid", "omegaD", None, "grid: missing field 'omegaD'"),
+        ("grid", "tau_c", ["1 ns", "1 ns"], "grid: tauc_values must be strictly increasing"),
+    ], ids=["no-larmor", "int-couplings", "no-omega_se", "inconsistent-kappa",
+            "no-omega1", "zero-coarse-grain", "negative-j", "no-omegaD", "repeated-tau_c"])
+    def test_validate_names_the_section(self, tmp_path, capsys, section, key, value,
+                                        message):
+        # every error read through one section prints "<section>: ..."
+        doc = json.loads(json.dumps(FIG2_DOC))
+        doc["regime"] = {}
+        doc["grid"] = {"omega1": ["2*pi*150 kHz"], "omegaD": ["2*pi*150 kHz"],
+                       "tau_c": ["0.1/(2*pi*1e5) s"]}
+        part = doc["chain"]["couplings"][0] if key == "j" else doc[section]
+        if value is None:
+            del part[key]
+        else:
+            part[key] = value
+        path = self._write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
     @pytest.mark.parametrize("pair", [[2, 0], [0, 2]], ids=["reversed", "same-order"])
     def test_validate_rejects_repeated_coupling_pair(self, tmp_path, capsys, pair):
         doc = json.loads(json.dumps(FIG2_DOC))

@@ -400,6 +400,28 @@ class TestDistinctGenerators:
                                       traj.channel_pass.final_state)
         assert (own.clip_count, own.min_eigenvalue) == (traj.clip_count, traj.min_eigenvalue)
 
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_lazy_windows_match_the_list(self, preset):
+        # a generator expression that builds a fresh spec per window frees
+        # each spec once its window is walked; the memo must still never
+        # hand one window another window's propagator
+        cfg = load_preset(preset)
+        program = transport_protocol(cfg.chain, cfg.omega1, cfg.refocusing)
+        windows = compile_program(program, cfg.chain, cfg.bath)
+        rho0 = ket2dm(program.meta["initial_state"])
+
+        def lazy():
+            return (replace(w, spec=GeneratorSpec(w.spec.components, w.spec.bath))
+                    if hasattr(w, "spec") else w for w in windows)
+
+        want, got = channel_pass(rho0, windows), channel_pass(rho0, lazy())
+        np.testing.assert_array_equal(got.channel, want.channel)
+        np.testing.assert_array_equal(got.final_state, want.final_state)
+        want, got = propagate(rho0, windows), propagate(rho0, lazy())
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(got.states, want.states)
+        np.testing.assert_array_equal(got.channel_pass.channel, want.channel_pass.channel)
+
 
 @pytest.mark.parametrize("preset", ["fig2", "fig3"])
 def test_presets_clip_no_state(preset):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from spinswap.model import (
     drive_hamiltonian,
     resolve_regime,
     system_env_coupling,
+    warn_timescale,
 )
 
 IX, IY, IZ, IP, IM = spin_half_ops()
@@ -163,6 +166,16 @@ class TestBathSpec:
     def test_timescale_separation_warning(self):
         with pytest.warns(TimescaleSeparationWarning):
             BathSpec(2 * np.pi * 1e7, tau_c=1e-6)
+
+    @pytest.mark.parametrize("product, warned", [(1.0, 1), (np.nextafter(1.0, 0.0), 0)])
+    def test_timescale_rule_includes_one(self, product, warned):
+        # BathSpec and compile_program share this one rule and message
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            warn_timescale("omega_1", product)
+        assert [str(w.message) for w in seen] == warned * [
+            "omega_1 * tau_c = 1 >= 1 violates the timescale separation the "
+            "master equation assumes"]
 
     def test_requires_one_of_tau_c_kappa(self):
         with pytest.raises(ValueError):

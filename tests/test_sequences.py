@@ -210,6 +210,20 @@ class TestTransport:
         np.testing.assert_allclose(psi_f[0b001], 1 / sq2)
         np.testing.assert_allclose(psi_f[0b010], -1 / sq2)
 
+    @pytest.mark.parametrize("refocus", [True, False])
+    def test_metadata_states_equal_index_literals(self, refocus):
+        # the kets built from basis_state are bitwise the index literals
+        prog = transport_protocol(CHAIN3, W1, refocus=refocus)
+        sq2 = np.sqrt(2.0)
+        psi_i = np.zeros(8, dtype=complex)
+        psi_i[0b100] = 1 / sq2
+        psi_i[0b010] = -1 / sq2
+        psi_f = np.zeros(8, dtype=complex)
+        psi_f[0b001] = 1 / sq2
+        psi_f[0b010] = -1 / sq2
+        assert np.array_equal(prog.meta["initial_state"], psi_i)
+        assert np.array_equal(prog.meta["target_state"], psi_f)
+
     def test_wrong_chain_size(self):
         with pytest.raises(ValueError):
             transport_protocol(NONIDEN, W1)
@@ -514,6 +528,16 @@ def test_compile_warns_on_timescale_violation():
     prog = PulseProgram((SquarePulse(W1, 0.0, (0,), 1e-6),))
     with pytest.warns(TimescaleSeparationWarning):
         compile_program(prog, NONIDEN, bath)
+
+
+def test_timescale_warning_names_the_compiling_code():
+    from spinswap.model import TimescaleSeparationWarning
+
+    bath = BathSpec(0.0, tau_c=1e-5)
+    prog = PulseProgram((SquarePulse(W1, 0.0, (0,), 1e-6),))
+    with pytest.warns(TimescaleSeparationWarning) as seen:
+        compile_program(prog, NONIDEN, bath)
+    assert [w.filename for w in seen] == [__file__]
 
 
 def test_compiled_closed_limit_identical_regime():

@@ -108,9 +108,9 @@ class TestRunSweep:
         )
         for cached in (linalg.site_operators, linalg.pauli_strings,
                        linalg._string_rows, sequences.segment_unitary,
-                       sequences.segment_transfer, model._dipolar_unit,
-                       model._coupling_unit, model._drive_axis,
-                       model._env_components, master._cached_polynomial):
+                       sequences.segment_transfer, model._coupling_unit,
+                       model._drive_axis, model._env_components,
+                       master._cached_polynomial):
             cached.cache_clear()
         parallel = run_sweep(grid, workers=2)
         serial = run_sweep(grid, workers=1)
