@@ -28,7 +28,7 @@ from .sequences import (
     program_to_json,
     transport_protocol,
 )
-from .sweep import argmax_report, format_table, run_sweep, run_transport, summary_dict
+from .sweep import format_table, run_sweep, run_transport, summary_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -150,15 +150,14 @@ def cmd_sweep(args) -> int:
     (out / "sweep.txt").write_text(table)
     summary = summary_dict(records, config_echo=cfg.echo)
     (out / "sweep_summary.json").write_text(json.dumps(summary, indent=2))
-    try:
-        best = argmax_report(records)
-    except ValueError:
+    best = summary["argmax"]
+    if best is None:
         print("all sweep points failed", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"{len(records)} points -> {out / 'sweep.txt'}")
     print(
-        f"argmax fidelity {best.fidelity:.6f} at omega1 = {best.omega1:.6g} rad/s, "
-        f"omegaD = {best.omegaD:.6g} rad/s, tau_c = {best.tauc:.6g} s"
+        f"argmax fidelity {best['fidelity']:.6f} at omega1 = {best['omega1']:.6g} rad/s, "
+        f"omegaD = {best['omegaD']:.6g} rad/s, tau_c = {best['tauc']:.6g} s"
     )
     return EXIT_OK
 

@@ -167,11 +167,13 @@ def parse_config(doc: dict) -> RunConfig:
         couplings = []
         for i, c in enumerate(chain_doc.get("couplings", [])):
             where = f"chain.couplings[{i}]"
-            pair = c["pair"]
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(f"{where}.pair: expected two site indices, got {pair!r}")
-            a, b = (_integer(site, f"{where}.pair", 0) for site in pair)
-            j = parse_quantity(c["j"], "frequency", f"{where}.j")
+            with _reading(where):
+                c = _section(c, where)
+                pair = c["pair"]
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ConfigError(f"{where}.pair: expected two site indices, got {pair!r}")
+                a, b = (_integer(site, f"{where}.pair", 0) for site in pair)
+                j = parse_quantity(c["j"], "frequency", f"{where}.j")
             couplings.append((a, b, j))
 
     with _reading("bath"):

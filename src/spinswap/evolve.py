@@ -30,7 +30,7 @@ import numpy as np
 from .linalg import (choi_matrix, clip_to_density, expm, from_pauli,
                      single_blas_thread, to_pauli, trace_defect)
 from .master import GeneratorSpec, assemble
-from .sequences import UnitaryWindow
+from .sequences import IdealPi, VirtualZ, segment_transfer
 
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-9
@@ -176,9 +176,11 @@ def _walk(rho0: np.ndarray, windows,
     the sampling step duration / SAMPLES_PER_WINDOW.  Both memos are keyed
     by the spec itself, which compares and hashes by identity, and each
     entry keeps its spec alive, so `windows` may be any iterable, a lazy
-    one included.  Unitary windows bring their cached transfer
-    matrices.  The sampled chain keeps its own state and clock, so its
-    samples do not depend on the full-window propagators.  The channel, the
+    one included.  A zero-duration segment (`VirtualZ`, `IdealPi`) is its
+    own window: its transfer matrix on the register of `rho0` comes from
+    the per-segment cache (`sequences.segment_transfer`).  The sampled
+    chain keeps its own state and clock, so its samples do not depend on
+    the full-window propagators.  The channel, the
     boundary states and the samples are stepped as real Pauli coordinates;
     the boundary states are converted back to matrices after the walk and
     the samples once per window, the initial state kept as given.  The
@@ -189,6 +191,7 @@ def _walk(rho0: np.ndarray, windows,
     small to split.
     """
     rho0 = np.asarray(rho0, dtype=complex)
+    n = rho0.shape[0].bit_length() - 1
     generators: dict[GeneratorSpec, np.ndarray] = {}
     propagators: dict[tuple, tuple] = {}
     channel = None
@@ -199,10 +202,10 @@ def _walk(rho0: np.ndarray, windows,
     u = r
     sample_times, sample_states = [0.0], [rho0[None]]
     for w in windows:
-        if isinstance(w, UnitaryWindow):
+        if isinstance(w, (VirtualZ, IdealPi)):
             # zero duration: one sample at the current time holds the state
             # right after the unitary, so the jump stays visible
-            full = step = w.transfer
+            full = step = segment_transfer(w, n)
             nsub, dt = 1, 0.0
         elif w.duration == 0.0:
             continue
@@ -270,7 +273,7 @@ def channel_pass(rho0: np.ndarray, windows) -> ChannelPass:
 
 def propagate(rho0: np.ndarray, windows) -> Trajectory:
     """The channel pass plus SAMPLES_PER_WINDOW sampled states per generator
-    window and one per unitary window.
+    window and one per zero-duration segment.
 
     Raises what `channel_pass` raises, then PositivityError if a sampled
     state has an eigenvalue below EIG_FLOOR; smaller negatives beyond the

@@ -30,7 +30,8 @@ pair (m, n).  Those matrices depend only on the point-independent
 Each is built once per shape as a real Pauli transfer matrix (Greenbaum,
 arXiv:1509.02921), from the images of the Pauli strings under its map in
 Hilbert space (`linalg.pauli_transfer`), and kept in a bounded per-process
-cache; `assemble` only forms the linear combination.
+cache; `assemble` only forms the linear combination, at the mechanism
+scales the spec keeps (`GeneratorSpec.scales`) and its tau_c.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .linalg import (
     pauli_transfer,
     read_only,
 )
-from .model import BathSpec, HarmonicComponent
+from .model import BathSpec, HarmonicComponent, Mechanism
 
 # Distinct shapes a process keeps (fig2 has 9, fig3 3); each holds a few
 # 64x64 real matrices, about 0.15 MB for a three-spin window.
@@ -78,6 +79,9 @@ class GeneratorSpec:
         system-environment terms); nonempty, as they fix the dimension.
         Components of one mechanism share one scale.
     bath: bath parameters (tau_c weighs the second order).
+    scales: per mechanism, in order of first appearance, the one scale its
+        components carry (derived, not an argument); `assemble` reads the
+        point from it and tau_c.
 
     A spec compares and hashes by identity: windows share a generator by
     sharing one spec object (`sequences.compile_program`).
@@ -85,6 +89,7 @@ class GeneratorSpec:
 
     components: tuple[HarmonicComponent, ...]
     bath: BathSpec
+    scales: dict[Mechanism, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -95,6 +100,7 @@ class GeneratorSpec:
             if scales.setdefault(c.mechanism, c.scale) != c.scale:
                 raise ValueError(f"components of mechanism {c.mechanism} carry "
                                  f"different scales")
+        object.__setattr__(self, "scales", scales)
 
     @property
     def dim(self) -> int:
@@ -198,24 +204,22 @@ class _Polynomial:
     """The generator of one shape as sum_k c_k M_k over real Pauli transfer
     matrices M_k, linear monomials first (see the module docstring).
 
-    heads: per mechanism, in order of first appearance, the index of its
-        first component, which carries the mechanism's scale.  Every spec
-        of the shape has its mechanisms at the same positions, because the
-        shape key lists them in component order.
-    linear: the mechanism of each linear monomial, as an index into heads.
+    linear: the mechanism of each linear monomial.
     quadratic: the (mechanism, mechanism) pair of each quadratic monomial.
     stack: the monomial matrices in monomial order, flattened to rows,
         float64 and read-only.
+
+    Every spec of the shape has the same mechanisms, because the shape key
+    lists them, so each coefficient reads its scales from `spec.scales`.
     """
 
-    heads: tuple[int, ...]
-    linear: tuple[int, ...]
-    quadratic: tuple[tuple[int, int], ...]
+    linear: tuple[Mechanism, ...]
+    quadratic: tuple[tuple[Mechanism, Mechanism], ...]
     stack: np.ndarray
 
     def combine(self, spec: GeneratorSpec) -> np.ndarray:
         """The generator at the spec's mechanism scales and tau_c."""
-        s = [spec.components[k].scale for k in self.heads]
+        s = spec.scales
         tau_c = spec.bath.tau_c
         coef = np.array([s[m] for m in self.linear]
                         + [s[m] * s[n] * tau_c for m, n in self.quadratic])
@@ -235,7 +239,6 @@ def _build_polynomial(shape: GeneratorShape) -> _Polynomial:
     comps = shape.components
     mechanisms = [c.mechanism for c in comps]
     groups = list(dict.fromkeys(mechanisms))
-    heads = tuple(mechanisms.index(m) for m in groups)
     slot = np.array([groups.index(m) for m in mechanisms])
     units = _units(comps)
     d = units.shape[1]
@@ -245,7 +248,7 @@ def _build_polynomial(shape: GeneratorShape) -> _Polynomial:
     for m in range(len(groups)):
         sel = first & (slot == m)
         if sel.any():
-            linear.append(m)
+            linear.append(groups[m])
             h = _coherent_hamiltonian(units[sel])
             images.append(-1j * (h @ strings - strings @ h))
     contr = _env_contractions(comps)
@@ -255,10 +258,10 @@ def _build_polynomial(shape: GeneratorShape) -> _Polynomial:
                     | ((slot[:, None] == n) & (slot[None, :] == m)))
             w = np.where(both, contr, 0.0)
             if w.any():
-                quadratic.append((m, n))
+                quadratic.append((groups[m], groups[n]))
                 images.append(_dissipator_images(units, w, strings))
     stack = np.array([pauli_transfer(x) for x in images]).reshape(-1, d**4)
-    return _Polynomial(heads, tuple(linear), tuple(quadratic), read_only(stack))
+    return _Polynomial(tuple(linear), tuple(quadratic), read_only(stack))
 
 
 _cached_polynomial = lru_cache(maxsize=SHAPE_CACHE_SIZE)(_build_polynomial)

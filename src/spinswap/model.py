@@ -53,16 +53,17 @@ class Regime(enum.Enum):
     ZERO_QUANTUM = "zero_quantum"
 
 
-def warn_timescale(name: str, product: float) -> None:
+def warn_timescale(name: str, product: float, stacklevel: int = 3) -> None:
     """The one timescale check: warn (TimescaleSeparationWarning) when
     `product` = `name` * tau_c is >= 1, outside the domain the master
-    equation assumes.  The warning is attributed to the caller's caller."""
+    equation assumes.  The warning is attributed `stacklevel` frames up,
+    by default to the caller's caller."""
     if product >= 1.0:
         warnings.warn(
             f"{name} * tau_c = {product:.3g} >= 1 "
             "violates the timescale separation the master equation assumes",
             TimescaleSeparationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -175,7 +176,9 @@ class BathSpec:
             raise ValueError("tau_c and kappa inconsistent with tau_c = 2/kappa^2")
         object.__setattr__(self, "tau_c", float(tau_c))
         object.__setattr__(self, "kappa", float(kappa))
-        warn_timescale("omega_SE", self.omega_se * self.tau_c)
+        # one frame more than the default: the dataclass-generated __init__
+        # sits between __post_init__ and the code that built the spec
+        warn_timescale("omega_SE", self.omega_se * self.tau_c, stacklevel=4)
 
 
 @dataclass(frozen=True)

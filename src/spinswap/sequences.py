@@ -393,22 +393,9 @@ class GeneratorWindow:
     duration: float
 
 
-@dataclass(frozen=True)
-class UnitaryWindow:
-    """A zero-duration segment, applied exactly on an `nsites` register."""
-
-    segment: VirtualZ | IdealPi
-    nsites: int
-
-    duration = 0.0
-
-    @property
-    def transfer(self) -> np.ndarray:
-        """Real Pauli transfer matrix of the window's conjugation."""
-        return segment_transfer(self.segment, self.nsites)
-
-
-Window = GeneratorWindow | UnitaryWindow
+# a zero-duration segment is its own window, applied exactly on the
+# register of the state it acts on
+Window = GeneratorWindow | VirtualZ | IdealPi
 
 
 def compile_program(program: PulseProgram, chain: ChainSpec,
@@ -420,16 +407,16 @@ def compile_program(program: PulseProgram, chain: ChainSpec,
     they evolve the state at first order and feed the regulated dissipator
     at second order, alongside the drive, plus the system-environment
     components; square-pulse windows add the drive components of their
-    targets, resonant with each.  Virtual-z and ideal-pi segments become
-    exact zero-duration unitary windows, whose unitary and transfer matrix
-    come from per-segment caches (`segment_unitary`, `segment_transfer`).
+    targets, resonant with each.  Virtual-z and ideal-pi segments are
+    their own (zero-duration) windows, the program's segment objects
+    themselves; the walk applies each exactly on the state's register,
+    with the per-segment caches (`segment_unitary`, `segment_transfer`).
 
     Each pair couples in the form the chain records for it.  The timescale
     check uses the largest pulse amplitude as omega_1.  Raises ValueError
     for a segment that targets a site outside the chain.
     """
-    n = chain.nsites
-    _check_targets(program, n)
+    _check_targets(program, chain.nsites)
     omega1 = max(
         (s.amplitude for s in program.segments if isinstance(s, SquarePulse)),
         default=0.0,
@@ -466,7 +453,7 @@ def compile_program(program: PulseProgram, chain: ChainSpec,
                 specs[key] = pulse_spec(seg)
             windows.append(GeneratorWindow(specs[key], seg.duration))
         elif isinstance(seg, (VirtualZ, IdealPi)):
-            windows.append(UnitaryWindow(seg, n))
+            windows.append(seg)
         else:
             raise TypeError(f"unknown segment {seg!r}")
     return windows

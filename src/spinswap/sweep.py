@@ -23,11 +23,20 @@ from .metrics import TransferReport, report
 from .model import BathSpec, ChainSpec, _check_positive_finite
 from .sequences import PulseProgram, compile_program, transport_protocol
 
-TABLE_HEADER = (
-    "omega1_rad_s, omegaD_rad_s, tauc_s, omega1_over_omegaSE, "
-    "omegaD_over_omegaSE, tauc_times_omegaSE, fidelity, concurrence_23, "
-    "efficiency, status"
+# the numeric columns of the sweep table: (header, SweepRecord field);
+# the status column follows them
+_NUMERIC_COLUMNS = (
+    ("omega1_rad_s", "omega1"),
+    ("omegaD_rad_s", "omegaD"),
+    ("tauc_s", "tauc"),
+    ("omega1_over_omegaSE", "omega1_scaled"),
+    ("omegaD_over_omegaSE", "omegaD_scaled"),
+    ("tauc_times_omegaSE", "tauc_scaled"),
+    ("fidelity", "fidelity"),
+    ("concurrence_23", "concurrence_23"),
+    ("efficiency", "efficiency"),
 )
+TABLE_HEADER = ", ".join([name for name, _ in _NUMERIC_COLUMNS] + ["status"])
 
 
 @dataclass(frozen=True)
@@ -180,22 +189,8 @@ def format_table(records) -> str:
     """Columnar text table, 12 significant digits, one row per grid point."""
     lines = [TABLE_HEADER]
     for r in records:
-        lines.append(
-            ", ".join(
-                [
-                    f"{r.omega1:.12g}",
-                    f"{r.omegaD:.12g}",
-                    f"{r.tauc:.12g}",
-                    f"{r.omega1_scaled:.12g}",
-                    f"{r.omegaD_scaled:.12g}",
-                    f"{r.tauc_scaled:.12g}",
-                    f"{r.fidelity:.12g}",
-                    f"{r.concurrence_23:.12g}",
-                    f"{r.efficiency:.12g}",
-                    r.status,
-                ]
-            )
-        )
+        cells = [f"{getattr(r, name):.12g}" for _, name in _NUMERIC_COLUMNS]
+        lines.append(", ".join(cells + [r.status]))
     return "\n".join(lines) + "\n"
 
 

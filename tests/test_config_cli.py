@@ -243,8 +243,11 @@ class TestCli:
          "chain: coupling J of pair (0,2) must be finite and >= 0, got -1.0"),
         ("grid", "omegaD", None, "grid: missing field 'omegaD'"),
         ("grid", "tau_c", ["1 ns", "1 ns"], "grid: tauc_values must be strictly increasing"),
+        ("chain.couplings[1]", "j", None, "chain.couplings[1]: missing field 'j'"),
+        ("chain.couplings", 1, 5, "chain.couplings[1]: expected a JSON object, got 5"),
     ], ids=["no-larmor", "int-couplings", "no-omega_se", "inconsistent-kappa",
-            "no-omega1", "zero-coarse-grain", "negative-j", "no-omegaD", "repeated-tau_c"])
+            "no-omega1", "zero-coarse-grain", "negative-j", "no-omegaD", "repeated-tau_c",
+            "no-coupling-j", "int-coupling"])
     def test_validate_names_the_section(self, tmp_path, capsys, section, key, value,
                                         message):
         # every error read through one section prints "<section>: ..."
@@ -252,7 +255,13 @@ class TestCli:
         doc["regime"] = {}
         doc["grid"] = {"omega1": ["2*pi*150 kHz"], "omegaD": ["2*pi*150 kHz"],
                        "tau_c": ["0.1/(2*pi*1e5) s"]}
-        part = doc["chain"]["couplings"][0] if key == "j" else doc[section]
+        couplings = doc["chain"]["couplings"]
+        if section == "chain.couplings":
+            part = couplings
+        elif section == "chain.couplings[1]":
+            part = couplings[1]
+        else:
+            part = couplings[0] if key == "j" else doc[section]
         if value is None:
             del part[key]
         else:
@@ -410,6 +419,45 @@ class TestCli:
         assert all(len(r.split(", ")) == 10 for r in rows)
         records = json.loads((out / "sweep_summary.json").read_text())["records"]
         assert [r["error"] for r in records] == ["boom, x", ""]
+
+    def _two_point_sweep(self, tmp_path):
+        doc = json.loads(json.dumps(FIG2_DOC))
+        doc["grid"] = {
+            "omega1": ["2*pi*100 kHz", "2*pi*150 kHz"],
+            "omegaD": ["2*pi*150 kHz"],
+            "tau_c": ["0.1/(2*pi*1e5) s"],
+        }
+        return self._write_config(tmp_path, doc)
+
+    def test_sweep_prints_the_summary_argmax(self, tmp_path, capsys):
+        path = self._two_point_sweep(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out), "--workers", "1"]) == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        best = summary["argmax"]
+        assert best == max(summary["records"], key=lambda r: r["fidelity"])
+        assert capsys.readouterr().out.splitlines() == [
+            f"2 points -> {out / 'sweep.txt'}",
+            f"argmax fidelity {best['fidelity']:.6f} at omega1 = {best['omega1']:.6g} "
+            f"rad/s, omegaD = {best['omegaD']:.6g} rad/s, tau_c = {best['tauc']:.6g} s",
+        ]
+
+    def test_sweep_with_every_point_failed_exits_3(self, tmp_path, capsys, monkeypatch):
+        import spinswap.sweep as sweep
+
+        def fail(*args):
+            raise RuntimeError("no point")
+
+        monkeypatch.setattr(sweep, "evaluate_point", fail)
+        path = self._two_point_sweep(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out), "--workers", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "all sweep points failed\n"
+        assert captured.out == ""
+        assert json.loads((out / "sweep_summary.json").read_text())["argmax"] is None
+        rows = (out / "sweep.txt").read_text().strip().split("\n")[2:]
+        assert [r.split(", ")[-1] for r in rows] == ["failed(RuntimeError)"] * 2
 
     def test_sweep_records_point_warnings(self, tmp_path):
         flagged = []

@@ -26,9 +26,10 @@ from spinswap.master import GeneratorSpec, assemble
 from spinswap.model import BathSpec, ChainSpec, drive_hamiltonian, system_env_coupling
 from spinswap.sequences import (
     Delay,
+    IdealPi,
     PulseProgram,
     SquarePulse,
-    UnitaryWindow,
+    VirtualZ,
     compile_program,
     segment_unitary,
     transport_protocol,
@@ -228,8 +229,8 @@ def complex_reference_pass(rho0, windows):
     v = vec(rho0)
     channel = np.eye(v.size, dtype=complex)
     for w in windows:
-        if isinstance(w, UnitaryWindow):
-            full = conjugation_superop(segment_unitary(w.segment, w.nsites))
+        if isinstance(w, (VirtualZ, IdealPi)):
+            full = conjugation_superop(segment_unitary(w, 3))
         else:
             gen = reference_first_order(w.spec) + reference_dissipator(w.spec)
             full = scipy_expm(gen * w.duration)
@@ -283,9 +284,9 @@ def test_each_instantaneous_segment_adds_a_row_at_the_same_time():
     # sample's time and holds the state right after the unitary
     program, traj, _ = run_preset_point("fig2", sampled=True)
     cfg = load_preset("fig2")
-    unitaries = [segment_unitary(w.segment, w.nsites)
+    unitaries = [segment_unitary(w, 3)
                  for w in compile_program(program, cfg.chain, cfg.bath)
-                 if isinstance(w, UnitaryWindow)]
+                 if isinstance(w, (VirtualZ, IdealPi))]
     repeats = [k for k in range(1, len(traj.times)) if traj.times[k] == traj.times[k - 1]]
     assert len(repeats) == len(unitaries) == 16
     for k, u in zip(repeats, unitaries):

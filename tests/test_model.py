@@ -167,6 +167,13 @@ class TestBathSpec:
         with pytest.warns(TimescaleSeparationWarning):
             BathSpec(2 * np.pi * 1e7, tau_c=1e-6)
 
+    def test_timescale_warning_names_the_caller(self):
+        # not the dataclass-generated __init__ ("<string>")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            BathSpec(1e6, tau_c=1e-5)
+        assert [w.filename for w in seen] == [__file__]
+
     @pytest.mark.parametrize("product, warned", [(1.0, 1), (np.nextafter(1.0, 0.0), 0)])
     def test_timescale_rule_includes_one(self, product, warned):
         # BathSpec and compile_program share this one rule and message

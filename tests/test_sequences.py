@@ -18,7 +18,6 @@ from spinswap.sequences import (
     PulseProgram,
     SquarePulse,
     U_SWAP,
-    UnitaryWindow,
     VirtualZ,
     compile_program,
     ideal_propagator,
@@ -266,9 +265,17 @@ class TestCompile:
     def test_virtual_z_pair_cancels(self):
         prog = PulseProgram((VirtualZ(np.pi / 4, 0), VirtualZ(-np.pi / 4, 0)))
         windows = compile_program(prog, NONIDEN, self.bath)
-        assert all(isinstance(w, UnitaryWindow) for w in windows)
+        assert all(isinstance(w, (VirtualZ, IdealPi)) for w in windows)
         total = propagate(ket2dm(np.eye(4)[:, 0]), windows).channel_pass.channel
         assert max_norm(total - np.eye(16)) < 1e-12
+
+    def test_zero_duration_segments_are_their_own_windows(self):
+        prog = transport_protocol(CHAIN3, W1)
+        windows = compile_program(prog, CHAIN3, self.bath)
+        zero = [s for s in prog.segments if isinstance(s, (VirtualZ, IdealPi))]
+        own = [w for w in windows if isinstance(w, (VirtualZ, IdealPi))]
+        assert len(own) == len(zero) == 16
+        assert all(w is s for w, s in zip(own, zero))
 
     def test_repeated_segments_share_one_spec(self):
         x90 = SquarePulse(W1, 0.0, (0,), 1e-6)
@@ -346,13 +353,13 @@ class TestCompile:
     def test_ideal_pi_window_is_exact_unitary(self):
         prog = PulseProgram((IdealPi("x", 1),))
         windows = compile_program(prog, CHAIN3, self.bath)
-        assert isinstance(windows[0], UnitaryWindow)
+        assert isinstance(windows[0], (VirtualZ, IdealPi))
         rho = ket2dm(np.eye(8)[:, 0])
         channel = pauli_to_superop(propagate(rho, windows).channel_pass.channel)
         out = unvec(channel @ vec(rho))
         np.testing.assert_allclose(np.trace(out), 1.0, atol=1e-12)
         # the channel conjugates by the window's unitary: |000> -> |010>
-        u = segment_unitary(windows[0].segment, windows[0].nsites)
+        u = segment_unitary(windows[0], 3)
         np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-12)
         np.testing.assert_allclose(out[2, 2], 1.0, atol=1e-12)
 
@@ -412,7 +419,8 @@ class TestSegmentClosedForms:
         sequences.segment_transfer.cache_clear()
         prog = transport_protocol(CHAIN3, W1)
         windows = compile_program(prog, CHAIN3, BathSpec(0.0, tau_c=1e-18))
-        transfers = [w.transfer for w in windows if isinstance(w, UnitaryWindow)]
+        transfers = [segment_transfer(w, 3) for w in windows
+                     if isinstance(w, (VirtualZ, IdealPi))]
         assert transfers and calls == []
 
 
