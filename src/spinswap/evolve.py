@@ -3,10 +3,14 @@
 Generators are piecewise constant by construction, so each window is
 applied as a matrix exponential of its generator (exact up to expm
 accuracy, independent of the trajectory sampling); zero-duration segments
-are exact unitary conjugations.  `channel_pass` gives the program channel
-and the final state with one full-window exponential per distinct window
-and checks the channel (trace preservation, complete positivity);
-`propagate` samples the trajectory in the same walk over the windows.
+are exact unitary conjugations.  `channel_pass` gives the program channel,
+the product of the window propagators, and the final state, read off that
+channel, and checks the channel (trace preservation, complete
+positivity); `propagate` samples the trajectory in the same walk over the
+windows.  The propagator of a distinct (generator, time) is computed
+once per process while it stays in a bounded cache
+(`_propagator`, PROPAGATOR_CACHE_SIZE entries) that serves every walk:
+a sweep point at a new omega_1 reuses the delays of the points before it.
 
 The walk runs in real arithmetic on Pauli transfer matrices and Pauli
 coordinates: every generator preserves Hermiticity, so each is real in the
@@ -14,21 +18,23 @@ Pauli basis, and so are its exponentials, the channel and the states.
 `master.assemble` gives each generator in that basis already, so the walk
 converts no generator.  The channel stays a Pauli transfer matrix, checked
 and read in that basis; only the states are converted back to row-major
-d x d matrices (`linalg.from_pauli`), once per window, and checked as one
-stack at the end of the walk.  A state whose Gershgorin discs all lie
-above CERT_MARGIN is certified positive without an eigenvalue call; only
-the others go to `eigvalsh`.
+d x d matrices (`linalg.from_pauli`), the samples once per window, and
+checked as one stack at the end of the walk.  A state whose Gershgorin
+discs all lie above CERT_MARGIN is certified positive without an
+eigenvalue call; only the others go to `eigvalsh`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TextIO
 
 import numpy as np
 
 from .linalg import (choi_matrix, clip_to_density, expm, from_pauli,
-                     single_blas_thread, to_pauli, trace_defect)
+                     hermitian_min_eigenvalue, read_only, single_blas_thread,
+                     to_pauli, trace_defect)
 from .master import GeneratorSpec, assemble
 from .sequences import IdealPi, VirtualZ, segment_transfer
 
@@ -41,6 +47,15 @@ SAMPLES_PER_WINDOW = 50
 # eigvalsh minimum would be positive: it could not lower min_eig (which
 # starts at 0), be clipped or fail
 CERT_MARGIN = 1e-12
+# (spec, t) propagators a process keeps, one 64x64 float64 matrix (32 kB)
+# each for three spins: at most 1 MB in all.  A fig2 sweep point uses 11
+# (8 pulse, 3 delay), a fig3 point 4 (2 and 2), and `simulate` twice as
+# many, the sampling steps too.  Points that share omega_D and tau_c share
+# the delays, and the grid puts omega_D x tau_c innermost, so the delays
+# survive to the next omega_1 only on a small inner grid: all of them up to
+# 2 (omega_D, tau_c) combinations at fig2 and 7 at fig3, some at 3 and 8,
+# none beyond.
+PROPAGATOR_CACHE_SIZE = 32
 
 
 def rounding_floor(d: int) -> float:
@@ -73,13 +88,16 @@ class ChannelPass:
     channel: real (float64) Pauli transfer matrix R_ij = Tr(P_i S(P_j)) of
         the program's channel S over `linalg.pauli_strings`: the product of
         the window propagators in program order (identity for no windows).
-    final_state: the initial state stepped through every window boundary
-        (validated and clipped like a sampled state).
+    final_state: the channel applied to the initial state,
+        from_pauli(channel @ to_pauli(rho0)) (validated and clipped like a
+        sampled state).
     tp_defect: trace-preservation defect max_j |R_0j - delta_0j|.
     choi_min: smallest eigenvalue of the unnormalized Choi matrix
         sum_ij |i><j| (x) S(|i><j|), whose trace is the dimension d (8 for
         three spins) when S is trace preserving; S is completely positive
         iff choi_min >= 0 (Choi, Linear Algebra Appl. 10, 285 (1975)).
+        Taken per exact diagonal block of the symmetrized Choi matrix
+        (`linalg.hermitian_min_eigenvalue`).
     """
 
     channel: np.ndarray
@@ -163,43 +181,52 @@ def _checked(rhos: np.ndarray, times, stats: dict) -> np.ndarray:
     return states
 
 
+@lru_cache(maxsize=PROPAGATOR_CACHE_SIZE)
+def _propagator(spec: GeneratorSpec, t: float) -> np.ndarray:
+    """The propagator exp(t L) of the generator L of `spec`, as a read-only
+    real Pauli transfer matrix (`master.assemble`, then `linalg.expm`).
+
+    Kept per process for the PROPAGATOR_CACHE_SIZE most recently used
+    (spec, t).  Specs compare by value (`master.GeneratorSpec`), so windows
+    share an entry within a program, across the points of a sweep that
+    share it (the delays, at one omega_D and tau_c) and across compiles; an
+    equal spec assembles to the same bits, so a hit changes no number.
+    """
+    return read_only(expm(assemble(spec), t))
+
+
 @single_blas_thread()
 def _walk(rho0: np.ndarray, windows,
           sampled: bool) -> tuple[ChannelPass, Trajectory | None]:
     """One walk over the windows: the channel pass, and with `sampled` the
     sampled trajectory alongside it.
 
-    Windows that share a spec object share a generator (see
-    compile_program): each distinct generator is assembled once, as its real
-    Pauli transfer matrix, and each distinct (generator, duration)
-    exponentiated once over the full window and, with `sampled`, once over
-    the sampling step duration / SAMPLES_PER_WINDOW.  Both memos are keyed
-    by the spec itself, which compares and hashes by identity, and each
-    entry keeps its spec alive, so `windows` may be any iterable, a lazy
-    one included.  A zero-duration segment (`VirtualZ`, `IdealPi`) is its
-    own window: its transfer matrix on the register of `rho0` comes from
-    the per-segment cache (`sequences.segment_transfer`).  The sampled
-    chain keeps its own state and clock, so its samples do not depend on
-    the full-window propagators.  The channel, the
-    boundary states and the samples are stepped as real Pauli coordinates;
-    the boundary states are converted back to matrices after the walk and
-    the samples once per window, the initial state kept as given.  The
-    checks then run: the channel first (finite, trace preserving,
-    completely positive), then the boundary states, then the samples, each
-    stack in time order.  Every walk, whoever calls it, holds OpenBLAS at
-    one thread (`linalg.single_blas_thread`): the 64x64 operands are too
-    small to split.
+    Each generator window's propagators over the window and, with
+    `sampled`, over the sampling step duration / SAMPLES_PER_WINDOW come
+    from `_propagator`, so a distinct (generator, time) is assembled and
+    exponentiated once per process while it stays cached; `windows` may be
+    any iterable, a lazy one included.  A zero-duration segment
+    (`VirtualZ`, `IdealPi`) is its own window: its transfer matrix on the
+    register of `rho0` comes from the per-segment cache
+    (`sequences.segment_transfer`).  The channel is
+    the product of the propagators in program order, and the final state
+    is read off it, as the channel applied to the Pauli coordinates of
+    `rho0`.  The sampled chain keeps its own state and clock, so its
+    samples do not depend on the full-window propagators; they are stepped
+    as real Pauli coordinates and converted back to matrices once per
+    window, the initial state kept as given.  The checks then run: the
+    channel first (finite, trace preserving, completely positive), then
+    the initial and the final state, then the samples, each stack in time
+    order.  Every walk, whoever calls it, holds OpenBLAS at one thread
+    (`linalg.single_blas_thread`): the 64x64 operands are too small to
+    split.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     n = rho0.shape[0].bit_length() - 1
-    generators: dict[GeneratorSpec, np.ndarray] = {}
-    propagators: dict[tuple, tuple] = {}
     channel = None
     t = 0.0
-    r = to_pauli(rho0)
-    times, rs = [0.0], [r]
     t_sample = 0.0
-    u = r
+    u = r0 = to_pauli(rho0)
     sample_times, sample_states = [0.0], [rho0[None]]
     for w in windows:
         if isinstance(w, (VirtualZ, IdealPi)):
@@ -211,18 +238,10 @@ def _walk(rho0: np.ndarray, windows,
             continue
         else:
             nsub, dt = SAMPLES_PER_WINDOW, w.duration / SAMPLES_PER_WINDOW
-            key = (w.spec, w.duration)
-            if key not in propagators:
-                if w.spec not in generators:
-                    generators[w.spec] = assemble(w.spec)
-                gen = generators[w.spec]
-                propagators[key] = (expm(gen, w.duration),
-                                    expm(gen, dt) if sampled else None)
-            full, step = propagators[key]
+            full = _propagator(w.spec, w.duration)
+            if sampled:
+                step = _propagator(w.spec, dt)
             t += w.duration
-        r = full @ r
-        rs.append(r)
-        times.append(t)
         channel = full if channel is None else full @ channel
         if sampled:
             us = np.empty((nsub, u.size))
@@ -235,7 +254,7 @@ def _walk(rho0: np.ndarray, windows,
             # in another order and move the rounding-level eigenvalues
             sample_states.append(from_pauli(us))
     if channel is None:
-        channel = np.eye(r.size)
+        channel = np.eye(r0.size)
     if not np.isfinite(channel).all():
         raise ChannelError("program channel has a non-finite entry")
     tp_defect = trace_defect(channel)
@@ -243,14 +262,13 @@ def _walk(rho0: np.ndarray, windows,
         raise ChannelError(f"channel not trace preserving: defect {tp_defect:.3e} "
                            f"above {TRACE_TOL:.0e}")
     choi = choi_matrix(channel)
-    choi_min = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
+    choi_min = hermitian_min_eigenvalue(0.5 * (choi + choi.conj().T))
     if choi_min < EIG_FLOOR:
         raise ChannelError(f"channel not completely positive: Choi eigenvalue "
                            f"{choi_min:.3e} below floor {EIG_FLOOR:.0e}")
-    states = from_pauli(np.array(rs))
-    states[0] = rho0
-    boundary = _checked(states, times, {"clips": 0, "min_eig": 0.0})
-    result = ChannelPass(channel, boundary[-1], tp_defect, choi_min)
+    ends = _checked(np.array([rho0, from_pauli(channel @ r0)]), [0.0, t],
+                    {"clips": 0, "min_eig": 0.0})
+    result = ChannelPass(channel, ends[-1], tp_defect, choi_min)
     if not sampled:
         return result, None
     stats = {"clips": 0, "min_eig": 0.0}
@@ -262,11 +280,12 @@ def _walk(rho0: np.ndarray, windows,
 def channel_pass(rho0: np.ndarray, windows) -> ChannelPass:
     """The program channel and the final state, with no sampled states.
 
-    The initial state is stepped through the window boundaries.  Raises
+    The final state is the channel applied to the initial state.  Raises
     ChannelError if the channel has a non-finite entry, if its
     trace-preservation defect exceeds TRACE_TOL or if its Choi minimum lies
     below EIG_FLOOR, and the errors of the state checks (trace,
-    Hermiticity, PositivityError) if a boundary state fails them.
+    Hermiticity, PositivityError) if the initial or the final state fails
+    them.
     """
     return _walk(rho0, windows, sampled=False)[0]
 

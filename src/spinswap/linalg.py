@@ -21,9 +21,10 @@ are tested at one to four); only `sequences.check_transport_chain` fixes
 three spins, for the transport protocol (8-dimensional Hilbert space, 64
 Pauli strings).  The one sparsity used is block-diagonal: `expm`
 exponentiates each diagonal block of its argument, and every window
-generator has several.  The module needs numpy alone: the matrix
-exponential is a Taylor scaling-and-squaring kernel built from matrix
-products (`expm`), and `single_blas_thread` pins numpy's OpenBLAS.
+generator has several; `hermitian_min_eigenvalue` takes the spectrum of a
+Choi matrix per block the same way.  The module needs numpy alone: the
+matrix exponential is a Taylor scaling-and-squaring kernel built from
+matrix products (`expm`), and `single_blas_thread` pins numpy's OpenBLAS.
 """
 
 from __future__ import annotations
@@ -180,6 +181,18 @@ def choi_matrix(transfer: np.ndarray) -> np.ndarray:
     # axes (c, a) of P_k and (b, e) of S(P_k) -> (a, b, c, e)
     out = strings.T @ (transfer.T @ strings)
     return out.reshape(d, d, d, d).transpose(1, 2, 0, 3).reshape(d * d, d * d)
+
+
+def hermitian_min_eigenvalue(h: np.ndarray) -> float:
+    """The smallest eigenvalue of the Hermitian matrix h, from `eigvalsh`
+    on each of its diagonal blocks (`_block_cells`): the connected
+    components of its nonzero pattern.  The entries between blocks are
+    exact zeros, so the blocks' spectra make up the whole spectrum; an
+    irreducible matrix is one block."""
+    h = np.ascontiguousarray(h)
+    flat = h.reshape(-1)
+    return min(float(np.linalg.eigvalsh(flat[cells]).min())
+               for cells in _block_cells(h.shape[0], np.packbits(h != 0).tobytes()))
 
 
 def trace_defect(transfer: np.ndarray) -> float:

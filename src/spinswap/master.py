@@ -83,8 +83,12 @@ class GeneratorSpec:
         components carry (derived, not an argument); `assemble` reads the
         point from it and tau_c.
 
-    A spec compares and hashes by identity: windows share a generator by
-    sharing one spec object (`sequences.compile_program`).
+    A spec compares and hashes by value, by the attribute `key` (derived,
+    not a field): the shape key, the scales in order and tau_c, all that
+    the generator depends on.  The labels name the unit operators exactly,
+    so specs with equal keys, from one compile or from two, assemble to
+    bitwise-equal generators and may share propagators
+    (`evolve._propagator`).  Key and hash are computed once, here.
     """
 
     components: tuple[HarmonicComponent, ...]
@@ -101,16 +105,26 @@ class GeneratorSpec:
                 raise ValueError(f"components of mechanism {c.mechanism} carry "
                                  f"different scales")
         object.__setattr__(self, "scales", scales)
+        shape_key = (self.dim, tuple((c.mechanism.value, c.label, c.env_site, c.coherent)
+                                     for c in self.components))
+        key = (shape_key, tuple(scales.values()), self.bath.tau_c)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if not isinstance(other, GeneratorSpec):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self) -> int:
         return self.components[0].unit.shape[0]
 
     def shape(self) -> GeneratorShape:
-        comps = self.components
-        key = (self.dim, tuple((c.mechanism.value, c.label, c.env_site, c.coherent)
-                               for c in comps))
-        return GeneratorShape(key, comps)
+        return GeneratorShape(self.key[0], self.components)
 
 
 def _coherent_hamiltonian(ops: np.ndarray) -> np.ndarray:

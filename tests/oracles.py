@@ -17,13 +17,19 @@ column i is vec(P_i); `pauli_to_superop` converts back, and
 `choi_of_superop` is the Choi matrix read off that form.
 `checked_reference` is the state check with an `eigvalsh` call on every
 state, which `evolve._checked` spares where a Gershgorin bound certifies
-positivity.
+positivity.  `dense_choi_min` is the Choi spectrum from one dense
+`eigvalsh`, which `linalg.hermitian_min_eigenvalue` takes per block;
+`stepped_final_state` steps the initial state through the windows, where
+`evolve` reads the final state off the program channel.
 """
 
 import numpy as np
+from scipy.linalg import expm as scipy_expm
 
 from spinswap.evolve import (EIG_FLOOR, HERM_TOL, TRACE_TOL, PositivityError,
                              rounding_floor)
+from spinswap.master import assemble
+from spinswap.sequences import IdealPi, VirtualZ, segment_unitary
 from spinswap.linalg import (
     HERMITICITY_TOL,
     PAULI_REAL_TOL,
@@ -154,6 +160,28 @@ def choi_of_superop(superop: np.ndarray) -> np.ndarray:
             e_ij = np.outer(np.eye(d)[i], np.eye(d)[j])
             choi += np.kron(e_ij, unvec(superop @ vec(e_ij)))
     return choi
+
+
+def dense_choi_min(transfer: np.ndarray) -> float:
+    """The smallest eigenvalue of the symmetrized Choi matrix of the Pauli
+    transfer matrix R, read off its column-stacking superoperator
+    (`choi_of_superop`), from one `eigvalsh` of the whole matrix."""
+    choi = choi_of_superop(pauli_to_superop(transfer))
+    return float(np.linalg.eigvalsh(0.5 * (choi + dagger(choi))).min())
+
+
+def stepped_final_state(rho0: np.ndarray, windows) -> np.ndarray:
+    """The initial state stepped through the windows one at a time in
+    column stacking: a generator window by scipy's expm of its assembled
+    generator, a zero-duration segment by conjugation with its unitary."""
+    n = rho0.shape[0].bit_length() - 1
+    v = vec(rho0)
+    for w in windows:
+        if isinstance(w, (VirtualZ, IdealPi)):
+            v = conjugation_superop(segment_unitary(w, n)) @ v
+        elif w.duration > 0:
+            v = scipy_expm(pauli_to_superop(assemble(w.spec)) * w.duration) @ v
+    return unvec(v)
 
 
 def kossakowski_matrix(gen: np.ndarray) -> np.ndarray:

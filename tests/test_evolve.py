@@ -41,7 +41,8 @@ from spinswap.sweep import GridSpec, evaluate_point, run_sweep, run_transport
 from chains import resolved_chain
 from oracles import (brute_force_dissipator, checked_reference, choi_of_superop,
                      conjugation_superop, pauli_to_superop, reference_dissipator,
-                     reference_first_order, superop_to_pauli, unvec, vec)
+                     reference_first_order, stepped_final_state, superop_to_pauli,
+                     unvec, vec)
 
 W1 = 2 * np.pi * 1.5e5
 WSE = 2 * np.pi * 1.0e5
@@ -310,20 +311,24 @@ def counting_calls(monkeypatch, targets):
 
 
 class TestDistinctGenerators:
-    @pytest.mark.parametrize("preset, assembles, expms, segments, validated, monomials",
-                             [("fig2", 9, 22, 7, 850, 43), ("fig3", 3, 8, 1, 524, 13)],
-                             ids=["fig2-9-22", "fig3-3-8"])
+    @pytest.mark.parametrize(
+        "preset, shapes, assembles, expms, segments, validated, monomials",
+        [("fig2", 9, 22, 22, 7, 819, 43), ("fig3", 3, 8, 8, 1, 509, 13)],
+        ids=["fig2-9-22", "fig3-3-8"])
     def test_one_assemble_and_expm_pair_per_distinct_generator(
-            self, monkeypatch, preset, assembles, expms, segments, validated, monomials):
-        # simulate walks the windows once: one assemble per distinct
-        # generator, one full-window and one sampling-step expm per
-        # distinct (generator, duration), and each boundary state and
-        # sample validated once.  The walk builds no transfer matrix: each
-        # distinct shape's monomial matrices and each distinct segment's
-        # transfer matrix are built once per process (one
-        # `linalg.pauli_transfer` call each) and serve every later run.  A pulse shape has 5 monomials (the drive's linear
-        # term; coupling-coupling, coupling-drive, environment-environment
-        # and drive-drive quadratic terms), the delay shape 3.
+            self, monkeypatch, preset, shapes, assembles, expms, segments, validated,
+            monomials):
+        # simulate walks the windows once: one full-window and one
+        # sampling-step propagator per distinct (generator, duration), each
+        # a miss of the propagator cache with its own assemble and expm,
+        # and the initial and final states and each sample validated once.
+        # The walk builds no transfer matrix: each distinct shape's monomial
+        # matrices and each distinct segment's transfer matrix are built
+        # once per process (one `linalg.pauli_transfer` call each) and serve
+        # every later run.  A pulse shape has 5 monomials (the drive's
+        # linear term; coupling-coupling, coupling-drive,
+        # environment-environment and drive-drive quadratic terms), the
+        # delay shape 3.
         sequences.segment_unitary.cache_clear()
         sequences.segment_transfer.cache_clear()
         master._cached_polynomial.cache_clear()
@@ -338,14 +343,15 @@ class TestDistinctGenerators:
                             lambda rhos, *args: checked.append(len(rhos)) or real(rhos, *args))
         run_preset_point(preset, sampled=True)
         assert (calls["assemble"], calls["expm"]) == (assembles, expms)
-        assert master._cached_polynomial.cache_info().currsize == assembles
+        assert master._cached_polynomial.cache_info().currsize == shapes
         assert monomial_calls["pauli_transfer"] == monomials
         assert segment_calls["pauli_transfer"] == segments
         assert sum(checked) == validated
         run_preset_point(preset, sampled=True)
+        assert (calls["assemble"], calls["expm"]) == (assembles, expms)
         assert monomial_calls["pauli_transfer"] == monomials
         assert segment_calls["pauli_transfer"] == segments
-        assert master._cached_polynomial.cache_info().currsize == assembles
+        assert master._cached_polynomial.cache_info().currsize == shapes
 
     def test_warm_point_builds_no_shape_and_no_kronecker_product(self, monkeypatch):
         # once the operator table, the segment transfer matrices and the
@@ -368,12 +374,15 @@ class TestDistinctGenerators:
         assert len(calls) == 0
         assert sum(counts.values()) == 0
         assert (after.misses, after.currsize) == (before.misses, before.currsize)
-        assert after.hits == before.hits + 9
+        # every (generator, duration) is new: one assemble each
+        assert after.hits == before.hits + 11
 
     @pytest.mark.parametrize("preset, assembles, expms",
-                             [("fig2", 9, 11), ("fig3", 3, 4)])
+                             [("fig2", 11, 11), ("fig3", 4, 4)],
+                             ids=["fig2-9-11", "fig3-3-4"])
     def test_sweep_point_exponentiates_full_windows_only(
             self, monkeypatch, preset, assembles, expms):
+        # the same point again, compiled anew, finds every propagator cached
         calls = counting_calls(monkeypatch, [(evolve, "assemble"), (evolve, "expm"),
                                              (sweep, "propagate")])
         run_preset_point(preset)
@@ -381,25 +390,74 @@ class TestDistinctGenerators:
         cfg = load_preset(preset)
         evaluate_point(cfg.chain, cfg.bath, cfg.omega1,
                        2 * np.pi * cfg.chain.coupling_j((0, 2)), cfg.bath.tau_c)
-        assert (calls["assemble"], calls["expm"]) == (2 * assembles, 2 * expms)
+        assert (calls["assemble"], calls["expm"]) == (assembles, expms)
         assert calls["propagate"] == 0
 
-    def test_shared_specs_change_no_number(self):
-        # a copy of the spec per window defeats the memo: every window is
-        # then assembled and exponentiated on its own, as before sharing
+    def test_shared_specs_change_no_number(self, monkeypatch):
+        # a copy of the spec per window, with the propagator cache cleared
+        # before each window, defeats every memo: each window is then
+        # assembled and exponentiated on its own, as before sharing
         program, traj, _ = run_preset_point("fig2", sampled=True)
         cfg = load_preset("fig2")
-        windows = [
-            replace(w, spec=replace(w.spec)) if hasattr(w, "spec") else w
-            for w in compile_program(program, cfg.chain, cfg.bath)
-        ]
-        own = propagate(ket2dm(program.meta["initial_state"]), windows)
+
+        def one_by_one():
+            for w in compile_program(program, cfg.chain, cfg.bath):
+                evolve._propagator.cache_clear()
+                yield replace(w, spec=replace(w.spec)) if hasattr(w, "spec") else w
+
+        calls = counting_calls(monkeypatch, [(evolve, "assemble"), (evolve, "expm")])
+        own = propagate(ket2dm(program.meta["initial_state"]), one_by_one())
+        assert (calls["assemble"], calls["expm"]) == (32, 32)  # 16 windows
         np.testing.assert_array_equal(own.times, traj.times)
         np.testing.assert_array_equal(np.array(own.states), np.array(traj.states))
         np.testing.assert_array_equal(own.channel_pass.channel, traj.channel_pass.channel)
         np.testing.assert_array_equal(own.channel_pass.final_state,
                                       traj.channel_pass.final_state)
         assert (own.clip_count, own.min_eigenvalue) == (traj.clip_count, traj.min_eigenvalue)
+
+    @pytest.mark.parametrize("preset, expms", [("fig2", 8), ("fig3", 2)])
+    def test_new_omega1_reuses_the_delays(self, monkeypatch, preset, expms):
+        # a point at a new omega_1 but the same omega_D and tau_c compiles
+        # equal delay specs: only its pulse windows are exponentiated
+        cfg = load_preset(preset)
+        omega_d = 2 * np.pi * cfg.chain.coupling_j((0, 2))
+        evaluate_point(cfg.chain, cfg.bath, cfg.omega1, omega_d, cfg.bath.tau_c)
+        calls = counting_calls(monkeypatch, [(evolve, "expm")])
+        evaluate_point(cfg.chain, cfg.bath, 1.37 * cfg.omega1, omega_d, cfg.bath.tau_c)
+        assert calls["expm"] == expms
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_point_order_changes_no_bit(self, monkeypatch, preset):
+        # the preset sweep's points in reverse order, from a cold cache, give
+        # the same records and channels bit for bit: a cached propagator
+        # never depends on which points came before
+        grid = load_preset(preset).grid
+        passes = []
+        real = sweep.channel_pass
+        monkeypatch.setattr(sweep, "channel_pass",
+                            lambda rho0, windows: passes.append(real(rho0, windows)) or passes[-1])
+        jobs = [(grid,) + p for p in grid.points()]
+        forward = [sweep._point_record(j) for j in jobs]
+        evolve._propagator.cache_clear()
+        backward = [sweep._point_record(j) for j in reversed(jobs)][::-1]
+        bits = lambda r: repr(replace(r, wall_time=0.0))
+        assert [r.status for r in forward] == ["ok"] * len(jobs)
+        assert [bits(r) for r in backward] == [bits(r) for r in forward]
+        for a, b in zip(passes[:len(jobs)], passes[:len(jobs) - 1:-1]):
+            assert a.channel.tobytes() == b.channel.tobytes()
+            assert a.final_state.tobytes() == b.final_state.tobytes()
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
+    def test_final_state_matches_the_stepped_state(self, preset, scale):
+        # the final state read off the channel against the initial state
+        # stepped through every window boundary
+        cfg = load_preset(preset)
+        program = transport_protocol(cfg.chain, scale * cfg.omega1, cfg.refocusing)
+        windows = compile_program(program, cfg.chain, cfg.bath)
+        rho0 = ket2dm(program.meta["initial_state"])
+        got = channel_pass(rho0, windows).final_state
+        assert max_norm(got - stepped_final_state(rho0, windows)) < 1e-12
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3"])
     def test_lazy_windows_match_the_list(self, preset):
@@ -496,6 +554,7 @@ class TestChannelChecks:
         windows = compile_program(program, cfg.chain, bath)
         rho0 = ket2dm(program.meta["initial_state"])
         channel_pass(rho0, windows)  # the undoctored program passes
+        evolve._propagator.cache_clear()  # and leaves no propagator behind
         first = next(w for w in windows if hasattr(w, "spec"))
         assert sum(w.spec is first.spec for w in windows if hasattr(w, "spec")) == 1
         # the walk exponentiates the assembled Pauli transfer generator, so
@@ -638,8 +697,9 @@ class TestBatchedChecks:
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3"])
     def test_certificate_spares_most_preset_states(self, monkeypatch, preset):
-        # eigvalsh sees the Choi matrix and fewer than half of the states of
-        # each checked stack (boundary states, then samples)
+        # eigvalsh sees the Choi matrix's two diagonal blocks, the pure
+        # initial state of the initial and final pair, and fewer than half
+        # of the samples
         checked, shapes = [], []
         real_checked, real_eigvalsh = evolve._checked, np.linalg.eigvalsh
         monkeypatch.setattr(evolve, "_checked", lambda rhos, *args: (
@@ -647,10 +707,10 @@ class TestBatchedChecks:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: (
             shapes.append(a.shape) or real_eigvalsh(a)))
         run_preset_point(preset, sampled=True)
-        assert shapes[0] == (64, 64)
+        assert shapes[0] == (2, 32, 32)
         assert len(shapes) == 1 + len(checked) == 3
-        for shape, total in zip(shapes[1:], checked):
-            assert 0 < shape[0] < 0.5 * total
+        assert checked[0] == 2 and shapes[1][0] == 1
+        assert 0 < shapes[2][0] < 0.5 * checked[1]
 
     def test_clipping_matches_per_sample_path(self):
         rhos = state_stack([0.0, -1e-10, 1e-3, -3e-9, -1e-12, 0.0])

@@ -17,6 +17,7 @@ from spinswap.linalg import (
     embed,
     expm,
     from_pauli,
+    hermitian_min_eigenvalue,
     identity,
     ket2dm,
     kron_all,
@@ -33,11 +34,13 @@ from spinswap.linalg import (
 )
 from spinswap.master import assemble
 from spinswap.model import Mechanism
+import spinswap.sweep as sweep
 from spinswap.sweep import run_transport
 
 from oracles import (
     choi_of_superop,
     commutator_superop,
+    dense_choi_min,
     conjugation_superop,
     left_mult,
     pauli_to_superop,
@@ -207,6 +210,78 @@ class TestChoiMatrix:
         np.testing.assert_array_equal(unvec(transpose @ vec(rho)), rho.T)
         w = np.linalg.eigvalsh(choi_matrix(superop_to_pauli(transpose)))
         assert w.min() == pytest.approx(-1.0)
+
+
+def random_generator(rng, nqubits, kind):
+    """A random GKLS generator as a Pauli transfer matrix: a Hamiltonian
+    and two jump operators, dense, diagonal, or conserving the number of
+    up spins (`kind`), so that its channels have a one-block, a many-block
+    or a two-sector Choi matrix."""
+    d = 2**nqubits
+    strings = pauli_strings(nqubits)
+    ones = np.array([bin(i).count("1") for i in range(d)])
+    mask = {"dense": np.ones((d, d)), "diagonal": np.eye(d),
+            "number": ones[:, None] == ones[None, :]}[kind]
+
+    def op():
+        return mask * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+    h = op()
+    h = h + dagger(h)
+    images = -1j * (h @ strings - strings @ h)
+    for _ in range(2):
+        jump = 0.3 * op()
+        jj = dagger(jump) @ jump
+        images = images + jump @ strings @ dagger(jump) - 0.5 * (jj @ strings + strings @ jj)
+    return pauli_transfer(images)
+
+
+def symmetrized(a):
+    return 0.5 * (a + dagger(a))
+
+
+class TestChoiSpectrum:
+    """The Choi spectrum per diagonal block against one dense `eigvalsh`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(nqubits=st.integers(1, 3), kind=st.sampled_from(["dense", "diagonal", "number"]),
+           log_t=st.floats(-3.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_block_minimum_matches_dense_eigvalsh(self, nqubits, kind, log_t, seed):
+        rng = np.random.default_rng(seed)
+        r = expm(random_generator(rng, nqubits, kind), 10.0**log_t)
+        got = hermitian_min_eigenvalue(symmetrized(choi_matrix(r)))
+        assert abs(got - dense_choi_min(r)) <= 1e-12
+
+    def test_block_minimum_of_block_diagonal_matrices(self):
+        # shuffled Hermitian blocks, one of them carrying the minimum
+        rng = np.random.default_rng(22)
+        blocks = np.split(rng.permutation(24), [3, 4, 12])
+        h = np.zeros((24, 24), dtype=complex)
+        for b in blocks:
+            m = rng.normal(size=(b.size, b.size)) + 1j * rng.normal(size=(b.size, b.size))
+            h[np.ix_(b, b)] = m + dagger(m)
+        assert partition(h) == sorted(sorted(b.tolist()) for b in blocks)
+        want = np.linalg.eigvalsh(h).min()
+        assert abs(hermitian_min_eigenvalue(h) - want) <= 1e-12 * max_norm(h)
+        assert hermitian_min_eigenvalue(np.eye(5)) == 1.0
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_preset_sweep_points(self, monkeypatch, preset):
+        # every channel of the preset sweep: a Choi matrix of two exact
+        # blocks of 32, whose minimum is the dense one and the record's
+        passes = []
+        real = sweep.channel_pass
+        monkeypatch.setattr(sweep, "channel_pass",
+                            lambda rho0, windows: passes.append(real(rho0, windows)) or passes[-1])
+        records = sweep.run_sweep(load_preset(preset).grid)
+        assert len(passes) == len(records) == 12
+        for run, record in zip(passes, records):
+            h = symmetrized(choi_matrix(run.channel))
+            sizes = [c.shape[:2] for c in
+                     linalg._block_cells(64, np.packbits(h != 0).tobytes())]
+            assert sizes == [(2, 32)]
+            assert record.choi_min == run.choi_min == hermitian_min_eigenvalue(h)
+            assert abs(run.choi_min - dense_choi_min(run.channel)) <= 1e-12
 
 
 class TestTraceDefect:

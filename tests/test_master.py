@@ -400,3 +400,43 @@ class TestVectorizedAssembly:
         b = component(W1 * IY, scale=2 * W1)
         with pytest.raises(ValueError, match="different scales"):
             GeneratorSpec((a, b), make_bath())
+
+
+class TestSpecValue:
+    """Specs compare and hash by value: the shape key, the scales and tau_c."""
+
+    @staticmethod
+    def compiled_specs(preset="fig2"):
+        cfg = load_preset(preset)
+        program = transport_protocol(cfg.chain, cfg.omega1, cfg.refocusing)
+        return [w.spec for w in compile_program(program, cfg.chain, cfg.bath)
+                if hasattr(w, "spec")]
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_equal_specs_from_two_compiles(self, preset):
+        first, second = self.compiled_specs(preset), self.compiled_specs(preset)
+        for a, b in zip(first, second):
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+            assert a.shape() == b.shape()
+        assert len(set(first + second)) == len(set(first))
+
+    def test_tau_c_scales_and_labels_make_specs_unequal(self):
+        spec = next(s for s in self.compiled_specs()
+                    if any(c.mechanism is Mechanism.DRIVE for c in s.components))
+        bath = spec.bath
+        changed = [GeneratorSpec(spec.components,
+                                 BathSpec(bath.omega_se, tau_c=1.5 * bath.tau_c))]
+        for m in spec.scales:
+            changed.append(GeneratorSpec(tuple(
+                replace(c, scale=1.5 * c.scale) if c.mechanism is m else c
+                for c in spec.components), bath))
+        for k, c in enumerate(spec.components):
+            comps = list(spec.components)
+            comps[k] = replace(c, label=c.label + ("other",))
+            changed.append(GeneratorSpec(tuple(comps), bath))
+        assert len(spec.scales) == 3 and len(changed) == 1 + 3 + len(spec.components)
+        for other in changed:
+            assert other != spec
+        assert len(set(changed)) == len(changed)
+        assert GeneratorSpec(spec.components, bath) == spec
