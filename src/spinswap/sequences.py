@@ -319,13 +319,8 @@ def transport_protocol(chain: ChainSpec, drive_amp: float,
 # ---------------------------------------------------------------------------
 
 
-# Segments are frozen dataclasses that do not depend on the sweep point, so
-# each distinct (segment, register size) is built once per process; the
-# bound keeps programs with many distinct angles from growing the caches.
-@lru_cache(maxsize=256)
 def segment_unitary(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
-    """Exact propagator of a zero-duration segment on an n-spin register,
-    read-only.
+    """Exact propagator of a zero-duration segment on an n-spin register.
 
     Closed forms, no exponential: exp(-i angle Iz_k) is diagonal with
     entries exp(-i angle m_k), m_k = +-1/2 the site's Iz eigenvalue; and
@@ -333,16 +328,18 @@ def segment_unitary(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
     """
     ops = site_operators(n)
     if isinstance(seg, VirtualZ):
-        u = np.diag(np.exp(-1j * seg.angle * np.diagonal(ops.z[seg.target])))
-    else:
-        u = -2j * getattr(ops, seg.axis)[seg.target]
-    return read_only(u)
+        return np.diag(np.exp(-1j * seg.angle * np.diagonal(ops.z[seg.target])))
+    return -2j * getattr(ops, seg.axis)[seg.target]
 
 
+# Segments are frozen dataclasses that do not depend on the sweep point, so
+# each distinct (segment, register size) is built once per process; the
+# bound keeps programs with many distinct angles from growing the cache.
 @lru_cache(maxsize=256)
 def segment_transfer(seg: VirtualZ | IdealPi, n: int) -> np.ndarray:
     """Real Pauli transfer matrix of rho -> U rho U^dag for the segment's
-    unitary U (`segment_unitary`), read-only."""
+    unitary U (`segment_unitary`), read-only; the window walk's one cache
+    of zero-duration segments."""
     return read_only(unitary_transfer(segment_unitary(seg, n)))
 
 
@@ -410,7 +407,10 @@ def compile_program(program: PulseProgram, chain: ChainSpec,
     targets, resonant with each.  Virtual-z and ideal-pi segments are
     their own (zero-duration) windows, the program's segment objects
     themselves; the walk applies each exactly on the state's register,
-    with the per-segment caches (`segment_unitary`, `segment_transfer`).
+    through the per-segment cache `segment_transfer`.
+
+    All delays share one spec and each pulse gets its own; specs compare
+    by value, so the walk's propagator cache finds repeated windows.
 
     Each pair couples in the form the chain records for it.  The timescale
     check uses the largest pulse amplitude as omega_1.  Raises ValueError
@@ -433,25 +433,16 @@ def compile_program(program: PulseProgram, chain: ChainSpec,
         delay_comps = (coupling,) + env_comps
         pulse_comps = (replace(coupling, coherent=False),) + env_comps
 
-    def pulse_spec(seg: SquarePulse) -> GeneratorSpec:
-        drive = drive_hamiltonian(seg.amplitude, seg.phase, seg.targets, chain)
-        return GeneratorSpec(pulse_comps + tuple(drive), bath)
-
-    # One spec object per distinct generator: all delays share one, and
-    # pulses share one per drive (amplitude, phase, targets), so a channel
-    # pass can assemble each generator once.
-    specs: dict = {}
+    delay_spec = None
     windows: list[Window] = []
     for seg in program.segments:
         if isinstance(seg, Delay):
-            if "delay" not in specs:
-                specs["delay"] = GeneratorSpec(delay_comps, bath)
-            windows.append(GeneratorWindow(specs["delay"], seg.duration))
+            delay_spec = delay_spec or GeneratorSpec(delay_comps, bath)
+            windows.append(GeneratorWindow(delay_spec, seg.duration))
         elif isinstance(seg, SquarePulse):
-            key = (seg.amplitude, seg.phase, seg.targets)
-            if key not in specs:
-                specs[key] = pulse_spec(seg)
-            windows.append(GeneratorWindow(specs[key], seg.duration))
+            drive = drive_hamiltonian(seg.amplitude, seg.phase, seg.targets, chain)
+            windows.append(GeneratorWindow(GeneratorSpec(pulse_comps + tuple(drive), bath),
+                                           seg.duration))
         elif isinstance(seg, (VirtualZ, IdealPi)):
             windows.append(seg)
         else:

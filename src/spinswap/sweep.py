@@ -168,8 +168,11 @@ def _point_record(args) -> SweepRecord:
 
 
 def run_sweep(grid: GridSpec, workers: int = 1) -> list[SweepRecord]:
-    """Evaluate every grid point; output order is grid order always."""
+    """Evaluate every grid point; output order is grid order always.  At
+    most one worker process per point, since a pool starts all of its
+    workers up front; one worker, or one point, runs in this process."""
     jobs = [(grid, w1, wd, tc) for (w1, wd, tc) in grid.points()]
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [_point_record(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -329,7 +329,6 @@ class TestDistinctGenerators:
         # linear term; coupling-coupling, coupling-drive,
         # environment-environment and drive-drive quadratic terms), the
         # delay shape 3.
-        sequences.segment_unitary.cache_clear()
         sequences.segment_transfer.cache_clear()
         master._cached_polynomial.cache_clear()
         calls = counting_calls(monkeypatch, [(evolve, "assemble"), (evolve, "expm")])

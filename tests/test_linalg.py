@@ -570,7 +570,7 @@ class TestDiagonalBlocks:
                    if isinstance(w, sequences.GeneratorWindow) and w.duration > 0]
         kinds = set()
         # one window per generator and duration, as the window walk has them
-        for w in {(id(w.spec), w.duration): w for w in windows}.values():
+        for w in {(w.spec, w.duration): w for w in windows}.values():
             kind = ("pulse" if any(c.mechanism is Mechanism.DRIVE for c in w.spec.components)
                     else "delay")
             kinds.add(kind)

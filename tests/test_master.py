@@ -268,7 +268,7 @@ def preset_specs(name):
     cfg = load_preset(name)
     program = transport_protocol(cfg.chain, cfg.omega1, refocus=cfg.refocusing)
     windows = compile_program(program, cfg.chain, cfg.bath)
-    return list({id(w.spec): w.spec for w in windows if hasattr(w, "spec")}.values())
+    return list(dict.fromkeys(w.spec for w in windows if hasattr(w, "spec")))
 
 
 class TestVectorizedAssembly:
@@ -363,7 +363,7 @@ class TestVectorizedAssembly:
         bath = BathSpec(cfg.bath.omega_se, tau_c=0.6 * cfg.bath.tau_c)
         program = transport_protocol(chain, 1.7 * cfg.omega1)
         windows = compile_program(program, chain, bath)
-        specs = list({id(w.spec): w.spec for w in windows if hasattr(w, "spec")}.values())
+        specs = list(dict.fromkeys(w.spec for w in windows if hasattr(w, "spec")))
         assert [s.shape() for s in specs] == [s.shape() for s in preset_specs("fig2")]
         assert len({s.shape() for s in specs}) == 9
         shifted = replace(program, segments=tuple(

@@ -289,11 +289,11 @@ class TestCompile:
         ))
         d1, p1, d2, p2, _, y90, other, strong, long_x, d3 = compile_program(
             prog, NONIDEN, self.bath)
-        assert d1.spec is d2.spec is d3.spec
+        assert d1.spec == d2.spec == d3.spec
         # the spec depends on the drive, not on the pulse duration
-        assert p1.spec is p2.spec is long_x.spec
+        assert p1.spec == p2.spec == long_x.spec
         specs = [d1.spec, p1.spec, y90.spec, other.spec, strong.spec]
-        assert len({id(s) for s in specs}) == len(specs)
+        assert len(set(specs)) == 5
 
     def test_pulse_window_gains_drive_components(self):
         prog = PulseProgram((SquarePulse(W1, 0.0, (0,), 1e-6),))
@@ -388,9 +388,8 @@ class TestSegmentClosedForms:
     def test_built_once_and_read_only(self):
         seg = VirtualZ(np.pi / 4, 2)
         u, r = segment_unitary(seg, 3), segment_transfer(seg, 3)
-        assert segment_unitary(VirtualZ(np.pi / 4, 2), 3) is u
         assert segment_transfer(VirtualZ(np.pi / 4, 2), 3) is r
-        assert not u.flags.writeable and not r.flags.writeable
+        assert not r.flags.writeable
         assert r.dtype == float
         assert max_norm(r - superop_to_pauli(conjugation_superop(u))) < 1e-15
 
@@ -415,7 +414,6 @@ class TestSegmentClosedForms:
         real = sequences.expm
         monkeypatch.setattr(sequences, "expm",
                             lambda *args: calls.append(1) or real(*args))
-        sequences.segment_unitary.cache_clear()
         sequences.segment_transfer.cache_clear()
         prog = transport_protocol(CHAIN3, W1)
         windows = compile_program(prog, CHAIN3, BathSpec(0.0, tau_c=1e-18))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spinswap.evolve as evolve
 import spinswap.linalg as linalg
 import spinswap.master as master
-import spinswap.model as model
 import spinswap.sequences as sequences
+import spinswap.sweep as sweep
 from spinswap.model import BathSpec, default_coarse_grain_dt
 from spinswap.sweep import (
     GridSpec,
@@ -21,6 +22,7 @@ from spinswap.sweep import (
 from spinswap.sequences import transport_protocol
 
 from chains import resolved_chain
+from conftest import clear_package_caches, package_caches
 
 J = 1.5e5
 W1 = 2 * np.pi * 1.5e5
@@ -97,25 +99,52 @@ class TestRunSweep:
            step=st.floats(1.1, 3.0))
     def test_any_worker_count_gives_the_same_records(self, shape, omega1_scale,
                                                      wse_tauc, step):
-        # with the caches emptied first, each pool worker builds its own
-        # Pauli basis, operator table, unit operators, segment transfer
-        # matrices and generator shapes; the records must not notice
+        # with every cache emptied first, each forked pool worker builds its
+        # own Pauli basis, operator tables, unit operators, segment transfer
+        # matrices, generator shapes, block patterns and window
+        # propagators; the records must not notice
         n_w1, n_tc = shape
         grid = small_grid(
             omega1_values=tuple(omega1_scale * W1 * step**k for k in range(n_w1)),
             tauc_values=tuple(wse_tauc / WSE * step**k for k in range(n_tc)),
         )
-        for cached in (linalg.site_operators, linalg.pauli_strings,
-                       linalg._string_rows, sequences.segment_unitary,
-                       sequences.segment_transfer, model._coupling_unit,
-                       model._drive_axis, model._env_components,
-                       master._cached_polynomial):
-            cached.cache_clear()
+        clear_package_caches()
         parallel = run_sweep(grid, workers=2)
         serial = run_sweep(grid, workers=1)
         # repr keeps NaN fields comparable and every float exact
         assert ([repr(replace(r, wall_time=0.0)) for r in serial]
                 == [repr(replace(r, wall_time=0.0)) for r in parallel])
+
+    def test_cache_helper_finds_every_cache(self):
+        assert {evolve._propagator, master._cached_polynomial,
+                sequences.segment_transfer, linalg._block_cells} <= package_caches()
+
+    def test_starts_at_most_one_worker_per_point(self, monkeypatch):
+        # the pool starts every worker it is asked for up front; a fake
+        # pool records the request and maps in this process
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        grid = small_grid()
+        assert len(list(grid.points())) == 2
+        assert len(run_sweep(grid, workers=10_000)) == 2
+        assert requested == [2]
+        # one point runs serially, with no pool at all
+        run_sweep(small_grid(omega1_values=(W1,)), workers=3)
+        assert requested == [2]
 
     def test_records_carry_the_transfer_time(self):
         # the protocol's duration at each point's omega_1 and J, from any
