@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, load_preset
+from .config import ConfigError, RunConfig, load_config, load_preset, preset_names
 from .evolve import export_trajectory
 from .linalg import max_norm
 from .model import ChainSpec
@@ -183,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="SWAP-gate entanglement transport on dissipative dipolar chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    presets = preset_names()
     for name, fn in (
         ("simulate", cmd_simulate),
         ("gate-check", cmd_gate_check),
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a JSON configuration")
-        p.add_argument("--preset", choices=["fig2", "fig3"],
+        p.add_argument("--preset", choices=presets,
                        help="bundled reference configuration")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--workers", type=_worker_count, default=0,

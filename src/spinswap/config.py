@@ -103,8 +103,8 @@ class RunConfig:
     echo: dict = field(default_factory=dict)
 
     def physics_echo(self) -> dict:
-        """Config echo without runtime-only fields (workers, paths)."""
-        return {k: v for k, v in self.echo.items() if k not in ("workers", "out")}
+        """Config echo without the runtime-only field (workers)."""
+        return {k: v for k, v in self.echo.items() if k != "workers"}
 
 
 @contextlib.contextmanager
@@ -122,10 +122,16 @@ def _reading(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _section(value, where: str) -> dict:
-    """A config section, which must be a JSON object."""
+def _section(value, where: str, fields: tuple[str, ...]) -> dict:
+    """A config section, which must be a JSON object whose keys are all
+    among `fields`: the first other key is ConfigError "<where>: unknown
+    field <key>", raised before any key is read, so that a misspelt
+    required key reads as unknown, not missing."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {value!r}")
+    unknown = [key for key in value if key not in fields]
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
     return value
 
 
@@ -139,6 +145,7 @@ def _integer(value, where: str, minimum: int) -> int:
 def _parse_axis(doc, kind: str, where: str) -> tuple[float, ...]:
     """Grid axis: either a list of quantities or a log-spaced range spec."""
     if isinstance(doc, dict):
+        _section(doc, where, ("log_points", "min", "max"))
         for key in ("log_points", "min", "max"):
             if key not in doc:
                 raise ConfigError(f"{where}: range spec needs 'log_points', 'min', 'max'")
@@ -155,11 +162,12 @@ def _parse_axis(doc, kind: str, where: str) -> tuple[float, ...]:
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate and resolve a configuration document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a JSON object")
+    # description, seed and chain.geometry are echoed and select nothing
+    _section(doc, "top level", ("description", "chain", "bath", "drive", "regime",
+                                "protocol", "refocusing", "grid", "workers", "seed"))
 
     with _reading("chain"):
-        chain_doc = _section(doc["chain"], "chain")
+        chain_doc = _section(doc["chain"], "chain", ("larmor", "couplings", "geometry"))
         larmor = [
             parse_quantity(v, "angular_frequency", f"chain.larmor[{i}]")
             for i, v in enumerate(chain_doc["larmor"])
@@ -168,7 +176,7 @@ def parse_config(doc: dict) -> RunConfig:
         for i, c in enumerate(chain_doc.get("couplings", [])):
             where = f"chain.couplings[{i}]"
             with _reading(where):
-                c = _section(c, where)
+                c = _section(c, where, ("pair", "j"))
                 pair = c["pair"]
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ConfigError(f"{where}.pair: expected two site indices, got {pair!r}")
@@ -177,7 +185,7 @@ def parse_config(doc: dict) -> RunConfig:
             couplings.append((a, b, j))
 
     with _reading("bath"):
-        bath_doc = _section(doc["bath"], "bath")
+        bath_doc = _section(doc["bath"], "bath", ("omega_se", "tau_c", "kappa"))
         omega_se = parse_quantity(bath_doc["omega_se"], "angular_frequency",
                                   "bath.omega_se")
         tau_c = kappa = None
@@ -188,12 +196,12 @@ def parse_config(doc: dict) -> RunConfig:
         bath = BathSpec(omega_se=omega_se, tau_c=tau_c, kappa=kappa)
 
     with _reading("drive"):
-        omega1 = parse_quantity(_section(doc["drive"], "drive")["omega1"],
+        omega1 = parse_quantity(_section(doc["drive"], "drive", ("omega1",))["omega1"],
                                 "angular_frequency", "drive.omega1")
     if omega1 <= 0:
         raise ConfigError("drive.omega1: must be positive")
 
-    regime_doc = _section(doc.get("regime", {}), "regime")
+    regime_doc = _section(doc.get("regime", {}), "regime", ("mode", "coarse_grain_dt"))
     mode_name = regime_doc.get("mode", "auto")
     try:
         regime = Regime(mode_name)
@@ -224,7 +232,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     grid = None
     if "grid" in doc:
-        g = _section(doc["grid"], "grid")
+        g = _section(doc["grid"], "grid", ("omega1", "omegaD", "tau_c", "scale_to_omega_se"))
         # the ratio columns are always scaled to omega_SE; true is kept valid
         if g.get("scale_to_omega_se", True) is not True:
             raise ConfigError(f"grid.scale_to_omega_se: {json.dumps(g['scale_to_omega_se'])} "
@@ -261,9 +269,18 @@ def load_config(path) -> RunConfig:
     return parse_config(doc)
 
 
+def preset_names() -> list[str]:
+    """The bundled presets: the names of the package's presets/*.json files,
+    sorted."""
+    return sorted(f.name.removesuffix(".json")
+                  for f in resources.files("spinswap.presets").iterdir()
+                  if f.name.endswith(".json"))
+
+
 def load_preset(name: str) -> RunConfig:
-    """Bundled configurations reproducing the two reference parameter sets."""
-    if name not in ("fig2", "fig3"):
-        raise ConfigError(f"unknown preset {name!r} (available: fig2, fig3)")
+    """Bundled configurations reproducing the reference parameter sets."""
+    names = preset_names()
+    if name not in names:
+        raise ConfigError(f"unknown preset {name!r} (available: {', '.join(names)})")
     text = resources.files("spinswap.presets").joinpath(f"{name}.json").read_text()
     return parse_config(json.loads(text))

@@ -108,22 +108,24 @@ class ChannelPass:
 
 @dataclass
 class Trajectory:
-    """Sampled states along a propagation.
+    """Sampled states along a propagation, built from what their state
+    check (`_checked`) returns.
 
     times: sample times in seconds (starting at 0).
     states: density matrices at those times (validated and clipped), one
         (m, d, d) complex array, each matrix row-major.
     clip_count: number of samples whose small negative eigenvalues (below
         minus `rounding_floor`) were floored at zero; min_eigenvalue is the
-        worst value seen pre-clip, rounding-level ones included.
+        worst value seen pre-clip, rounding-level ones included, or 0 if
+        no sample has a negative one.
     channel_pass: the channel pass the samples were stepped alongside.
     """
 
     times: np.ndarray
     states: np.ndarray
-    clip_count: int = 0
-    min_eigenvalue: float = 0.0
-    channel_pass: ChannelPass | None = None
+    clip_count: int
+    min_eigenvalue: float
+    channel_pass: ChannelPass
 
 
 def _gershgorin_lower(h: np.ndarray) -> np.ndarray:
@@ -133,10 +135,12 @@ def _gershgorin_lower(h: np.ndarray) -> np.ndarray:
     return (diag + np.abs(diag) - np.abs(h).sum(axis=2)).min(axis=1)
 
 
-def _checked(rhos: np.ndarray, times, stats: dict) -> np.ndarray:
+def _checked(rhos: np.ndarray, times) -> tuple[np.ndarray, int, float]:
     """Validate a time-ordered stack of sampled states, shape (m, d, d), and
-    return a copy in the same memory layout with the clipped states
-    replaced.
+    return (states, clips, min_eig): a copy of the stack in the same memory
+    layout with the clipped states replaced, the number of clipped states,
+    and the smallest eigenvalue seen before clipping, or 0 if none is
+    negative.
 
     Each sample must have finite entries, unit trace, be Hermitian and be
     positive, checked in that order; the first failing sample in time order
@@ -144,8 +148,8 @@ def _checked(rhos: np.ndarray, times, stats: dict) -> np.ndarray:
     except where the Gershgorin bound certifies it (above CERT_MARGIN), which
     changes no result.  Samples whose smallest eigenvalue lies in
     [EIG_FLOOR, -rounding_floor(d)) are clipped (`clip_to_density`) and
-    counted in stats["clips"]; those in [-rounding_floor(d), 0) stay as
-    they are and only reach stats["min_eig"].
+    counted in clips; those in [-rounding_floor(d), 0) stay as they are
+    and only reach min_eig.
     """
     nonfinite = ~np.isfinite(rhos).all(axis=(1, 2))
     # only the samples before the first non-finite one are checked further
@@ -172,13 +176,11 @@ def _checked(rhos: np.ndarray, times, stats: dict) -> np.ndarray:
         raise PositivityError(t, float(wmin[k]))
     if m < len(rhos):
         raise RuntimeError(f"state has a non-finite entry at t = {times[m]:.6e} s")
-    stats["min_eig"] = min(stats["min_eig"], float(wmin.min()))
     states = rhos.copy(order="K")
     clipped = np.flatnonzero(wmin < -rounding_floor(rhos.shape[-1]))
     for k in clipped:
         states[k] = clip_to_density(rhos[k])
-    stats["clips"] += clipped.size
-    return states
+    return states, clipped.size, min(0.0, float(wmin.min()))
 
 
 @lru_cache(maxsize=PROPAGATOR_CACHE_SIZE)
@@ -266,15 +268,12 @@ def _walk(rho0: np.ndarray, windows,
     if choi_min < EIG_FLOOR:
         raise ChannelError(f"channel not completely positive: Choi eigenvalue "
                            f"{choi_min:.3e} below floor {EIG_FLOOR:.0e}")
-    ends = _checked(np.array([rho0, from_pauli(channel @ r0)]), [0.0, t],
-                    {"clips": 0, "min_eig": 0.0})
+    ends, _, _ = _checked(np.array([rho0, from_pauli(channel @ r0)]), [0.0, t])
     result = ChannelPass(channel, ends[-1], tp_defect, choi_min)
     if not sampled:
         return result, None
-    stats = {"clips": 0, "min_eig": 0.0}
-    states = _checked(np.concatenate(sample_states), sample_times, stats)
-    return result, Trajectory(np.array(sample_times), states, clip_count=stats["clips"],
-                              min_eigenvalue=stats["min_eig"], channel_pass=result)
+    states, clips, min_eig = _checked(np.concatenate(sample_states), sample_times)
+    return result, Trajectory(np.array(sample_times), states, clips, min_eig, result)
 
 
 def channel_pass(rho0: np.ndarray, windows) -> ChannelPass:

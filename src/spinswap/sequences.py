@@ -454,46 +454,38 @@ def compile_program(program: PulseProgram, chain: ChainSpec,
 # Serialization
 # ---------------------------------------------------------------------------
 
+# The program.json record of each segment class: its kind, then its
+# (record key, attribute) pairs in record order.
+_RECORDS = {
+    SquarePulse: ("square_pulse", (("amplitude_rad_per_s", "amplitude"), ("phase_rad", "phase"),
+                                   ("targets", "targets"), ("duration_s", "duration"))),
+    Delay: ("delay", (("duration_s", "duration"),)),
+    VirtualZ: ("virtual_z", (("angle_rad", "angle"), ("target", "target"))),
+    IdealPi: ("ideal_pi", (("axis", "axis"), ("target", "target"))),
+}
+
+
 def _segment_record(seg: Segment) -> dict:
-    if isinstance(seg, SquarePulse):
-        return {
-            "kind": "square_pulse",
-            "amplitude_rad_per_s": seg.amplitude,
-            "phase_rad": seg.phase,
-            "targets": list(seg.targets),
-            "duration_s": seg.duration,
-            # kept for the record format: every pulse is resonant
-            "carrier_rad_per_s": None,
-        }
-    if isinstance(seg, Delay):
-        return {"kind": "delay", "duration_s": seg.duration}
-    if isinstance(seg, VirtualZ):
-        return {"kind": "virtual_z", "angle_rad": seg.angle, "target": seg.target}
-    if isinstance(seg, IdealPi):
-        return {"kind": "ideal_pi", "axis": seg.axis, "target": seg.target}
-    raise TypeError(f"unknown segment {seg!r}")
+    if type(seg) not in _RECORDS:
+        raise TypeError(f"unknown segment {seg!r}")
+    kind, fields = _RECORDS[type(seg)]
+    rec = {"kind": kind, **{key: getattr(seg, attr) for key, attr in fields}}
+    if kind == "square_pulse":
+        # kept for the record format: every pulse is resonant
+        rec["carrier_rad_per_s"] = None
+    return rec
 
 
 def _segment_from_record(rec: dict) -> Segment:
     kind = rec["kind"]
-    if kind == "square_pulse":
-        carrier = rec.get("carrier_rad_per_s")
-        if carrier is not None:
-            raise ValueError(f"square pulse carrier_rad_per_s = {carrier!r} is not "
-                             "supported: pulses are resonant with each target")
-        return SquarePulse(
-            rec["amplitude_rad_per_s"],
-            rec["phase_rad"],
-            tuple(rec["targets"]),
-            rec["duration_s"],
-        )
-    if kind == "delay":
-        return Delay(rec["duration_s"])
-    if kind == "virtual_z":
-        return VirtualZ(rec["angle_rad"], rec["target"])
-    if kind == "ideal_pi":
-        return IdealPi(rec["axis"], rec["target"])
-    raise ValueError(f"unknown segment kind {kind!r}")
+    cls = next((c for c, (k, _) in _RECORDS.items() if k == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown segment kind {kind!r}")
+    carrier = rec.get("carrier_rad_per_s")
+    if kind == "square_pulse" and carrier is not None:
+        raise ValueError(f"square pulse carrier_rad_per_s = {carrier!r} is not "
+                         "supported: pulses are resonant with each target")
+    return cls(**{attr: rec[key] for key, attr in _RECORDS[cls][1]})
 
 
 def program_to_json(program: PulseProgram) -> str:

@@ -17,7 +17,9 @@ column i is vec(P_i); `pauli_to_superop` converts back, and
 `choi_of_superop` is the Choi matrix read off that form.
 `checked_reference` is the state check with an `eigvalsh` call on every
 state, which `evolve._checked` spares where a Gershgorin bound certifies
-positivity.  `dense_choi_min` is the Choi spectrum from one dense
+positivity; both return the checked states, the clip count and the
+smallest eigenvalue, and it is the tests' one reference for that check.
+`dense_choi_min` is the Choi spectrum from one dense
 `eigvalsh`, which `linalg.hermitian_min_eigenvalue` takes per block;
 `stepped_final_state` steps the initial state through the windows, where
 `evolve` reads the final state off the program channel.
@@ -108,15 +110,16 @@ def superop_to_pauli(superop: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(r.real)
 
 
-def checked_reference(rhos: np.ndarray, times, stats: dict) -> np.ndarray:
+def checked_reference(rhos: np.ndarray, times) -> tuple[np.ndarray, int, float]:
     """`evolve._checked` with `eigvalsh` on every state and the clipped
-    states replaced one by one: the same checks, order, errors and stats."""
+    states replaced one by one: the same checks, order and errors, and the
+    same (states, clips, min_eig)."""
     finite = np.isfinite(rhos).all(axis=(1, 2))
     if not finite.all():
         k = int(np.argmin(finite))
         if k:
             # a failure before the first non-finite sample wins
-            checked_reference(rhos[:k], times, dict(stats))
+            checked_reference(rhos[:k], times)
         raise RuntimeError(f"state has a non-finite entry at t = {times[k]:.6e} s")
     adj = rhos.conj().transpose(0, 2, 1)
     tr = np.trace(rhos, axis1=1, axis2=2)
@@ -132,15 +135,11 @@ def checked_reference(rhos: np.ndarray, times, stats: dict) -> np.ndarray:
         if bad_herm[k]:
             raise RuntimeError(f"state lost Hermiticity at t = {t:.6e} s")
         raise PositivityError(t, float(wmin[k]))
-    stats["min_eig"] = min(stats["min_eig"], float(wmin.min()))
     states = []
     floor = -rounding_floor(rhos.shape[-1])
     for rho, w in zip(rhos, wmin):
-        if w < floor:
-            stats["clips"] += 1
-            rho = clip_to_density(rho)
-        states.append(rho)
-    return np.array(states)
+        states.append(clip_to_density(rho) if w < floor else rho)
+    return np.array(states), int((wmin < floor).sum()), min(0.0, float(wmin.min()))
 
 
 def pauli_to_superop(transfer: np.ndarray) -> np.ndarray:

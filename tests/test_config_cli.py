@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -154,6 +155,16 @@ class TestPresets:
             load_preset("fig9")
 
 
+def test_preset_choices_are_the_preset_files():
+    # --preset and load_preset both read the package's presets/*.json
+    files = sorted(p.stem for p in (Path(config.__file__).parent / "presets").glob("*.json"))
+    assert config.preset_names() == files
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in sub.choices.values():
+        preset = next(a for a in command._actions if "--preset" in a.option_strings)
+        assert list(preset.choices) == files
+
+
 class TestCli:
     def _write_config(self, tmp_path, doc):
         p = tmp_path / "run.json"
@@ -269,6 +280,36 @@ class TestCli:
         path = self._write_config(tmp_path, doc)
         assert main(["validate", "--config", path]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("section, key, misspelt", [
+        ("", None, "refocussing"),
+        ("chain", "larmor", "Larmor"),
+        ("chain.couplings[0]", "j", "J"),
+        ("bath", "omega_se", "omega_SE"),
+        ("drive", "omega1", "omega_1"),
+        ("regime", "coarse_grain_dt", "coarse_grain"),
+        ("grid", "omegaD", "omega_d"),
+        ("grid.omega1", "min", "Min"),
+    ], ids=["top-level", "chain", "coupling", "bath", "drive", "regime", "grid",
+            "range-spec"])
+    def test_validate_names_an_unknown_field(self, tmp_path, capsys, section, key, misspelt):
+        # a misspelt key is never ignored: "refocussing": false would run a
+        # refocused protocol, and a misspelt required key reads as unknown,
+        # not missing
+        doc = json.loads(json.dumps(FIG2_DOC))
+        doc["regime"] = {"mode": "auto", "coarse_grain_dt": "4e-7 s"}
+        doc["grid"] = {"omega1": {"log_points": 3, "min": "2*pi*10 kHz",
+                                  "max": "2*pi*1000 kHz"},
+                       "omegaD": ["2*pi*150 kHz"], "tau_c": ["0.1/(2*pi*1e5) s"]}
+        part = dict(doc, **{"": doc, "chain.couplings[0]": doc["chain"]["couplings"][0],
+                            "grid.omega1": doc["grid"]["omega1"]})[section]
+        value = part.pop(key) if key else False
+        part[misspelt] = value
+        path = self._write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        where = section or "top level"
+        assert capsys.readouterr().err == (
+            f"configuration error: {where}: unknown field {misspelt!r}\n")
 
     @pytest.mark.parametrize("pair", [[2, 0], [0, 2]], ids=["reversed", "same-order"])
     def test_validate_rejects_repeated_coupling_pair(self, tmp_path, capsys, pair):

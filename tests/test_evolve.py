@@ -11,16 +11,13 @@ import spinswap.linalg as linalg
 import spinswap.sequences as sequences
 from spinswap.config import load_preset
 from spinswap.evolve import (
-    EIG_FLOOR,
-    HERM_TOL,
-    TRACE_TOL,
     ChannelError,
     PositivityError,
     channel_pass,
     export_trajectory,
     propagate,
 )
-from spinswap.linalg import basis_state, clip_to_density, dagger, identity, ket2dm, max_norm
+from spinswap.linalg import basis_state, dagger, identity, ket2dm, max_norm
 import spinswap.master as master
 from spinswap.master import GeneratorSpec, assemble
 from spinswap.model import BathSpec, ChainSpec, drive_hamiltonian, system_env_coupling
@@ -589,28 +586,6 @@ class TestChannelChecks:
             entry(bad, [])
 
 
-def per_sample_checked(rhos, times):
-    """The per-sample validation the batched check replaced (reference),
-    clipping only below the rounding floor."""
-    stats = {"clips": 0, "min_eig": 0.0}
-    out = []
-    for rho, t in zip(rhos, times):
-        tr = np.trace(rho)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise RuntimeError(f"trace drifted to {tr:.12f} at t = {t:.6e} s")
-        if np.max(np.abs(rho - dagger(rho))) > HERM_TOL:
-            raise RuntimeError(f"state lost Hermiticity at t = {t:.6e} s")
-        wmin = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min())
-        stats["min_eig"] = min(stats["min_eig"], wmin)
-        if wmin < EIG_FLOOR:
-            raise PositivityError(t, wmin)
-        if wmin < -evolve.rounding_floor(len(rho)):
-            stats["clips"] += 1
-            rho = clip_to_density(rho)
-        out.append(rho)
-    return out, stats
-
-
 def state_stack(min_eigs, seed=3):
     """8x8 unit-trace states in a random eigenbasis with the given smallest
     eigenvalues, one per sample."""
@@ -674,25 +649,25 @@ class TestBatchedChecks:
            seed=st.integers(0, 2**32 - 1), column_major=st.booleans())
     def test_matches_all_eigvalsh_reference(self, d, kinds, seed, column_major):
         # the Gershgorin certificate changes no result: the same stack bit
-        # for bit, the same stats, or the same error with the same message
+        # for bit, the same clips and min_eig, or the same error with the
+        # same message
         rng = np.random.default_rng(seed)
         rhos = np.array([random_state(rng, d, k) for k in kinds])
         if column_major:  # the layout the walk passes
             rhos = np.ascontiguousarray(rhos.transpose(0, 2, 1)).transpose(0, 2, 1)
         times = list(np.cumsum(rng.uniform(1e-7, 1e-6, len(kinds))))
-        got_stats, want_stats = {"clips": 0, "min_eig": 0.0}, {"clips": 0, "min_eig": 0.0}
         try:
-            want = checked_reference(rhos, times, want_stats)
+            want, *want_found = checked_reference(rhos, times)
         except (RuntimeError, ValueError) as exc:
             with pytest.raises(type(exc)) as got:
-                evolve._checked(rhos, times, got_stats)
+                evolve._checked(rhos, times)
             assert type(got.value) is type(exc)
             assert str(got.value) == str(exc)
             return
-        got = evolve._checked(rhos, times, got_stats)
+        got, *found = evolve._checked(rhos, times)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
-        assert got_stats == want_stats
+        assert found == want_found
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3"])
     def test_certificate_spares_most_preset_states(self, monkeypatch, preset):
@@ -712,33 +687,32 @@ class TestBatchedChecks:
         assert 0 < shapes[2][0] < 0.5 * checked[1]
 
     def test_clipping_matches_per_sample_path(self):
+        # the reference clips one state at a time
         rhos = state_stack([0.0, -1e-10, 1e-3, -3e-9, -1e-12, 0.0])
-        stats = {"clips": 0, "min_eig": 0.0}
-        got = evolve._checked(rhos, self.TIMES, stats)
-        want, want_stats = per_sample_checked(rhos, self.TIMES)
-        assert stats == want_stats
-        assert stats["clips"] >= 3
-        np.testing.assert_array_equal(np.array(got), np.array(want))
+        got, clips, min_eig = evolve._checked(rhos, self.TIMES)
+        want, want_clips, want_min_eig = checked_reference(rhos, self.TIMES)
+        assert (clips, min_eig) == (want_clips, want_min_eig)
+        assert clips >= 3
+        np.testing.assert_array_equal(got, want)
 
     def test_rounding_level_negatives_are_kept(self):
         # eigenvalues within d * eps below zero are rounding, not states to
         # repair: kept as they are, uncounted, but seen by min_eig
         floor = evolve.rounding_floor(8)
         rhos = state_stack([-0.5 * floor, -0.25 * floor, 0.0, -4 * floor])
-        stats = {"clips": 0, "min_eig": 0.0}
-        got = evolve._checked(rhos, self.TIMES[:4], stats)
-        want, want_stats = per_sample_checked(rhos, self.TIMES[:4])
-        assert stats == want_stats
-        assert stats["clips"] == 1 and stats["min_eig"] < -floor
-        np.testing.assert_array_equal(np.array(got[:3]), rhos[:3])
-        np.testing.assert_array_equal(np.array(got), np.array(want))
+        got, clips, min_eig = evolve._checked(rhos, self.TIMES[:4])
+        want, want_clips, want_min_eig = checked_reference(rhos, self.TIMES[:4])
+        assert (clips, min_eig) == (want_clips, want_min_eig)
+        assert clips == 1 and min_eig < -floor
+        np.testing.assert_array_equal(got[:3], rhos[:3])
+        np.testing.assert_array_equal(got, want)
 
     def test_first_failing_sample_raises(self):
         rhos = state_stack([0.0, -1e-10, -2e-6, 0.0, -5e-6, 0.0])
         with pytest.raises(PositivityError) as got:
-            evolve._checked(rhos, self.TIMES, {"clips": 0, "min_eig": 0.0})
+            evolve._checked(rhos, self.TIMES)
         with pytest.raises(PositivityError) as want:
-            per_sample_checked(rhos, self.TIMES)
+            checked_reference(rhos, self.TIMES)
         assert got.value.time == self.TIMES[2]
         assert str(got.value) == str(want.value)
         # a trace failure before the positivity failure wins, and after it loses
@@ -746,9 +720,9 @@ class TestBatchedChecks:
             bad = rhos.copy()
             bad[k] *= 1.1
             with pytest.raises(expected) as got:
-                evolve._checked(bad, self.TIMES, {"clips": 0, "min_eig": 0.0})
+                evolve._checked(bad, self.TIMES)
             with pytest.raises(expected) as want:
-                per_sample_checked(bad, self.TIMES)
+                checked_reference(bad, self.TIMES)
             assert type(got.value) is type(want.value) is expected
             assert str(got.value) == str(want.value)
 

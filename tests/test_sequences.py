@@ -1,4 +1,5 @@
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -496,7 +497,14 @@ class TestProgramStructure:
 
 class TestSerialization:
     def test_round_trip_lossless(self):
+        # one segment of each kind, and the record table has a row for
+        # exactly those kinds: a new kind without a record fails here
+        one_of_each = PulseProgram((SquarePulse(W1, 0.5, (0, 2), 1e-6), Delay(2e-6),
+                                    VirtualZ(-0.25, 1), IdealPi("y", 2)))
+        kinds = set(typing.get_args(sequences.Segment))
+        assert {type(s) for s in one_of_each.segments} == kinds == set(sequences._RECORDS)
         for prog in (
+            one_of_each,
             swap_nonidentical((0, 1), J, W1),
             swap_identical((0, 1), J, W1),
             transport_protocol(CHAIN3, W1),
